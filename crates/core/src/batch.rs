@@ -145,28 +145,83 @@ pub struct BatchControl {
     pub stop_after_progress: Option<usize>,
 }
 
+/// The smallest population NSGA-II can breed from.
+pub const MIN_POPULATION: usize = 2;
+
+/// Why a job list was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobError {
+    /// The document is not a non-empty job list.
+    File(String),
+    /// Job `index` has a missing or invalid field.
+    Invalid {
+        /// Position of the job in the list.
+        index: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+    /// Job `index` asks for fewer than [`MIN_POPULATION`] members.
+    Population {
+        /// Position of the job in the list.
+        index: usize,
+        /// The requested population.
+        population: usize,
+    },
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::File(message) => f.write_str(message),
+            JobError::Invalid { index, reason } => write!(f, "job {index}: {reason}"),
+            JobError::Population { index, population } => write!(
+                f,
+                "job {index}: population {population} is below the minimum of {MIN_POPULATION}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
+
+/// Rejects a population NSGA-II cannot run, naming the job.
+///
+/// # Errors
+///
+/// [`JobError::Population`] when `population < MIN_POPULATION`.
+pub fn check_population(index: usize, population: usize) -> Result<(), JobError> {
+    if population < MIN_POPULATION {
+        return Err(JobError::Population { index, population });
+    }
+    Ok(())
+}
+
 /// Parses a batch job file: either `{"jobs": [...]}` or a bare array,
 /// each job `{"wstore": N, "precision": "int8"}` with optional
 /// `"population"`, `"generations"` and `"seed"` overriding `defaults`.
 ///
 /// # Errors
 ///
-/// A human-readable message naming the offending job index and field.
-pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, String> {
-    let doc = Json::parse(text).map_err(|e| format!("job file: {e}"))?;
+/// A [`JobError`] naming the offending job index and field, including a
+/// population below [`MIN_POPULATION`] (from the job or from `defaults`).
+pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, JobError> {
+    let doc = Json::parse(text).map_err(|e| JobError::File(format!("job file: {e}")))?;
     let raw_jobs = doc
         .get("jobs")
         .or(Some(&doc))
         .and_then(Json::as_arr)
-        .ok_or("job file must be a JSON array or an object with a `jobs` array")?;
+        .ok_or_else(|| {
+            JobError::File("job file must be a JSON array or an object with a `jobs` array".into())
+        })?;
     if raw_jobs.is_empty() {
-        return Err("job file lists no jobs".to_owned());
+        return Err(JobError::File("job file lists no jobs".to_owned()));
     }
     raw_jobs
         .iter()
         .enumerate()
-        .map(|(i, raw)| {
-            let field = |name: &str| format!("job {i}: missing or invalid `{name}`");
+        .map(|(index, raw)| {
+            let invalid = |reason: String| JobError::Invalid { index, reason };
+            let field = |name: &str| invalid(format!("missing or invalid `{name}`"));
             let wstore = raw
                 .get("wstore")
                 .and_then(Json::as_u64)
@@ -176,10 +231,10 @@ pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, S
                 .and_then(Json::as_str)
                 .ok_or_else(|| field("precision"))?;
             let precision = Precision::from_name(precision_name)
-                .ok_or_else(|| format!("job {i}: unknown precision `{precision_name}`"))?;
-            let spec = UserSpec::new(wstore, precision).map_err(|e| format!("job {i}: {e}"))?;
+                .ok_or_else(|| invalid(format!("unknown precision `{precision_name}`")))?;
+            let spec = UserSpec::new(wstore, precision).map_err(|e| invalid(e.to_string()))?;
             let mut config = defaults.clone();
-            let override_usize = |name: &str| -> Result<Option<usize>, String> {
+            let override_usize = |name: &str| -> Result<Option<usize>, JobError> {
                 match raw.get(name) {
                     None => Ok(None),
                     Some(v) => v
@@ -191,6 +246,7 @@ pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, S
             if let Some(p) = override_usize("population")? {
                 config.population = p;
             }
+            check_population(index, config.population)?;
             if let Some(g) = override_usize("generations")? {
                 config.generations = g;
             }
@@ -703,9 +759,44 @@ mod tests {
                 "job 0: missing or invalid `seed`",
             ),
         ] {
-            let err = parse_jobs(text, &defaults).unwrap_err();
+            let err = parse_jobs(text, &defaults).unwrap_err().to_string();
             assert!(err.contains(needle), "`{err}` missing `{needle}`");
         }
+    }
+
+    #[test]
+    fn populations_below_two_are_rejected_by_index() {
+        let two_jobs = r#"[{"wstore":4096,"precision":"INT4","population":8},
+                           {"wstore":4096,"precision":"INT4","population":1}]"#;
+        let err = parse_jobs(two_jobs, &quick()).unwrap_err();
+        assert_eq!(
+            err,
+            JobError::Population {
+                index: 1,
+                population: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "job 1: population 1 is below the minimum of 2"
+        );
+        // A too-small default is caught on the first job that inherits it.
+        let tiny = Nsga2Config {
+            population: 0,
+            ..quick()
+        };
+        assert_eq!(
+            parse_jobs(r#"[{"wstore":4096,"precision":"int4"}]"#, &tiny).unwrap_err(),
+            JobError::Population {
+                index: 0,
+                population: 0
+            }
+        );
+        assert!(parse_jobs(
+            r#"[{"wstore":4096,"precision":"int4","population":2}]"#,
+            &quick()
+        )
+        .is_ok());
     }
 
     #[test]

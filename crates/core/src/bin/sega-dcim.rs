@@ -667,7 +667,7 @@ fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<()
     if let Some(s) = flags.get("seed") {
         defaults.seed = s.parse().map_err(|e| format!("--seed: {e}"))?;
     }
-    let jobs = parse_jobs(&jobs_text, &defaults)?;
+    let jobs = parse_jobs(&jobs_text, &defaults).map_err(|e| e.to_string())?;
     let mut store = cache_store_of(flags)?;
     let report = sega_dcim::run_batch_connected_with(
         &addr,
@@ -862,7 +862,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(s) = flags.get("seed") {
         defaults.seed = s.parse().map_err(|e| format!("--seed: {e}"))?;
     }
-    let jobs = parse_jobs(&jobs_text, &defaults)?;
+    let jobs = parse_jobs(&jobs_text, &defaults).map_err(|e| e.to_string())?;
 
     // One shared cache for the whole batch, warm-started from the
     // persistent store (--cache-file blob or --cache-dir segments) when

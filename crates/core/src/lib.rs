@@ -87,6 +87,7 @@ pub use backend::{
 };
 pub use batch::{
     run_batch, run_batch_with, BatchControl, BatchJob, BatchOutcome, BatchReport, CacheSyncStats,
+    JobError,
 };
 pub use cache::{CacheKey, EvalStats, SharedEvalCache};
 pub use checkpoint::CheckpointConfig;

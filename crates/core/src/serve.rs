@@ -643,6 +643,11 @@ fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<
 fn run_job(shared: &DaemonShared, job: &JobRequest) -> Result<JobResponse, String> {
     let precision = Precision::from_name(&job.precision)
         .ok_or_else(|| format!("job {} names unknown precision `{}`", job.id, job.precision))?;
+    // Checked before taking the job lock: NSGA-II asserts on a population
+    // below 2, and a panic under the lock would poison it for every
+    // later client.
+    crate::batch::check_population(job.id as usize, job.population as usize)
+        .map_err(|e| e.to_string())?;
     let spec = crate::spec::UserSpec::new(job.wstore, precision)
         .map_err(|e| format!("job {}: {e}", job.id))?;
     let config = Nsga2Config {
@@ -1042,6 +1047,43 @@ mod tests {
         let served = daemon.join().expect("daemon thread").expect("daemon exit");
         assert_eq!(served.hello_timeouts, 1, "{served:?}");
         assert_eq!(served.jobs, 1);
+    }
+
+    /// A job NSGA-II cannot run (population 1) is refused before it takes
+    /// the job lock, so the daemon keeps serving: a later well-formed
+    /// client still gets its front, bit-identical to an in-process run.
+    #[test]
+    fn rejected_job_does_not_brick_the_daemon() {
+        let addr = scratch_addr("reject");
+        let mut options = ServeOptions::new(addr.clone());
+        options.threads = 1;
+        let daemon = std::thread::spawn(move || serve(options));
+
+        let good = parse_jobs(
+            r#"[{"wstore": 4096, "precision": "int4", "population": 8, "generations": 3, "seed": 2}]"#,
+            &Nsga2Config::default(),
+        )
+        .unwrap();
+        // `parse_jobs` refuses this job, so build it by hand as a client
+        // that skips validation would.
+        let mut bad = good.clone();
+        bad[0].config.population = 1;
+        let err = run_batch_connected(&addr, &bad, false).unwrap_err();
+        assert!(err.contains("job 1"), "{err}");
+
+        let served = run_batch_connected(&addr, &good, true).expect("client after a bad job");
+        let local = crate::batch::run_batch(
+            &good,
+            &Technology::tsmc28(),
+            &OperatingConditions::paper_default(),
+            PipelineOptions::default(),
+        );
+        assert_eq!(
+            served.outcomes[0].result.objective_matrix(),
+            local.outcomes[0].result.objective_matrix()
+        );
+        let report = daemon.join().expect("daemon thread").expect("daemon exit");
+        assert_eq!(report.jobs, 1, "{report:?}");
     }
 
     #[test]

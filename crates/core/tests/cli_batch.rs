@@ -80,6 +80,28 @@ fn batch_rejects_zero_valued_scheduling_flags_with_clear_errors() {
 }
 
 #[test]
+fn batch_rejects_a_population_below_two_without_panicking() {
+    let dir = scratch("population");
+    let jobs = dir.join("jobs.json");
+    std::fs::write(
+        &jobs,
+        r#"[{"wstore":4096,"precision":"INT4","population":1}]"#,
+    )
+    .expect("write jobs file");
+    let output = run(&["batch", "--jobs", jobs.to_str().unwrap()]);
+    // A clean error exit (1), not a panic (101).
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = stderr_of(&output);
+    assert!(
+        stderr.contains("job 0: population 1 is below the minimum of 2"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.stdout.is_empty(), "work ran before the error");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn batch_rejects_unknown_backends_naming_the_valid_ones() {
     let dir = scratch("bad-backend");
     let jobs = write_jobs(&dir);

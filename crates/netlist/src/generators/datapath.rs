@@ -1,9 +1,10 @@
 //! Datapath block templates: compute unit, adder tree, shift accumulator,
 //! result fusion and input buffer (paper Fig. 3, left side).
 
-use super::primitives::{ensure_adder, ensure_multiplier, ensure_selector, ensure_shifter};
+use super::primitives::{adder, ensure_multiplier, ensure_selector, ensure_shifter};
 use super::{fitted_const, zero_extend, GenResult};
-use crate::ir::{Design, Module, NetlistError, Signal};
+use crate::ir::Signal::{Bit, Net};
+use crate::ir::{Design, Module, Signal};
 use sega_cells::{ceil_log2, StandardCell};
 
 /// Ensures the compute unit `cu_l{l}_k{k}` exists (paper Fig. 5): an `L`:1
@@ -19,8 +20,8 @@ use sega_cells::{ceil_log2, StandardCell};
 /// Propagates IR construction errors.
 pub fn ensure_compute_unit(design: &mut Design, l: u32, k: u32) -> GenResult {
     let name = format!("cu_l{l}_k{k}");
-    if design.contains(&name) {
-        return Ok(name);
+    if let Some(id) = design.module_id(&name) {
+        return Ok(id);
     }
     let mul = ensure_multiplier(design, k)?;
     let sel = if l >= 2 {
@@ -28,38 +29,35 @@ pub fn ensure_compute_unit(design: &mut Design, l: u32, k: u32) -> GenResult {
     } else {
         None
     };
-    let mut m = Module::new(&name);
-    m.add_input("w", l)?;
+    let mut m = Module::new(name);
+    let w = m.add_input("w", l);
     let sel_w = ceil_log2(l as u64).max(1);
-    m.add_input("wsel", sel_w)?;
-    m.add_input("xb", k)?;
-    m.add_output("p", k)?;
-    m.add_wire("wbit", 1)?;
+    let wsel = m.add_input("wsel", sel_w);
+    let xb = m.add_input("xb", k);
+    let p = m.add_output("p", k);
+    let wbit = m.add_wire("wbit", 1);
     match sel {
         Some(sel) => {
             m.add_instance(
+                design,
                 "wsel0",
-                &sel,
-                vec![
-                    ("d", Signal::net("w")),
-                    ("sel", Signal::slice("wsel", ceil_log2(l as u64) - 1, 0)),
-                    ("y", Signal::net("wbit")),
+                sel,
+                &[
+                    ("d", Net(w)),
+                    ("sel", Signal::slice(wsel, ceil_log2(l as u64) - 1, 0)),
+                    ("y", Net(wbit)),
                 ],
             );
         }
-        None => m.add_assign(Signal::net("wbit"), Signal::net("w")),
+        None => m.add_assign(Net(wbit), Net(w)),
     }
     m.add_instance(
+        design,
         "mul0",
-        &mul,
-        vec![
-            ("xb", Signal::net("xb")),
-            ("wb", Signal::net("wbit")),
-            ("p", Signal::net("p")),
-        ],
+        mul,
+        &[("xb", Net(xb)), ("wb", Net(wbit)), ("p", Net(p))],
     );
-    design.add_module(m)?;
-    Ok(name)
+    design.add_module(m)
 }
 
 /// Ensures the adder tree `atree_h{h}_k{k}` exists: pairwise reduction of
@@ -72,55 +70,51 @@ pub fn ensure_compute_unit(design: &mut Design, l: u32, k: u32) -> GenResult {
 pub fn ensure_adder_tree(design: &mut Design, h: u32, k: u32) -> GenResult {
     assert!(h >= 1 && k >= 1, "tree needs h >= 1, k >= 1");
     let name = format!("atree_h{h}_k{k}");
-    if design.contains(&name) {
-        return Ok(name);
+    if let Some(id) = design.module_id(&name) {
+        return Ok(id);
     }
     let wout = k + ceil_log2(h as u64);
-    let mut m = Module::new(&name);
-    m.add_input("d", h * k)?;
-    m.add_output("y", wout)?;
+    let mut m = Module::new(name);
+    let d = m.add_input("d", h * k);
+    let y = m.add_output("y", wout);
 
-    // Current operands: (signal, width). All operands at a level share the
-    // same width; an odd operand is zero-padded one bit when carried up.
+    // Current operands. All operands at a level share the same width; an
+    // odd operand is zero-padded one bit when carried up.
     let mut operands: Vec<Signal> = (0..h)
-        .map(|i| Signal::slice("d", (i + 1) * k - 1, i * k))
+        .map(|i| Signal::slice(d, (i + 1) * k - 1, i * k))
         .collect();
     let mut width = k;
     let mut level = 0u32;
     while operands.len() > 1 {
-        let adder = ensure_adder(design, width)?;
-        let m_ref = &mut m;
+        let add = adder(design, width)?;
         let pairs = operands.len() / 2;
         let mut next: Vec<Signal> = Vec::with_capacity(pairs + operands.len() % 2);
         for j in 0..pairs {
-            let wire = format!("t{level}_{j}");
-            m_ref.add_wire(&wire, width + 1)?;
-            m_ref.add_instance(
-                format!("a{level}_{j}"),
-                &adder,
-                vec![
-                    ("a", operands[2 * j].clone()),
-                    ("b", operands[2 * j + 1].clone()),
-                    ("sum", Signal::net(&wire)),
+            let wire = m.add_wire(format_args!("t{level}_{j}"), width + 1);
+            m.add_instance(
+                design,
+                format_args!("a{level}_{j}"),
+                add,
+                &[
+                    ("a", operands[2 * j]),
+                    ("b", operands[2 * j + 1]),
+                    ("sum", Net(wire)),
                 ],
             );
-            next.push(Signal::net(&wire));
+            next.push(Net(wire));
         }
         if operands.len() % 2 == 1 {
-            next.push(zero_extend(
-                operands.last().expect("odd operand").clone(),
-                width,
-                width + 1,
-            ));
+            let odd = *operands.last().expect("odd operand");
+            next.push(zero_extend(&mut m, odd, width, width + 1));
         }
         operands = next;
         width += 1;
         level += 1;
     }
     let result = operands.pop().expect("one result");
-    m.add_assign(Signal::net("y"), zero_extend(result, width, wout));
-    design.add_module(m)?;
-    Ok(name)
+    let result = zero_extend(&mut m, result, width, wout);
+    m.add_assign(Net(y), result);
+    design.add_module(m)
 }
 
 /// Ensures the shift accumulator `sacc_bx{bx}_h{h}` exists (paper: "it
@@ -142,31 +136,27 @@ pub fn ensure_shift_accumulator(
     let w = bx + ceil_log2(h as u64);
     assert!(din <= w, "tree output ({din}) must fit accumulator ({w})");
     let name = format!("sacc_bx{bx}_h{h}_k{k}");
-    if design.contains(&name) {
-        return Ok(name);
+    if let Some(id) = design.module_id(&name) {
+        return Ok(id);
     }
     let shifter = if w >= 2 {
         Some(ensure_shifter(design, w)?)
     } else {
         None
     };
-    let adder = ensure_adder(design, w)?;
-    let mut m = Module::new(&name);
-    m.add_input("d", din)?;
-    m.add_input("clk", 1)?;
-    m.add_output("q", w)?;
-    m.add_wire("shifted", w)?;
-    m.add_wire("sum", w + 1)?;
+    let add = adder(design, w)?;
+    let mut m = Module::new(name);
+    let d = m.add_input("d", din);
+    let clk = m.add_input("clk", 1);
+    let q = m.add_output("q", w);
+    let shifted = m.add_wire("shifted", w);
+    let sum = m.add_wire("sum", w + 1);
     // Register bank.
     for i in 0..w {
         m.add_cell(
-            format!("r{i}"),
+            format_args!("r{i}"),
             StandardCell::Dff,
-            vec![
-                ("d", Signal::bit("sum", i)),
-                ("clk", Signal::net("clk")),
-                ("q", Signal::bit("q", i)),
-            ],
+            &[("d", Bit(sum, i)), ("clk", Net(clk)), ("q", Bit(q, i))],
         );
     }
     // Shift the accumulated value by the chunk width each cycle.
@@ -174,29 +164,27 @@ pub fn ensure_shift_accumulator(
         Some(shifter) => {
             let amt_w = ceil_log2(w as u64);
             m.add_instance(
+                design,
                 "sh0",
-                &shifter,
-                vec![
-                    ("d", Signal::net("q")),
+                shifter,
+                &[
+                    ("d", Net(q)),
                     ("amount", fitted_const(amt_w, k as u64)),
-                    ("y", Signal::net("shifted")),
+                    ("y", Net(shifted)),
                 ],
             );
         }
-        None => m.add_assign(Signal::net("shifted"), Signal::net("q")),
+        None => m.add_assign(Net(shifted), Net(q)),
     }
     // Accumulate the incoming partial sum.
+    let operand = zero_extend(&mut m, Net(d), din, w);
     m.add_instance(
+        design,
         "acc0",
-        &adder,
-        vec![
-            ("a", Signal::net("shifted")),
-            ("b", zero_extend(Signal::net("d"), din, w)),
-            ("sum", Signal::net("sum")),
-        ],
+        add,
+        &[("a", Net(shifted)), ("b", operand), ("sum", Net(sum))],
     );
-    design.add_module(m)?;
-    Ok(name)
+    design.add_module(m)
 }
 
 /// Ensures the result fusion unit `fuse_bw{bw}_bx{bx}_h{h}` exists: the
@@ -214,20 +202,20 @@ pub fn ensure_shift_accumulator(
 pub fn ensure_result_fusion(design: &mut Design, bw: u32, bx: u32, h: u32) -> GenResult {
     assert!(bw >= 1, "fusion needs at least one column");
     let name = format!("fuse_bw{bw}_bx{bx}_h{h}");
-    if design.contains(&name) {
-        return Ok(name);
+    if let Some(id) = design.module_id(&name) {
+        return Ok(id);
     }
     let win = bx + ceil_log2(h as u64);
     let w = win + bw;
-    let mut m = Module::new(&name);
-    m.add_input("d", bw * win)?;
-    m.add_output("y", w)?;
+    let mut m = Module::new(name);
+    let d = m.add_input("d", bw * win);
+    let y = m.add_output("y", w);
 
     // Operand j is the column-j result left-shifted by its bit position
     // (hard-wired), zero-padded to the fused width.
     let mut operands: Vec<Signal> = (0..bw)
         .map(|j| {
-            let body = Signal::slice("d", (j + 1) * win - 1, j * win);
+            let body = Signal::slice(d, (j + 1) * win - 1, j * win);
             let mut parts = Vec::new();
             if w > win + j {
                 parts.push(Signal::zeros(w - win - j));
@@ -237,48 +225,46 @@ pub fn ensure_result_fusion(design: &mut Design, bw: u32, bx: u32, h: u32) -> Ge
                 parts.push(Signal::zeros(j));
             }
             if parts.len() == 1 {
-                parts.pop().expect("one part")
+                body
             } else {
-                Signal::Concat(parts)
+                m.concat(&parts)
             }
         })
         .collect();
 
     if bw == 1 {
-        m.add_assign(Signal::net("y"), operands.pop().expect("single operand"));
-        design.add_module(m)?;
-        return Ok(name);
+        m.add_assign(Net(y), operands.pop().expect("single operand"));
+        return design.add_module(m);
     }
 
-    let adder = ensure_adder(design, w)?;
+    let add = adder(design, w)?;
     let mut level = 0u32;
     while operands.len() > 1 {
         let pairs = operands.len() / 2;
         let mut next = Vec::with_capacity(pairs + operands.len() % 2);
         for j in 0..pairs {
-            let wire = format!("f{level}_{j}");
-            m.add_wire(&wire, w + 1)?;
+            let wire = m.add_wire(format_args!("f{level}_{j}"), w + 1);
             m.add_instance(
-                format!("fa{level}_{j}"),
-                &adder,
-                vec![
-                    ("a", operands[2 * j].clone()),
-                    ("b", operands[2 * j + 1].clone()),
-                    ("sum", Signal::net(&wire)),
+                design,
+                format_args!("fa{level}_{j}"),
+                add,
+                &[
+                    ("a", operands[2 * j]),
+                    ("b", operands[2 * j + 1]),
+                    ("sum", Net(wire)),
                 ],
             );
             // Truncate the carry: fused width is the full precision already.
-            next.push(Signal::slice(&wire, w - 1, 0));
+            next.push(Signal::slice(wire, w - 1, 0));
         }
         if operands.len() % 2 == 1 {
-            next.push(operands.last().expect("odd operand").clone());
+            next.push(*operands.last().expect("odd operand"));
         }
         operands = next;
         level += 1;
     }
-    m.add_assign(Signal::net("y"), operands.pop().expect("one result"));
-    design.add_module(m)?;
-    Ok(name)
+    m.add_assign(Net(y), operands.pop().expect("one result"));
+    design.add_module(m)
 }
 
 /// Ensures the input buffer `ibuf_h{h}_bx{bx}_k{k}` exists: an `h·bx`-bit
@@ -295,8 +281,8 @@ pub fn ensure_input_buffer(design: &mut Design, h: u32, bx: u32, k: u32) -> GenR
         "invalid buffer shape"
     );
     let name = format!("ibuf_h{h}_bx{bx}_k{k}");
-    if design.contains(&name) {
-        return Ok(name);
+    if let Some(id) = design.module_id(&name) {
+        return Ok(id);
     }
     let chunks = bx.div_ceil(k);
     let phase_w = ceil_log2(chunks as u64).max(1);
@@ -305,60 +291,50 @@ pub fn ensure_input_buffer(design: &mut Design, h: u32, bx: u32, k: u32) -> GenR
     } else {
         None
     };
-    let mut m = Module::new(&name);
-    m.add_input("d", h * bx)?;
-    m.add_input("clk", 1)?;
-    m.add_input("phase", phase_w)?;
-    m.add_output("q", h * k)?;
-    m.add_wire("held", h * bx)?;
+    let mut m = Module::new(name);
+    let d = m.add_input("d", h * bx);
+    let clk = m.add_input("clk", 1);
+    let phase = m.add_input("phase", phase_w);
+    let q = m.add_output("q", h * k);
+    let held = m.add_wire("held", h * bx);
     for i in 0..(h * bx) {
         m.add_cell(
-            format!("r{i}"),
+            format_args!("r{i}"),
             StandardCell::Dff,
-            vec![
-                ("d", Signal::bit("d", i)),
-                ("clk", Signal::net("clk")),
-                ("q", Signal::bit("held", i)),
-            ],
+            &[("d", Bit(d, i)), ("clk", Net(clk)), ("q", Bit(held, i))],
         );
     }
     for row in 0..h {
         for j in 0..k {
             let out_bit = row * k + j;
-            match &sel {
+            match sel {
                 Some(sel) => {
-                    let cand = format!("c{out_bit}");
-                    m.add_wire(&cand, chunks)?;
+                    let cand = m.add_wire(format_args!("c{out_bit}"), chunks);
                     for c in 0..chunks {
                         let src_bit = c * k + j;
                         let src = if src_bit < bx {
-                            Signal::bit("held", row * bx + src_bit)
+                            Bit(held, row * bx + src_bit)
                         } else {
                             Signal::zeros(1)
                         };
-                        m.add_assign(Signal::bit(&cand, c), src);
+                        m.add_assign(Bit(cand, c), src);
                     }
                     m.add_instance(
-                        format!("s{out_bit}"),
+                        design,
+                        format_args!("s{out_bit}"),
                         sel,
-                        vec![
-                            ("d", Signal::net(&cand)),
-                            (
-                                "sel",
-                                Signal::slice("phase", ceil_log2(chunks as u64) - 1, 0),
-                            ),
-                            ("y", Signal::bit("q", out_bit)),
+                        &[
+                            ("d", Net(cand)),
+                            ("sel", Signal::slice(phase, ceil_log2(chunks as u64) - 1, 0)),
+                            ("y", Bit(q, out_bit)),
                         ],
                     );
                 }
-                None => {
-                    m.add_assign(Signal::bit("q", out_bit), Signal::bit("held", row * bx + j));
-                }
+                None => m.add_assign(Bit(q, out_bit), Bit(held, row * bx + j)),
             }
         }
     }
-    design.add_module(m)?;
-    Ok(name)
+    design.add_module(m)
 }
 
 /// Helper: the adder-tree output width for `h` operands of `k` bits.
@@ -366,14 +342,17 @@ pub(crate) fn tree_output_width(h: u32, k: u32) -> u32 {
     k + ceil_log2(h as u64)
 }
 
-#[allow(dead_code)]
-fn unused(_: NetlistError) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::ModuleId;
     use crate::stats::{cell_counts_of_module, unit_cost_of_module};
+    use sega_cells::Cost;
     use sega_estimator::components;
+
+    fn cost(d: &Design, id: ModuleId) -> Cost {
+        unit_cost_of_module(d, &d[id].name).unwrap()
+    }
 
     const EPS: f64 = 1e-6;
 
@@ -381,8 +360,8 @@ mod tests {
     fn compute_unit_matches_cost_model() {
         let (l, k) = (16u32, 4u32);
         let mut d = Design::new();
-        let name = ensure_compute_unit(&mut d, l, k).unwrap();
-        let cost = unit_cost_of_module(&d, &name).unwrap();
+        let id = ensure_compute_unit(&mut d, l, k).unwrap();
+        let cost = cost(&d, id);
         let model = sega_cells::modules::selector(l).then(sega_cells::modules::multiplier(k));
         assert!((cost.area - model.area).abs() < EPS);
         assert!((cost.energy - model.energy).abs() < EPS);
@@ -391,8 +370,8 @@ mod tests {
     #[test]
     fn compute_unit_l1_has_no_muxes() {
         let mut d = Design::new();
-        let name = ensure_compute_unit(&mut d, 1, 4).unwrap();
-        let counts = cell_counts_of_module(&d, &name).unwrap();
+        let id = ensure_compute_unit(&mut d, 1, 4).unwrap();
+        let counts = cell_counts_of_module(&d, &d[id].name).unwrap();
         assert_eq!(counts.get(&StandardCell::Mux2), None);
         assert_eq!(counts.get(&StandardCell::Nor), Some(&4));
     }
@@ -401,8 +380,8 @@ mod tests {
     fn adder_tree_matches_cost_model() {
         for (h, k) in [(2u32, 4u32), (8, 2), (128, 4), (100, 3)] {
             let mut d = Design::new();
-            let name = ensure_adder_tree(&mut d, h, k).unwrap();
-            let cost = unit_cost_of_module(&d, &name).unwrap();
+            let id = ensure_adder_tree(&mut d, h, k).unwrap();
+            let cost = cost(&d, id);
             let model = components::adder_tree(h, k);
             assert!(
                 (cost.area - model.area).abs() < EPS,
@@ -419,8 +398,8 @@ mod tests {
         let (bx, h, k) = (8u32, 128u32, 4u32);
         let mut d = Design::new();
         let din = tree_output_width(h, k);
-        let name = ensure_shift_accumulator(&mut d, bx, h, k, din).unwrap();
-        let cost = unit_cost_of_module(&d, &name).unwrap();
+        let id = ensure_shift_accumulator(&mut d, bx, h, k, din).unwrap();
+        let cost = cost(&d, id);
         let model = components::shift_accumulator(bx, h);
         assert!((cost.area - model.area).abs() < EPS);
         assert!((cost.energy - model.energy).abs() < EPS);
@@ -431,8 +410,8 @@ mod tests {
         for bw in [1u32, 2, 4, 8] {
             let (bx, h) = (8u32, 128u32);
             let mut d = Design::new();
-            let name = ensure_result_fusion(&mut d, bw, bx, h).unwrap();
-            let cost = unit_cost_of_module(&d, &name).unwrap();
+            let id = ensure_result_fusion(&mut d, bw, bx, h).unwrap();
+            let cost = cost(&d, id);
             let model = components::result_fusion(bw, bx, h);
             assert!(
                 (cost.area - model.area).abs() < EPS,
@@ -447,8 +426,8 @@ mod tests {
     fn input_buffer_matches_cost_model() {
         for (h, bx, k) in [(8u32, 8u32, 8u32), (128, 8, 4), (16, 8, 1), (4, 8, 3)] {
             let mut d = Design::new();
-            let name = ensure_input_buffer(&mut d, h, bx, k).unwrap();
-            let cost = unit_cost_of_module(&d, &name).unwrap();
+            let id = ensure_input_buffer(&mut d, h, bx, k).unwrap();
+            let cost = cost(&d, id);
             let model = components::input_buffer(h, bx, k);
             assert!(
                 (cost.area - model.area).abs() < EPS,
@@ -467,7 +446,7 @@ mod tests {
         ensure_shift_accumulator(&mut d, 8, 16, 4, tree_output_width(16, 4)).unwrap();
         ensure_result_fusion(&mut d, 8, 8, 16).unwrap();
         let top = ensure_input_buffer(&mut d, 16, 8, 4).unwrap();
-        d.set_top(top).unwrap();
+        d.set_top_id(top);
         d.validate().unwrap();
     }
 }

@@ -7,7 +7,8 @@ use super::datapath::{
 };
 use super::fp::{ensure_int_to_fp, ensure_pre_alignment};
 use super::GenResult;
-use crate::ir::{Design, Module, NetlistError, Signal};
+use crate::ir::Signal::{Bit, Net};
+use crate::ir::{Design, Module, ModuleId, NetId, NetlistError, Signal};
 use sega_cells::{ceil_log2, StandardCell};
 use sega_estimator::{DcimDesign, FpParams, IntParams};
 
@@ -21,8 +22,8 @@ use sega_estimator::{DcimDesign, FpParams, IntParams};
 /// Propagates IR construction errors.
 pub fn ensure_column(design: &mut Design, h: u32, l: u32, k: u32, bx: u32) -> GenResult {
     let name = format!("col_h{h}_l{l}_k{k}_bx{bx}");
-    if design.contains(&name) {
-        return Ok(name);
+    if let Some(id) = design.module_id(&name) {
+        return Ok(id);
     }
     let cu = ensure_compute_unit(design, l, k)?;
     let tree = ensure_adder_tree(design, h, k)?;
@@ -31,58 +32,47 @@ pub fn ensure_column(design: &mut Design, h: u32, l: u32, k: u32, bx: u32) -> Ge
     let wsel_w = ceil_log2(l as u64).max(1);
     let qw = bx + ceil_log2(h as u64);
 
-    let mut m = Module::new(&name);
-    m.add_input("xb", h * k)?;
-    m.add_input("wsel", wsel_w)?;
-    m.add_input("clk", 1)?;
-    m.add_input("wdata", 1)?;
-    m.add_input("wl", h * l)?;
-    m.add_output("q", qw)?;
-    m.add_wire("wq", h * l)?;
-    m.add_wire("pr", h * k)?;
-    m.add_wire("tsum", din)?;
+    let mut m = Module::new(name);
+    let xb = m.add_input("xb", h * k);
+    let wsel = m.add_input("wsel", wsel_w);
+    let clk = m.add_input("clk", 1);
+    let wdata = m.add_input("wdata", 1);
+    let wl = m.add_input("wl", h * l);
+    let q = m.add_output("q", qw);
+    let wq = m.add_wire("wq", h * l);
+    let pr = m.add_wire("pr", h * k);
+    let tsum = m.add_wire("tsum", din);
 
     // The memory array: L weight bits hard-wired into each compute unit.
     for i in 0..(h * l) {
         m.add_cell(
-            format!("sram{i}"),
+            format_args!("sram{i}"),
             StandardCell::Sram,
-            vec![
-                ("d", Signal::net("wdata")),
-                ("wl", Signal::bit("wl", i)),
-                ("q", Signal::bit("wq", i)),
-            ],
+            &[("d", Net(wdata)), ("wl", Bit(wl, i)), ("q", Bit(wq, i))],
         );
     }
     // One compute unit per row.
     for r in 0..h {
         m.add_instance(
-            format!("cu{r}"),
-            &cu,
-            vec![
-                ("w", Signal::slice("wq", (r + 1) * l - 1, r * l)),
-                ("wsel", Signal::net("wsel")),
-                ("xb", Signal::slice("xb", (r + 1) * k - 1, r * k)),
-                ("p", Signal::slice("pr", (r + 1) * k - 1, r * k)),
+            design,
+            format_args!("cu{r}"),
+            cu,
+            &[
+                ("w", Signal::slice(wq, (r + 1) * l - 1, r * l)),
+                ("wsel", Net(wsel)),
+                ("xb", Signal::slice(xb, (r + 1) * k - 1, r * k)),
+                ("p", Signal::slice(pr, (r + 1) * k - 1, r * k)),
             ],
         );
     }
+    m.add_instance(design, "tree0", tree, &[("d", Net(pr)), ("y", Net(tsum))]);
     m.add_instance(
-        "tree0",
-        &tree,
-        vec![("d", Signal::net("pr")), ("y", Signal::net("tsum"))],
-    );
-    m.add_instance(
+        design,
         "acc0",
-        &acc,
-        vec![
-            ("d", Signal::net("tsum")),
-            ("clk", Signal::net("clk")),
-            ("q", Signal::net("q")),
-        ],
+        acc,
+        &[("d", Net(tsum)), ("clk", Net(clk)), ("q", Net(q))],
     );
-    design.add_module(m)?;
-    Ok(name)
+    design.add_module(m)
 }
 
 /// Generates the complete hierarchical netlist for a DCIM design point —
@@ -91,9 +81,9 @@ pub fn ensure_column(design: &mut Design, h: u32, l: u32, k: u32, bx: u32) -> Ge
 ///
 /// # Errors
 ///
-/// Propagates IR construction/validation errors (which indicate a template
-/// bug, not a user error: any [`DcimDesign`] that passed parameter
-/// validation generates successfully).
+/// Returns [`NetlistError::DesignPoint`] for a design point that fails
+/// parameter validation. Any other error indicates a template bug: every
+/// valid [`DcimDesign`] generates successfully.
 ///
 /// # Example
 ///
@@ -107,24 +97,49 @@ pub fn ensure_column(design: &mut Design, h: u32, l: u32, k: u32, bx: u32) -> Ge
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn generate_macro(design_point: &DcimDesign) -> Result<Design, NetlistError> {
-    design_point
-        .validate()
-        .expect("generate_macro requires a validated design point");
+    design_point.validate().map_err(NetlistError::DesignPoint)?;
     let mut d = Design::new();
     let top = match design_point {
         DcimDesign::Int(p) => generate_int_macro(&mut d, p)?,
         DcimDesign::Fp(p) => generate_fp_macro(&mut d, p)?,
     };
-    d.set_top(top)?;
+    d.set_top_id(top);
     d.validate()?;
     Ok(d)
+}
+
+/// The `n` column instances `col{c}`, each driving its `qw`-bit slice of
+/// `colq`, shared by both macro kinds.
+fn add_columns(
+    m: &mut Module,
+    d: &Design,
+    col: ModuleId,
+    n: u32,
+    qw: u32,
+    [xb, wsel, clk, wdata, wl, colq]: [NetId; 6],
+) {
+    for c in 0..n {
+        m.add_instance(
+            d,
+            format_args!("col{c}"),
+            col,
+            &[
+                ("xb", Net(xb)),
+                ("wsel", Net(wsel)),
+                ("clk", Net(clk)),
+                ("wdata", Net(wdata)),
+                ("wl", Net(wl)),
+                ("q", Signal::slice(colq, (c + 1) * qw - 1, c * qw)),
+            ],
+        );
+    }
 }
 
 fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
     let IntParams { n, h, l, k, bw, bx } = *p;
     let name = format!("dcim_int_n{n}_h{h}_l{l}_k{k}_bw{bw}_bx{bx}");
-    if d.contains(&name) {
-        return Ok(name);
+    if let Some(id) = d.module_id(&name) {
+        return Ok(id);
     }
     let ibuf = ensure_input_buffer(d, h, bx, k)?;
     let col = ensure_column(d, h, l, k, bx)?;
@@ -137,63 +152,48 @@ fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
     let wf = qw + bw;
     let groups = n / bw;
 
-    let mut m = Module::new(&name);
-    m.add_input("xin", h * bx)?;
-    m.add_input("clk", 1)?;
-    m.add_input("phase", phase_w)?;
-    m.add_input("wsel", wsel_w)?;
-    m.add_input("wdata", 1)?;
-    m.add_input("wl", h * l)?;
-    m.add_output("y", groups * wf)?;
-    m.add_wire("xb", h * k)?;
-    m.add_wire("colq", n * qw)?;
+    let mut m = Module::new(name);
+    let xin = m.add_input("xin", h * bx);
+    let clk = m.add_input("clk", 1);
+    let phase = m.add_input("phase", phase_w);
+    let wsel = m.add_input("wsel", wsel_w);
+    let wdata = m.add_input("wdata", 1);
+    let wl = m.add_input("wl", h * l);
+    let y = m.add_output("y", groups * wf);
+    let xb = m.add_wire("xb", h * k);
+    let colq = m.add_wire("colq", n * qw);
 
     m.add_instance(
+        d,
         "ibuf0",
-        &ibuf,
-        vec![
-            ("d", Signal::net("xin")),
-            ("clk", Signal::net("clk")),
-            ("phase", Signal::net("phase")),
-            ("q", Signal::net("xb")),
+        ibuf,
+        &[
+            ("d", Net(xin)),
+            ("clk", Net(clk)),
+            ("phase", Net(phase)),
+            ("q", Net(xb)),
         ],
     );
-    for c in 0..n {
-        m.add_instance(
-            format!("col{c}"),
-            &col,
-            vec![
-                ("xb", Signal::net("xb")),
-                ("wsel", Signal::net("wsel")),
-                ("clk", Signal::net("clk")),
-                ("wdata", Signal::net("wdata")),
-                ("wl", Signal::net("wl")),
-                ("q", Signal::slice("colq", (c + 1) * qw - 1, c * qw)),
-            ],
-        );
-    }
+    add_columns(&mut m, d, col, n, qw, [xb, wsel, clk, wdata, wl, colq]);
     for g in 0..groups {
         m.add_instance(
-            format!("fuse{g}"),
-            &fuse,
-            vec![
-                (
-                    "d",
-                    Signal::slice("colq", (g + 1) * bw * qw - 1, g * bw * qw),
-                ),
-                ("y", Signal::slice("y", (g + 1) * wf - 1, g * wf)),
+            d,
+            format_args!("fuse{g}"),
+            fuse,
+            &[
+                ("d", Signal::slice(colq, (g + 1) * bw * qw - 1, g * bw * qw)),
+                ("y", Signal::slice(y, (g + 1) * wf - 1, g * wf)),
             ],
         );
     }
-    d.add_module(m)?;
-    Ok(name)
+    d.add_module(m)
 }
 
 fn generate_fp_macro(d: &mut Design, p: &FpParams) -> GenResult {
     let FpParams { n, h, l, k, be, bm } = *p;
     let name = format!("dcim_fp_n{n}_h{h}_l{l}_k{k}_be{be}_bm{bm}");
-    if d.contains(&name) {
-        return Ok(name);
+    if let Some(id) = d.module_id(&name) {
+        return Ok(id);
     }
     let palign = ensure_pre_alignment(d, h, be, bm)?;
     let ibuf = ensure_input_buffer(d, h, bm, k)?;
@@ -208,85 +208,73 @@ fn generate_fp_macro(d: &mut Design, p: &FpParams) -> GenResult {
     let qw = bm + ceil_log2(h as u64);
     let groups = n / bm;
 
-    let mut m = Module::new(&name);
-    m.add_input("xe", h * be)?;
-    m.add_input("xm", h * bm)?;
-    m.add_input("clk", 1)?;
-    m.add_input("phase", phase_w)?;
-    m.add_input("wsel", wsel_w)?;
-    m.add_input("wdata", 1)?;
-    m.add_input("wl", h * l)?;
-    m.add_input("ebase", be + 1)?;
-    m.add_output("xemax", be)?;
-    m.add_output("ym", groups * br)?;
-    m.add_output("ye", groups * (be + 2))?;
-    m.add_wire("xma", h * bm)?;
-    m.add_wire("xb", h * k)?;
-    m.add_wire("colq", n * qw)?;
-    m.add_wire("fused", groups * br)?;
+    let mut m = Module::new(name);
+    let xe = m.add_input("xe", h * be);
+    let xm = m.add_input("xm", h * bm);
+    let clk = m.add_input("clk", 1);
+    let phase = m.add_input("phase", phase_w);
+    let wsel = m.add_input("wsel", wsel_w);
+    let wdata = m.add_input("wdata", 1);
+    let wl = m.add_input("wl", h * l);
+    let ebase = m.add_input("ebase", be + 1);
+    let xemax = m.add_output("xemax", be);
+    let ym = m.add_output("ym", groups * br);
+    let ye = m.add_output("ye", groups * (be + 2));
+    let xma = m.add_wire("xma", h * bm);
+    let xb = m.add_wire("xb", h * k);
+    let colq = m.add_wire("colq", n * qw);
+    let fused = m.add_wire("fused", groups * br);
 
     m.add_instance(
+        d,
         "palign0",
-        &palign,
-        vec![
-            ("xe", Signal::net("xe")),
-            ("xm", Signal::net("xm")),
-            ("xma", Signal::net("xma")),
-            ("xemax", Signal::net("xemax")),
+        palign,
+        &[
+            ("xe", Net(xe)),
+            ("xm", Net(xm)),
+            ("xma", Net(xma)),
+            ("xemax", Net(xemax)),
         ],
     );
     m.add_instance(
+        d,
         "ibuf0",
-        &ibuf,
-        vec![
-            ("d", Signal::net("xma")),
-            ("clk", Signal::net("clk")),
-            ("phase", Signal::net("phase")),
-            ("q", Signal::net("xb")),
+        ibuf,
+        &[
+            ("d", Net(xma)),
+            ("clk", Net(clk)),
+            ("phase", Net(phase)),
+            ("q", Net(xb)),
         ],
     );
-    for c in 0..n {
-        m.add_instance(
-            format!("col{c}"),
-            &col,
-            vec![
-                ("xb", Signal::net("xb")),
-                ("wsel", Signal::net("wsel")),
-                ("clk", Signal::net("clk")),
-                ("wdata", Signal::net("wdata")),
-                ("wl", Signal::net("wl")),
-                ("q", Signal::slice("colq", (c + 1) * qw - 1, c * qw)),
-            ],
-        );
-    }
+    add_columns(&mut m, d, col, n, qw, [xb, wsel, clk, wdata, wl, colq]);
     for g in 0..groups {
+        let group = Signal::slice(fused, (g + 1) * br - 1, g * br);
         m.add_instance(
-            format!("fuse{g}"),
-            &fuse,
-            vec![
-                (
-                    "d",
-                    Signal::slice("colq", (g + 1) * bm * qw - 1, g * bm * qw),
-                ),
-                ("y", Signal::slice("fused", (g + 1) * br - 1, g * br)),
+            d,
+            format_args!("fuse{g}"),
+            fuse,
+            &[
+                ("d", Signal::slice(colq, (g + 1) * bm * qw - 1, g * bm * qw)),
+                ("y", group),
             ],
         );
         m.add_instance(
-            format!("i2f{g}"),
-            &i2f,
-            vec![
-                ("d", Signal::slice("fused", (g + 1) * br - 1, g * br)),
-                ("ebase", Signal::net("ebase")),
-                ("ym", Signal::slice("ym", (g + 1) * br - 1, g * br)),
+            d,
+            format_args!("i2f{g}"),
+            i2f,
+            &[
+                ("d", group),
+                ("ebase", Net(ebase)),
+                ("ym", Signal::slice(ym, (g + 1) * br - 1, g * br)),
                 (
                     "ye",
-                    Signal::slice("ye", (g + 1) * (be + 2) - 1, g * (be + 2)),
+                    Signal::slice(ye, (g + 1) * (be + 2) - 1, g * (be + 2)),
                 ),
             ],
         );
     }
-    d.add_module(m)?;
-    Ok(name)
+    d.add_module(m)
 }
 
 #[cfg(test)]
@@ -298,10 +286,10 @@ mod tests {
     #[test]
     fn column_validates_and_counts_sram() {
         let mut d = Design::new();
-        let name = ensure_column(&mut d, 8, 4, 2, 8).unwrap();
-        d.set_top(name.clone()).unwrap();
+        let id = ensure_column(&mut d, 8, 4, 2, 8).unwrap();
+        d.set_top_id(id);
         d.validate().unwrap();
-        let counts = crate::stats::cell_counts_of_module(&d, &name).unwrap();
+        let counts = crate::stats::cell_counts_of_module(&d, &d[id].name).unwrap();
         assert_eq!(counts.get(&StandardCell::Sram), Some(&32));
     }
 
@@ -321,6 +309,34 @@ mod tests {
         let counts = cell_counts(&netlist).unwrap();
         // FP macro must contain OR gates (leading-one detectors).
         assert!(counts.get(&StandardCell::Or).copied().unwrap_or(0) > 0);
+    }
+
+    #[test]
+    fn invalid_design_point_is_a_typed_error() {
+        let bad = DcimDesign::Int(IntParams {
+            n: 8,
+            h: 0,
+            l: 4,
+            k: 2,
+            bw: 4,
+            bx: 4,
+        });
+        assert_eq!(
+            generate_macro(&bad).unwrap_err(),
+            NetlistError::DesignPoint(sega_estimator::ParamError::ZeroDimension("h"))
+        );
+        let too_wide = DcimDesign::Int(IntParams {
+            n: 8,
+            h: 4,
+            l: 4,
+            k: 8,
+            bw: 4,
+            bx: 4,
+        });
+        assert!(matches!(
+            generate_macro(&too_wide),
+            Err(NetlistError::DesignPoint(_))
+        ));
     }
 
     #[test]

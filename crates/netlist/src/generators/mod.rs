@@ -25,19 +25,19 @@ pub use fp::{ensure_int_to_fp, ensure_pre_alignment};
 pub use macro_top::{ensure_column, generate_macro};
 pub use primitives::{ensure_adder, ensure_multiplier, ensure_selector, ensure_shifter};
 
-use crate::ir::{NetlistError, Signal};
+use crate::ir::{Module, ModuleId, NetlistError, Signal};
 
 /// Pads `signal` (of width `from`) with zeros up to `to` bits.
 ///
 /// # Panics
 ///
 /// Panics if `to < from`.
-pub(crate) fn zero_extend(signal: Signal, from: u32, to: u32) -> Signal {
+pub(crate) fn zero_extend(m: &mut Module, signal: Signal, from: u32, to: u32) -> Signal {
     assert!(to >= from, "cannot zero-extend {from} bits down to {to}");
     if to == from {
         signal
     } else {
-        Signal::Concat(vec![Signal::zeros(to - from), signal])
+        m.concat(&[Signal::zeros(to - from), signal])
     }
 }
 
@@ -55,8 +55,9 @@ pub(crate) fn fitted_const(width: u32, value: u64) -> Signal {
     }
 }
 
-/// Shorthand for the `Result` the generators return.
-pub(crate) type GenResult = Result<String, NetlistError>;
+/// Shorthand for the `Result` the generators return: the id of the
+/// (possibly memoized) module.
+pub(crate) type GenResult = Result<ModuleId, NetlistError>;
 
 #[cfg(test)]
 mod tests {
@@ -65,16 +66,16 @@ mod tests {
     #[test]
     fn zero_extend_identity() {
         let s = Signal::zeros(4);
-        assert_eq!(zero_extend(s.clone(), 4, 4), s);
+        assert_eq!(zero_extend(&mut Module::new("m"), s, 4, 4), s);
     }
 
     #[test]
     fn zero_extend_pads_msbs() {
-        let s = zero_extend(Signal::net("x"), 4, 6);
-        match s {
-            Signal::Concat(parts) => {
-                assert_eq!(parts[0], Signal::zeros(2));
-                assert_eq!(parts[1], Signal::net("x"));
+        let mut m = Module::new("m");
+        let x = m.add_wire("x", 4);
+        match zero_extend(&mut m, Signal::Net(x), 4, 6) {
+            Signal::Concat(c) => {
+                assert_eq!(m.concat_parts(c), [Signal::zeros(2), Signal::Net(x)]);
             }
             other => panic!("expected concat, got {other:?}"),
         }
@@ -83,7 +84,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot zero-extend")]
     fn zero_extend_rejects_shrink() {
-        let _ = zero_extend(Signal::zeros(8), 8, 4);
+        let _ = zero_extend(&mut Module::new("m"), Signal::zeros(8), 8, 4);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! design — the "what did the template generator actually build" view a
 //! user inspects before handing the netlist to synthesis.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::ir::{Design, InstanceTarget, NetlistError};
-use crate::stats::cell_counts_of_module;
+use crate::ir::{Design, NetlistError};
+use crate::stats::Census;
 
 /// Statistics of one module definition within a design.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,83 +24,39 @@ pub struct ModuleStats {
 }
 
 /// Computes per-module statistics for every module reachable from the top,
-/// in dependency (children-first) order.
+/// in dependency (children-first) order. One bottom-up census supplies
+/// every module's totals; multiplicities flow from the top down in one
+/// sweep over the modules in reverse id order (parents before children).
 ///
 /// # Errors
 ///
-/// Fails if the design has no top or contains dangling module references.
+/// Fails if the design has no top.
 pub fn hierarchy_stats(design: &Design) -> Result<Vec<ModuleStats>, NetlistError> {
-    let top = design.top()?.name.clone();
-
-    // Instantiation multiplicity via DFS accumulation.
-    let mut multiplicity: HashMap<String, u64> = HashMap::new();
-    fn walk(
-        design: &Design,
-        name: &str,
-        factor: u64,
-        multiplicity: &mut HashMap<String, u64>,
-    ) -> Result<(), NetlistError> {
-        *multiplicity.entry(name.to_owned()).or_insert(0) += factor;
-        let m = design
-            .module(name)
-            .ok_or_else(|| NetlistError::UnknownModule(name.to_owned()))?;
-        let mut child_counts: HashMap<&str, u64> = HashMap::new();
-        for inst in &m.instances {
-            if let InstanceTarget::Module(child) = &inst.target {
-                *child_counts.entry(child.as_str()).or_insert(0) += 1;
+    let top = design.top_id()?;
+    let census = Census::of(design, top);
+    let mut multiplicity = vec![0u64; top.index() + 1];
+    multiplicity[top.index()] = 1;
+    for id in (0..=top.index()).rev() {
+        let factor = multiplicity[id];
+        for &(child, count) in &census.uses[id] {
+            multiplicity[child.index()] += factor * count;
+        }
+    }
+    Ok(design
+        .children_first(top)
+        .into_iter()
+        .map(|id| {
+            let m = &design[id];
+            let child_instances: u64 = census.uses[id.index()].iter().map(|&(_, n)| n).sum();
+            ModuleStats {
+                name: m.name.clone(),
+                child_instances: child_instances as usize,
+                cell_instances: m.instance_count() - child_instances as usize,
+                total_cells: census.tally[id.index()].iter().sum(),
+                instantiation_count: multiplicity[id.index()],
             }
-        }
-        for (child, count) in child_counts {
-            walk(design, child, factor * count, multiplicity)?;
-        }
-        Ok(())
-    }
-    walk(design, &top, 1, &mut multiplicity)?;
-
-    // Emit in children-first order (same as the Verilog emitter).
-    let mut order: Vec<String> = Vec::new();
-    let mut visited: HashMap<String, bool> = HashMap::new();
-    fn post_order(
-        design: &Design,
-        name: &str,
-        visited: &mut HashMap<String, bool>,
-        order: &mut Vec<String>,
-    ) {
-        if visited.insert(name.to_owned(), true).is_some() {
-            return;
-        }
-        if let Some(m) = design.module(name) {
-            for inst in &m.instances {
-                if let InstanceTarget::Module(child) = &inst.target {
-                    post_order(design, child, visited, order);
-                }
-            }
-        }
-        order.push(name.to_owned());
-    }
-    post_order(design, &top, &mut visited, &mut order);
-
-    let mut out = Vec::with_capacity(order.len());
-    for name in order {
-        let m = design
-            .module(&name)
-            .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?;
-        let child_instances = m
-            .instances
-            .iter()
-            .filter(|i| matches!(i.target, InstanceTarget::Module(_)))
-            .count();
-        let cell_instances = m.instances.len() - child_instances;
-        let total_cells: u64 = cell_counts_of_module(design, &name)?.values().sum();
-        out.push(ModuleStats {
-            instantiation_count: multiplicity.get(&name).copied().unwrap_or(0),
-            name,
-            child_instances,
-            cell_instances,
-            total_cells,
-        });
-    }
-    Ok(out)
+        })
+        .collect())
 }
 
 /// Renders the hierarchy statistics as an aligned text table.

@@ -1,53 +1,103 @@
-use std::collections::HashMap;
+//! The netlist IR: modules, nets and instances addressed by dense indices.
+//!
+//! A [`Design`] owns its [`Module`]s and addresses them by [`ModuleId`]. A
+//! module keeps the names of its nets in one name table and their widths
+//! in one vector, both indexed by [`NetId`]; instance names live in a
+//! second table indexed by [`InstId`], and every instance's connections
+//! sit in one flat vector of `(port index, Signal)` pairs. A [`Signal`] is
+//! `Copy` and refers to nets by id, so building a macro allocates per
+//! table, not per instance or connection.
+//!
+//! A module can only instantiate modules already in the design, so child
+//! ids are always lower than their parent's id and every traversal is a
+//! walk over a DAG. Widths and ports are checked by one index-based pass,
+//! [`Design::validate`], which reports every located violation and runs
+//! once per design: its result is kept until the design is modified.
+
+use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 use crate::cells::cell_ports;
 use sega_cells::StandardCell;
+use sega_estimator::ParamError;
 
 /// Errors produced while building or validating a netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {
     /// Two modules share a name.
     DuplicateModule(String),
-    /// An instance references a module that is not in the design.
+    /// A module name (or an instance target id) that is not in the design.
     UnknownModule(String),
-    /// A net name collides inside a module.
-    DuplicateNet {
-        /// Containing module.
-        module: String,
-        /// Offending net name.
-        net: String,
-    },
-    /// A signal references a net that does not exist in its module.
-    UnknownNet {
-        /// Containing module.
-        module: String,
-        /// Missing net name.
-        net: String,
-    },
-    /// A connection references a port the target does not have.
+    /// The design has no top module set.
+    NoTop,
+    /// The design point handed to the generator is not a buildable macro.
+    DesignPoint(ParamError),
+    /// Validation found these violations (all of them, in module order).
+    Invalid(Vec<Violation>),
+}
+
+impl fmt::Display for NetlistError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetlistError::DuplicateModule(m) => write!(f, "duplicate module `{m}`"),
+            NetlistError::UnknownModule(m) => write!(f, "unknown module `{m}`"),
+            NetlistError::NoTop => write!(f, "design has no top module"),
+            NetlistError::DesignPoint(e) => write!(f, "invalid design point: {e}"),
+            NetlistError::Invalid(violations) => {
+                write!(f, "netlist has {} violation(s):", violations.len())?;
+                for v in violations {
+                    write!(f, "\n  {v}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl std::error::Error for NetlistError {}
+
+/// One located validation failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Containing module.
+    pub module: String,
+    /// Instance name, `assign #i` for the `i`-th continuous assignment, or
+    /// empty for a module-level fault.
+    pub instance: String,
+    /// Port name, or empty where no port is involved.
+    pub port: String,
+    /// What is wrong.
+    pub fault: Fault,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "module `{}`", self.module)?;
+        if !self.instance.is_empty() {
+            write!(f, ", instance `{}`", self.instance)?;
+        }
+        if !self.port.is_empty() {
+            write!(f, ", port `{}`", self.port)?;
+        }
+        write!(f, ": {}", self.fault)
+    }
+}
+
+/// The kind of a [`Violation`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fault {
+    /// Two nets of the module share this name.
+    DuplicateNet(String),
+    /// A signal refers to a net id this module does not have.
+    UnknownNet(u32),
+    /// The target cell or module has no port of the violation's name.
     UnknownPort {
-        /// Instance name.
-        instance: String,
         /// Target cell/module name.
         target: String,
-        /// Missing port name.
-        port: String,
-    },
-    /// A connected signal's width does not match the target port width.
-    WidthMismatch {
-        /// Instance name.
-        instance: String,
-        /// Port name.
-        port: String,
-        /// Expected (port) width.
-        expected: u32,
-        /// Actual (signal) width.
-        actual: u32,
     },
     /// A bit/slice index exceeds the referenced net's width.
     IndexOutOfRange {
-        /// Containing module.
-        module: String,
         /// Referenced net.
         net: String,
         /// Offending index.
@@ -55,53 +105,66 @@ pub enum NetlistError {
         /// Net width.
         width: u32,
     },
-    /// The design has no top module set.
-    NoTop,
+    /// A slice whose msb is below its lsb.
+    ReversedSlice {
+        /// Referenced net.
+        net: String,
+        /// Most significant bit.
+        msb: u32,
+        /// Least significant bit.
+        lsb: u32,
+    },
+    /// A concatenation that does not refer to this module's parts.
+    BadConcat,
+    /// A connected signal's width does not match the port (or an
+    /// assignment's sides differ).
+    WidthMismatch {
+        /// Expected (port / left-hand side) width.
+        expected: u32,
+        /// Actual (signal / right-hand side) width.
+        actual: u32,
+    },
 }
 
-impl std::fmt::Display for NetlistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetlistError::DuplicateModule(m) => write!(f, "duplicate module `{m}`"),
-            NetlistError::UnknownModule(m) => write!(f, "unknown module `{m}`"),
-            NetlistError::DuplicateNet { module, net } => {
-                write!(f, "duplicate net `{net}` in module `{module}`")
+            Fault::DuplicateNet(net) => write!(f, "duplicate net `{net}`"),
+            Fault::UnknownNet(id) => write!(f, "net #{id} is not declared in this module"),
+            Fault::UnknownPort { target } => write!(f, "target `{target}` has no such port"),
+            Fault::IndexOutOfRange { net, index, width } => write!(
+                f,
+                "index {index} out of range for net `{net}` of width {width}"
+            ),
+            Fault::ReversedSlice { net, msb, lsb } => {
+                write!(f, "slice `{net}[{msb}:{lsb}]` has its msb below its lsb")
             }
-            NetlistError::UnknownNet { module, net } => {
-                write!(f, "unknown net `{net}` in module `{module}`")
+            Fault::BadConcat => write!(f, "concatenation refers outside this module"),
+            Fault::WidthMismatch { expected, actual } => {
+                write!(f, "expected width {expected}, got {actual}")
             }
-            NetlistError::UnknownPort {
-                instance,
-                target,
-                port,
-            } => write!(
-                f,
-                "instance `{instance}`: target `{target}` has no port `{port}`"
-            ),
-            NetlistError::WidthMismatch {
-                instance,
-                port,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "instance `{instance}` port `{port}`: expected width {expected}, got {actual}"
-            ),
-            NetlistError::IndexOutOfRange {
-                module,
-                net,
-                index,
-                width,
-            } => write!(
-                f,
-                "module `{module}`: index {index} out of range for net `{net}` of width {width}"
-            ),
-            NetlistError::NoTop => write!(f, "design has no top module"),
         }
     }
 }
 
-impl std::error::Error for NetlistError {}
+/// Index of a module in its [`Design`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ModuleId(u32);
+
+/// Index of a net (port or wire) in its [`Module`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NetId(u32);
+
+/// Index of an instance in its [`Module`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct InstId(u32);
+
+impl ModuleId {
+    /// Position in [`Design::modules`].
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Port direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,68 +175,61 @@ pub enum Dir {
     Output,
 }
 
-/// A module port: a named, directed bus.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A module port: a directed net.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Port {
-    /// Port name.
-    pub name: String,
-    /// Bus width in bits.
-    pub width: u32,
+    /// The net carrying the port (its name and width are the port's).
+    pub net: NetId,
     /// Direction.
     pub dir: Dir,
 }
 
-/// An internal wire: a named bus local to a module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wire {
-    /// Wire name.
-    pub name: String,
-    /// Bus width in bits.
-    pub width: u32,
-}
-
 /// What an instance instantiates: a leaf standard cell or a child module.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceTarget {
     /// A Table III standard cell.
     Cell(StandardCell),
-    /// A child module, by name.
-    Module(String),
+    /// A child module of the same design.
+    Module(ModuleId),
 }
 
-impl InstanceTarget {
-    /// Display name of the target.
-    pub fn name(&self) -> &str {
-        match self {
-            InstanceTarget::Cell(c) => c.name(),
-            InstanceTarget::Module(m) => m,
-        }
-    }
-}
+/// Port index recorded for a connection whose port name matched nothing.
+const UNRESOLVED: u32 = u32::MAX;
 
-/// A cell or module instantiation with named port connections.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Instance {
+/// A borrowed view of one instance.
+#[derive(Debug, Clone, Copy)]
+pub struct Instance<'a> {
+    /// Instance id within its module.
+    pub id: InstId,
     /// Instance name (unique within the parent module).
-    pub name: String,
+    pub name: &'a str,
     /// What is instantiated.
     pub target: InstanceTarget,
-    /// `(port name, connected signal)` pairs.
-    pub connections: Vec<(String, Signal)>,
+    /// `(port index, connected signal)` pairs; the index is into the
+    /// cell's [`cell_ports`] or the child module's [`Module::ports`].
+    pub connections: &'a [(u32, Signal)],
+}
+
+/// A run of concatenation parts in its module's part table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Concat {
+    start: u32,
+    len: u32,
 }
 
 /// A signal expression connecting instance ports: a whole net, a bit, a
-/// slice, a constant, or a concatenation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// slice, a constant, or a concatenation. Nets are ids of the module the
+/// signal is used in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Signal {
-    /// A whole named net (port or wire).
-    Net(String),
+    /// A whole net (port or wire).
+    Net(NetId),
     /// One bit of a net: `net[bit]`.
-    Bit(String, u32),
+    Bit(NetId, u32),
     /// An inclusive slice: `net[msb:lsb]`.
     Slice {
-        /// Net name.
-        net: String,
+        /// Net id.
+        net: NetId,
         /// Most significant bit (inclusive).
         msb: u32,
         /// Least significant bit (inclusive).
@@ -186,93 +242,51 @@ pub enum Signal {
         /// Value (must fit in `width` bits).
         value: u64,
     },
-    /// A concatenation, most significant part first (Verilog `{a, b}`).
-    Concat(Vec<Signal>),
+    /// A concatenation, most significant part first (Verilog `{a, b}`),
+    /// built by [`Module::concat`].
+    Concat(Concat),
 }
 
 impl Signal {
-    /// Convenience constructor for a whole net.
-    pub fn net(name: impl Into<String>) -> Signal {
-        Signal::Net(name.into())
-    }
-
-    /// Convenience constructor for a single bit.
-    pub fn bit(name: impl Into<String>, bit: u32) -> Signal {
-        Signal::Bit(name.into(), bit)
-    }
-
     /// Convenience constructor for an inclusive slice `[msb:lsb]`.
-    pub fn slice(name: impl Into<String>, msb: u32, lsb: u32) -> Signal {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msb < lsb`.
+    pub fn slice(net: NetId, msb: u32, lsb: u32) -> Signal {
         assert!(msb >= lsb, "slice msb must be >= lsb");
-        Signal::Slice {
-            net: name.into(),
-            msb,
-            lsb,
-        }
+        Signal::Slice { net, msb, lsb }
     }
 
     /// A `width`-bit zero.
     pub fn zeros(width: u32) -> Signal {
         Signal::Const { width, value: 0 }
     }
+}
 
-    /// The width of this signal in the context of `module`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::UnknownNet`] / [`NetlistError::IndexOutOfRange`]
-    /// for dangling or out-of-range references.
-    pub fn width(&self, module: &Module) -> Result<u32, NetlistError> {
-        match self {
-            Signal::Net(name) => module
-                .net_width(name)
-                .ok_or_else(|| NetlistError::UnknownNet {
-                    module: module.name.clone(),
-                    net: name.clone(),
-                }),
-            Signal::Bit(name, bit) => {
-                let w = module
-                    .net_width(name)
-                    .ok_or_else(|| NetlistError::UnknownNet {
-                        module: module.name.clone(),
-                        net: name.clone(),
-                    })?;
-                if *bit >= w {
-                    return Err(NetlistError::IndexOutOfRange {
-                        module: module.name.clone(),
-                        net: name.clone(),
-                        index: *bit,
-                        width: w,
-                    });
-                }
-                Ok(1)
-            }
-            Signal::Slice { net, msb, lsb } => {
-                let w = module
-                    .net_width(net)
-                    .ok_or_else(|| NetlistError::UnknownNet {
-                        module: module.name.clone(),
-                        net: net.clone(),
-                    })?;
-                if *msb >= w {
-                    return Err(NetlistError::IndexOutOfRange {
-                        module: module.name.clone(),
-                        net: net.clone(),
-                        index: *msb,
-                        width: w,
-                    });
-                }
-                Ok(msb - lsb + 1)
-            }
-            Signal::Const { width, .. } => Ok(*width),
-            Signal::Concat(parts) => {
-                let mut total = 0;
-                for p in parts {
-                    total += p.width(module)?;
-                }
-                Ok(total)
-            }
-        }
+/// Names stored back to back in one string, addressed by position.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn push(&mut self, name: impl fmt::Display) -> u32 {
+        let _ = write!(self.text, "{name}");
+        let end = u32::try_from(self.text.len()).expect("name table fits in 4 GiB");
+        self.ends.push(end);
+        (self.ends.len() - 1) as u32
+    }
+
+    fn get(&self, i: u32) -> &str {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len() as u32).map(|i| self.get(i))
     }
 }
 
@@ -282,15 +296,18 @@ impl Signal {
 pub struct Module {
     /// Module name (unique within a [`Design`]).
     pub name: String,
-    /// Port list, in declaration order.
-    pub ports: Vec<Port>,
-    /// Internal wires.
-    pub wires: Vec<Wire>,
-    /// Cell and module instances.
-    pub instances: Vec<Instance>,
-    /// Continuous assignments `(lhs, rhs)`.
-    pub assigns: Vec<(Signal, Signal)>,
-    net_widths: HashMap<String, u32>,
+    net_names: Names,
+    net_widths: Vec<u32>,
+    ports: Vec<Port>,
+    wires: Vec<NetId>,
+    inst_names: Names,
+    targets: Vec<InstanceTarget>,
+    conn_ends: Vec<u32>,
+    conns: Vec<(u32, Signal)>,
+    assigns: Vec<(Signal, Signal)>,
+    parts: Vec<Signal>,
+    /// `(connection index, port name)` for names that matched no port.
+    unresolved: Vec<(u32, String)>,
 }
 
 impl Module {
@@ -298,100 +315,109 @@ impl Module {
     pub fn new(name: impl Into<String>) -> Module {
         Module {
             name: name.into(),
+            net_names: Names::default(),
+            net_widths: Vec::new(),
             ports: Vec::new(),
             wires: Vec::new(),
-            instances: Vec::new(),
+            inst_names: Names::default(),
+            targets: Vec::new(),
+            conn_ends: Vec::new(),
+            conns: Vec::new(),
             assigns: Vec::new(),
-            net_widths: HashMap::new(),
+            parts: Vec::new(),
+            unresolved: Vec::new(),
         }
     }
 
-    fn add_net(&mut self, name: &str, width: u32) -> Result<(), NetlistError> {
-        if self.net_widths.insert(name.to_owned(), width).is_some() {
-            return Err(NetlistError::DuplicateNet {
-                module: self.name.clone(),
-                net: name.to_owned(),
-            });
-        }
-        Ok(())
+    fn add_net(&mut self, name: impl fmt::Display, width: u32) -> NetId {
+        self.net_widths.push(width);
+        NetId(self.net_names.push(name))
     }
 
     /// Declares an input port.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the name collides with an existing net.
-    pub fn add_input(&mut self, name: impl Into<String>, width: u32) -> Result<(), NetlistError> {
-        let name = name.into();
-        self.add_net(&name, width)?;
+    pub fn add_input(&mut self, name: impl fmt::Display, width: u32) -> NetId {
+        let net = self.add_net(name, width);
         self.ports.push(Port {
-            name,
-            width,
+            net,
             dir: Dir::Input,
         });
-        Ok(())
+        net
     }
 
     /// Declares an output port.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the name collides with an existing net.
-    pub fn add_output(&mut self, name: impl Into<String>, width: u32) -> Result<(), NetlistError> {
-        let name = name.into();
-        self.add_net(&name, width)?;
+    pub fn add_output(&mut self, name: impl fmt::Display, width: u32) -> NetId {
+        let net = self.add_net(name, width);
         self.ports.push(Port {
-            name,
-            width,
+            net,
             dir: Dir::Output,
         });
-        Ok(())
+        net
     }
 
     /// Declares an internal wire.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the name collides with an existing net.
-    pub fn add_wire(&mut self, name: impl Into<String>, width: u32) -> Result<(), NetlistError> {
-        let name = name.into();
-        self.add_net(&name, width)?;
-        self.wires.push(Wire { name, width });
-        Ok(())
+    pub fn add_wire(&mut self, name: impl fmt::Display, width: u32) -> NetId {
+        let net = self.add_net(name, width);
+        self.wires.push(net);
+        net
     }
 
     /// Instantiates a standard cell with named connections.
     pub fn add_cell(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         cell: StandardCell,
-        connections: Vec<(&str, Signal)>,
-    ) {
-        self.instances.push(Instance {
-            name: name.into(),
-            target: InstanceTarget::Cell(cell),
-            connections: connections
-                .into_iter()
-                .map(|(p, s)| (p.to_owned(), s))
-                .collect(),
-        });
+        connections: &[(&str, Signal)],
+    ) -> InstId {
+        let ports = cell_ports(cell);
+        self.push_instance(name, InstanceTarget::Cell(cell), connections, |i| {
+            ports.get(i).map(|p| p.0)
+        })
     }
 
-    /// Instantiates a child module with named connections.
+    /// Instantiates `child`, a module of `design`, with named connections.
     pub fn add_instance(
         &mut self,
-        name: impl Into<String>,
-        module: impl Into<String>,
-        connections: Vec<(&str, Signal)>,
-    ) {
-        self.instances.push(Instance {
-            name: name.into(),
-            target: InstanceTarget::Module(module.into()),
-            connections: connections
-                .into_iter()
-                .map(|(p, s)| (p.to_owned(), s))
-                .collect(),
-        });
+        design: &Design,
+        name: impl fmt::Display,
+        child: ModuleId,
+        connections: &[(&str, Signal)],
+    ) -> InstId {
+        let module = design.modules.get(child.index());
+        self.push_instance(name, InstanceTarget::Module(child), connections, |i| {
+            let m = module?;
+            Some(m.net_name(m.ports.get(i)?.net))
+        })
+    }
+
+    /// Appends an instance, resolving each connection's port name through
+    /// `port_name`, which names the target's port `i` (`None` past the last).
+    fn push_instance<'p>(
+        &mut self,
+        name: impl fmt::Display,
+        target: InstanceTarget,
+        connections: &[(&str, Signal)],
+        port_name: impl Fn(usize) -> Option<&'p str>,
+    ) -> InstId {
+        for (k, &(port, signal)) in connections.iter().enumerate() {
+            // Connections usually follow the port order: try position k first.
+            let found = if port_name(k) == Some(port) {
+                Some(k)
+            } else {
+                (0..).map_while(&port_name).position(|n| n == port)
+            };
+            let index = match found {
+                Some(i) => i as u32,
+                None => {
+                    self.unresolved
+                        .push((self.conns.len() as u32, port.to_owned()));
+                    UNRESOLVED
+                }
+            };
+            self.conns.push((index, signal));
+        }
+        self.conn_ends.push(self.conns.len() as u32);
+        self.targets.push(target);
+        InstId(self.inst_names.push(name))
     }
 
     /// Adds a continuous assignment `lhs = rhs`.
@@ -399,14 +425,225 @@ impl Module {
         self.assigns.push((lhs, rhs));
     }
 
-    /// Width of a named net (port or wire), if it exists.
-    pub fn net_width(&self, name: &str) -> Option<u32> {
-        self.net_widths.get(name).copied()
+    /// The concatenation `{parts[0], parts[1], …}` (most significant
+    /// first), stored in this module.
+    pub fn concat(&mut self, parts: &[Signal]) -> Signal {
+        let start = self.parts.len() as u32;
+        self.parts.extend_from_slice(parts);
+        Signal::Concat(Concat {
+            start,
+            len: parts.len() as u32,
+        })
     }
 
-    /// The port with the given name, if any.
-    pub fn port(&self, name: &str) -> Option<&Port> {
-        self.ports.iter().find(|p| p.name == name)
+    /// Port list, in declaration order.
+    pub fn ports(&self) -> &[Port] {
+        &self.ports
+    }
+
+    /// Internal wires, in declaration order.
+    pub fn wires(&self) -> &[NetId] {
+        &self.wires
+    }
+
+    /// Continuous assignments `(lhs, rhs)`.
+    pub fn assigns(&self) -> &[(Signal, Signal)] {
+        &self.assigns
+    }
+
+    /// Name of a net of this module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not a net of this module.
+    pub fn net_name(&self, net: NetId) -> &str {
+        self.net_names.get(net.0)
+    }
+
+    /// Width of a net of this module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not a net of this module.
+    pub fn net_width(&self, net: NetId) -> u32 {
+        self.net_widths[net.0 as usize]
+    }
+
+    /// The net with the given name, if any (a linear search).
+    pub fn find_net(&self, name: &str) -> Option<NetId> {
+        self.net_names
+            .iter()
+            .position(|n| n == name)
+            .map(|i| NetId(i as u32))
+    }
+
+    /// Position of the named port in [`ports`](Module::ports).
+    pub fn port_index(&self, name: &str) -> Option<usize> {
+        self.ports.iter().position(|p| self.net_name(p.net) == name)
+    }
+
+    /// The parts of a concatenation built by [`concat`](Module::concat).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` was built by another module and is out of range here.
+    pub fn concat_parts(&self, c: Concat) -> &[Signal] {
+        &self.parts[c.start as usize..(c.start + c.len) as usize]
+    }
+
+    /// Number of instances.
+    pub fn instance_count(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Number of connections over all instances.
+    pub fn connection_count(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Every instance's target, in instance order.
+    pub fn targets(&self) -> &[InstanceTarget] {
+        &self.targets
+    }
+
+    /// A view of one instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an instance of this module.
+    pub fn instance(&self, id: InstId) -> Instance<'_> {
+        let i = id.0 as usize;
+        Instance {
+            id,
+            name: self.inst_names.get(id.0),
+            target: self.targets[i],
+            connections: &self.conns[self.conn_index(id)..self.conn_ends[i] as usize],
+        }
+    }
+
+    /// All instances, in insertion order.
+    pub fn instances(&self) -> impl ExactSizeIterator<Item = Instance<'_>> {
+        (0..self.targets.len() as u32).map(|i| self.instance(InstId(i)))
+    }
+
+    /// The width of `signal` in this module.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Fault`] of a dangling net, an out-of-range index, a
+    /// reversed slice or a foreign concatenation.
+    pub fn signal_width(&self, signal: Signal) -> Result<u32, Fault> {
+        self.width_within(signal, self.parts.len())
+    }
+
+    /// [`signal_width`](Module::signal_width) where a concatenation may
+    /// only use parts below `limit`: parts are stored after the parts they
+    /// nest, so this bounds the recursion.
+    fn width_within(&self, signal: Signal, limit: usize) -> Result<u32, Fault> {
+        let net_width = |net: NetId| {
+            self.net_widths
+                .get(net.0 as usize)
+                .copied()
+                .ok_or(Fault::UnknownNet(net.0))
+        };
+        match signal {
+            Signal::Net(net) => net_width(net),
+            Signal::Bit(net, bit) => {
+                let width = net_width(net)?;
+                if bit >= width {
+                    return Err(self.out_of_range(net, bit, width));
+                }
+                Ok(1)
+            }
+            Signal::Slice { net, msb, lsb } => {
+                let width = net_width(net)?;
+                if msb >= width {
+                    return Err(self.out_of_range(net, msb, width));
+                }
+                if msb < lsb {
+                    return Err(Fault::ReversedSlice {
+                        net: self.net_name(net).to_owned(),
+                        msb,
+                        lsb,
+                    });
+                }
+                Ok(msb - lsb + 1)
+            }
+            Signal::Const { width, .. } => Ok(width),
+            Signal::Concat(c) => {
+                let (start, end) = (c.start as usize, c.start as usize + c.len as usize);
+                if end > limit {
+                    return Err(Fault::BadConcat);
+                }
+                let mut total = 0u32;
+                for &part in &self.parts[start..end] {
+                    total += self.width_within(part, start)?;
+                }
+                Ok(total)
+            }
+        }
+    }
+
+    fn out_of_range(&self, net: NetId, index: u32, width: u32) -> Fault {
+        Fault::IndexOutOfRange {
+            net: self.net_name(net).to_owned(),
+            index,
+            width,
+        }
+    }
+
+    /// Appends every violation of this module to `out`.
+    fn check(&self, design: &Design, out: &mut Vec<Violation>) {
+        let violation = |instance: &str, port: &str, fault: Fault| Violation {
+            module: self.name.clone(),
+            instance: instance.to_owned(),
+            port: port.to_owned(),
+            fault,
+        };
+        let mut seen = HashSet::with_capacity(self.net_widths.len());
+        for name in self.net_names.iter() {
+            if !seen.insert(name) {
+                out.push(violation("", "", Fault::DuplicateNet(name.to_owned())));
+            }
+        }
+        for inst in self.instances() {
+            for (k, &(port, signal)) in inst.connections.iter().enumerate() {
+                let Some(expected) = design.port_width(inst.target, port) else {
+                    let conn = self.conn_index(inst.id) + k;
+                    let name = self
+                        .unresolved
+                        .iter()
+                        .find(|(c, _)| *c as usize == conn)
+                        .map_or_else(|| format!("#{port}"), |(_, n)| n.clone());
+                    let target = design.target_name(inst.target).to_owned();
+                    out.push(violation(inst.name, &name, Fault::UnknownPort { target }));
+                    continue;
+                };
+                let fault = match self.signal_width(signal) {
+                    Ok(actual) if actual == expected => continue,
+                    Ok(actual) => Fault::WidthMismatch { expected, actual },
+                    Err(fault) => fault,
+                };
+                let port_name = design.port_name(inst.target, port).unwrap_or_default();
+                out.push(violation(inst.name, port_name, fault));
+            }
+        }
+        for (i, &(lhs, rhs)) in self.assigns.iter().enumerate() {
+            let fault = match (self.signal_width(lhs), self.signal_width(rhs)) {
+                (Ok(expected), Ok(actual)) if expected == actual => continue,
+                (Ok(expected), Ok(actual)) => Fault::WidthMismatch { expected, actual },
+                (Err(fault), _) | (_, Err(fault)) => fault,
+            };
+            out.push(violation(&format!("assign #{i}"), "", fault));
+        }
+    }
+
+    /// Index in `conns` of the first connection of `id`.
+    fn conn_index(&self, id: InstId) -> usize {
+        match id.0 {
+            0 => 0,
+            i => self.conn_ends[i as usize - 1] as usize,
+        }
     }
 }
 
@@ -414,8 +651,10 @@ impl Module {
 #[derive(Debug, Clone, Default)]
 pub struct Design {
     modules: Vec<Module>,
-    index: HashMap<String, usize>,
-    top: Option<String>,
+    index: HashMap<String, ModuleId>,
+    top: Option<ModuleId>,
+    /// The cached result of [`Design::validate`].
+    checked: OnceLock<Result<(), NetlistError>>,
 }
 
 impl Design {
@@ -424,18 +663,32 @@ impl Design {
         Design::default()
     }
 
-    /// Adds a module.
+    /// Adds a module and returns its id.
     ///
     /// # Errors
     ///
-    /// Fails with [`NetlistError::DuplicateModule`] on a name collision.
-    pub fn add_module(&mut self, module: Module) -> Result<(), NetlistError> {
+    /// Fails with [`NetlistError::DuplicateModule`] on a name collision and
+    /// with [`NetlistError::UnknownModule`] if the module instantiates an id
+    /// that is not yet in this design.
+    pub fn add_module(&mut self, module: Module) -> Result<ModuleId, NetlistError> {
         if self.index.contains_key(&module.name) {
             return Err(NetlistError::DuplicateModule(module.name));
         }
-        self.index.insert(module.name.clone(), self.modules.len());
+        let id = ModuleId(self.modules.len() as u32);
+        if let Some(&InstanceTarget::Module(child)) = module
+            .targets
+            .iter()
+            .find(|t| matches!(t, InstanceTarget::Module(c) if *c >= id))
+        {
+            return Err(NetlistError::UnknownModule(format!(
+                "#{} (instantiated by `{}`)",
+                child.0, module.name
+            )));
+        }
+        self.index.insert(module.name.clone(), id);
         self.modules.push(module);
-        Ok(())
+        self.checked = OnceLock::new();
+        Ok(id)
     }
 
     /// True when a module with this name exists.
@@ -443,28 +696,54 @@ impl Design {
         self.index.contains_key(name)
     }
 
-    /// Looks a module up by name.
-    pub fn module(&self, name: &str) -> Option<&Module> {
-        self.index.get(name).map(|&i| &self.modules[i])
+    /// The id of the named module.
+    pub fn module_id(&self, name: &str) -> Option<ModuleId> {
+        self.index.get(name).copied()
     }
 
-    /// All modules, in insertion (dependency) order.
+    /// Looks a module up by name.
+    pub fn module(&self, name: &str) -> Option<&Module> {
+        self.module_id(name).map(|id| &self[id])
+    }
+
+    /// All modules, in insertion (dependency) order: a module's children
+    /// always precede it.
     pub fn modules(&self) -> &[Module] {
         &self.modules
     }
 
-    /// Sets the top module.
+    /// Sets the top module by name.
     ///
     /// # Errors
     ///
     /// Fails with [`NetlistError::UnknownModule`] if absent.
-    pub fn set_top(&mut self, name: impl Into<String>) -> Result<(), NetlistError> {
-        let name = name.into();
-        if !self.contains(&name) {
-            return Err(NetlistError::UnknownModule(name));
-        }
-        self.top = Some(name);
+    pub fn set_top(&mut self, name: impl AsRef<str>) -> Result<(), NetlistError> {
+        let name = name.as_ref();
+        let id = self
+            .module_id(name)
+            .ok_or_else(|| NetlistError::UnknownModule(name.to_owned()))?;
+        self.set_top_id(id);
         Ok(())
+    }
+
+    /// Sets the top module by id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a module of this design.
+    pub fn set_top_id(&mut self, id: ModuleId) {
+        assert!(id.index() < self.modules.len(), "top is not in the design");
+        self.top = Some(id);
+        self.checked = OnceLock::new();
+    }
+
+    /// The top module's id.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`NetlistError::NoTop`] if no top has been set.
+    pub fn top_id(&self) -> Result<ModuleId, NetlistError> {
+        self.top.ok_or(NetlistError::NoTop)
     }
 
     /// The top module.
@@ -473,72 +752,97 @@ impl Design {
     ///
     /// Fails with [`NetlistError::NoTop`] if no top has been set.
     pub fn top(&self) -> Result<&Module, NetlistError> {
-        let name = self.top.as_deref().ok_or(NetlistError::NoTop)?;
-        Ok(self.module(name).expect("top name is always indexed"))
+        Ok(&self[self.top_id()?])
     }
 
-    /// Structurally validates the whole design: every instance target
-    /// exists, every connection names a real port, and every connected
-    /// signal's width matches the port width.
+    /// Display name of an instance target.
+    pub fn target_name(&self, target: InstanceTarget) -> &str {
+        match target {
+            InstanceTarget::Cell(c) => c.name(),
+            InstanceTarget::Module(m) => &self[m].name,
+        }
+    }
+
+    /// Name of port `index` of `target`, if it has one.
+    pub fn port_name(&self, target: InstanceTarget, index: u32) -> Option<&str> {
+        match target {
+            InstanceTarget::Cell(c) => cell_ports(c).get(index as usize).map(|p| p.0),
+            InstanceTarget::Module(m) => {
+                let child = &self[m];
+                Some(child.net_name(child.ports.get(index as usize)?.net))
+            }
+        }
+    }
+
+    /// Width of port `index` of `target`, if it has one.
+    pub fn port_width(&self, target: InstanceTarget, index: u32) -> Option<u32> {
+        match target {
+            InstanceTarget::Cell(c) => cell_ports(c).get(index as usize).map(|p| p.1),
+            InstanceTarget::Module(m) => {
+                let child = &self[m];
+                Some(child.net_width(child.ports.get(index as usize)?.net))
+            }
+        }
+    }
+
+    /// The modules reachable from `root`, children before parents, each
+    /// after the first use that reaches it.
+    pub fn children_first(&self, root: ModuleId) -> Vec<ModuleId> {
+        fn visit(design: &Design, id: ModuleId, seen: &mut [bool], order: &mut Vec<ModuleId>) {
+            if std::mem::replace(&mut seen[id.index()], true) {
+                return;
+            }
+            for &target in &design[id].targets {
+                if let InstanceTarget::Module(child) = target {
+                    visit(design, child, seen, order);
+                }
+            }
+            order.push(id);
+        }
+        let mut seen = vec![false; self.modules.len()];
+        let mut order = Vec::new();
+        visit(self, root, &mut seen, &mut order);
+        order
+    }
+
+    /// Structurally validates the whole design: a top is set, every
+    /// connection names a real port, every signal refers to real nets and
+    /// bits, every connected signal's width matches its port, both sides
+    /// of every assignment agree, and no module declares a net twice.
+    ///
+    /// The check runs once per design; later calls return the kept result
+    /// until the design is modified.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// [`NetlistError::NoTop`] without a top, otherwise
+    /// [`NetlistError::Invalid`] listing every violation.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        self.top()?;
+        self.checked.get_or_init(|| self.check()).clone()
+    }
+
+    fn check(&self) -> Result<(), NetlistError> {
+        self.top_id()?;
+        let mut violations = Vec::new();
         for module in &self.modules {
-            for inst in &module.instances {
-                let port_widths: Vec<(String, u32)> = match &inst.target {
-                    InstanceTarget::Cell(cell) => cell_ports(*cell)
-                        .iter()
-                        .map(|(n, w, _)| ((*n).to_owned(), *w))
-                        .collect(),
-                    InstanceTarget::Module(name) => {
-                        let child = self
-                            .module(name)
-                            .ok_or_else(|| NetlistError::UnknownModule(name.clone()))?;
-                        child
-                            .ports
-                            .iter()
-                            .map(|p| (p.name.clone(), p.width))
-                            .collect()
-                    }
-                };
-                for (port, signal) in &inst.connections {
-                    let expected = port_widths
-                        .iter()
-                        .find(|(n, _)| n == port)
-                        .map(|(_, w)| *w)
-                        .ok_or_else(|| NetlistError::UnknownPort {
-                            instance: inst.name.clone(),
-                            target: inst.target.name().to_owned(),
-                            port: port.clone(),
-                        })?;
-                    let actual = signal.width(module)?;
-                    if actual != expected {
-                        return Err(NetlistError::WidthMismatch {
-                            instance: inst.name.clone(),
-                            port: port.clone(),
-                            expected,
-                            actual,
-                        });
-                    }
-                }
-            }
-            for (lhs, rhs) in &module.assigns {
-                let lw = lhs.width(module)?;
-                let rw = rhs.width(module)?;
-                if lw != rw {
-                    return Err(NetlistError::WidthMismatch {
-                        instance: format!("assign in `{}`", module.name),
-                        port: String::new(),
-                        expected: lw,
-                        actual: rw,
-                    });
-                }
-            }
+            module.check(self, &mut violations);
         }
-        Ok(())
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(NetlistError::Invalid(violations))
+        }
+    }
+}
+
+impl std::ops::Index<ModuleId> for Design {
+    type Output = Module;
+
+    /// # Panics
+    ///
+    /// Panics if `id` is not a module of this design.
+    fn index(&self, id: ModuleId) -> &Module {
+        &self.modules[id.index()]
     }
 }
 
@@ -546,123 +850,283 @@ impl Design {
 mod tests {
     use super::*;
 
-    fn tiny_module() -> Module {
+    fn tiny_module() -> (Module, [NetId; 4]) {
         let mut m = Module::new("tiny");
-        m.add_input("a", 4).unwrap();
-        m.add_input("b", 4).unwrap();
-        m.add_output("y", 1).unwrap();
-        m.add_wire("t", 2).unwrap();
-        m
+        let a = m.add_input("a", 4);
+        let b = m.add_input("b", 4);
+        let y = m.add_output("y", 1);
+        let t = m.add_wire("t", 2);
+        (m, [a, b, y, t])
+    }
+
+    fn single(m: Module) -> Design {
+        let mut d = Design::new();
+        let id = d.add_module(m).unwrap();
+        d.set_top_id(id);
+        d
+    }
+
+    fn violations(d: &Design) -> Vec<Violation> {
+        match d.validate() {
+            Err(NetlistError::Invalid(v)) => v,
+            other => panic!("expected violations, got {other:?}"),
+        }
     }
 
     #[test]
     fn net_widths_are_tracked() {
-        let m = tiny_module();
-        assert_eq!(m.net_width("a"), Some(4));
-        assert_eq!(m.net_width("t"), Some(2));
-        assert_eq!(m.net_width("nope"), None);
+        let (m, [a, _, _, t]) = tiny_module();
+        assert_eq!(m.net_width(a), 4);
+        assert_eq!(m.net_width(t), 2);
+        assert_eq!(m.net_name(t), "t");
+        assert_eq!(m.find_net("t"), Some(t));
+        assert_eq!(m.find_net("nope"), None);
+        assert_eq!(m.port_index("y"), Some(2));
+        assert_eq!(m.port_index("t"), None);
     }
 
     #[test]
     fn duplicate_net_rejected() {
-        let mut m = tiny_module();
-        assert!(matches!(
-            m.add_wire("a", 1),
-            Err(NetlistError::DuplicateNet { .. })
-        ));
+        let (mut m, _) = tiny_module();
+        m.add_wire("a", 1);
+        let v = violations(&single(m));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].fault, Fault::DuplicateNet("a".into()));
     }
 
     #[test]
     fn signal_widths() {
-        let m = tiny_module();
-        assert_eq!(Signal::net("a").width(&m).unwrap(), 4);
-        assert_eq!(Signal::bit("a", 3).width(&m).unwrap(), 1);
-        assert_eq!(Signal::slice("a", 3, 1).width(&m).unwrap(), 3);
-        assert_eq!(Signal::zeros(7).width(&m).unwrap(), 7);
-        let cat = Signal::Concat(vec![Signal::net("t"), Signal::bit("a", 0)]);
-        assert_eq!(cat.width(&m).unwrap(), 3);
+        let (mut m, [a, _, _, t]) = tiny_module();
+        assert_eq!(m.signal_width(Signal::Net(a)), Ok(4));
+        assert_eq!(m.signal_width(Signal::Bit(a, 3)), Ok(1));
+        assert_eq!(m.signal_width(Signal::slice(a, 3, 1)), Ok(3));
+        assert_eq!(m.signal_width(Signal::zeros(7)), Ok(7));
+        let cat = m.concat(&[Signal::Net(t), Signal::Bit(a, 0)]);
+        assert_eq!(m.signal_width(cat), Ok(3));
+        let nested = m.concat(&[Signal::zeros(2), cat]);
+        assert_eq!(m.signal_width(nested), Ok(5));
     }
 
     #[test]
     fn signal_out_of_range() {
-        let m = tiny_module();
+        let (m, [a, _, _, _]) = tiny_module();
         assert!(matches!(
-            Signal::bit("a", 4).width(&m),
-            Err(NetlistError::IndexOutOfRange { .. })
+            m.signal_width(Signal::Bit(a, 4)),
+            Err(Fault::IndexOutOfRange {
+                index: 4,
+                width: 4,
+                ..
+            })
         ));
+        assert_eq!(
+            m.signal_width(Signal::Net(NetId(99))),
+            Err(Fault::UnknownNet(99))
+        );
         assert!(matches!(
-            Signal::net("ghost").width(&m),
-            Err(NetlistError::UnknownNet { .. })
+            m.signal_width(Signal::Slice {
+                net: a,
+                msb: 1,
+                lsb: 2
+            }),
+            Err(Fault::ReversedSlice { .. })
         ));
+        let mut other = Module::new("other");
+        let foreign = other.concat(&[Signal::zeros(1)]);
+        assert_eq!(m.signal_width(foreign), Err(Fault::BadConcat));
     }
 
     #[test]
     fn validate_accepts_correct_cell_wiring() {
         let mut m = Module::new("norbuf");
-        m.add_input("a", 1).unwrap();
-        m.add_output("y", 1).unwrap();
+        let a = m.add_input("a", 1);
+        let y = m.add_output("y", 1);
         m.add_cell(
             "u0",
             StandardCell::Nor,
-            vec![
-                ("a", Signal::net("a")),
-                ("b", Signal::net("a")),
-                ("y", Signal::net("y")),
+            &[
+                ("a", Signal::Net(a)),
+                ("b", Signal::Net(a)),
+                ("y", Signal::Net(y)),
             ],
         );
-        let mut d = Design::new();
-        d.add_module(m).unwrap();
-        d.set_top("norbuf").unwrap();
-        d.validate().unwrap();
+        single(m).validate().unwrap();
     }
 
     #[test]
     fn validate_catches_width_mismatch() {
         let mut m = Module::new("bad");
-        m.add_input("a", 2).unwrap();
-        m.add_output("y", 1).unwrap();
+        let a = m.add_input("a", 2);
+        let y = m.add_output("y", 1);
         m.add_cell(
             "u0",
             StandardCell::Nor,
-            vec![
-                ("a", Signal::net("a")), // 2 bits into a 1-bit port
-                ("b", Signal::bit("a", 0)),
-                ("y", Signal::net("y")),
+            &[
+                ("a", Signal::Net(a)), // 2 bits into a 1-bit port
+                ("b", Signal::Bit(a, 0)),
+                ("y", Signal::Net(y)),
             ],
         );
-        let mut d = Design::new();
-        d.add_module(m).unwrap();
-        d.set_top("bad").unwrap();
-        assert!(matches!(
-            d.validate(),
-            Err(NetlistError::WidthMismatch {
+        let v = violations(&single(m));
+        assert_eq!(
+            v[0].fault,
+            Fault::WidthMismatch {
                 expected: 1,
-                actual: 2,
-                ..
-            })
-        ));
+                actual: 2
+            }
+        );
+        assert_eq!((v[0].instance.as_str(), v[0].port.as_str()), ("u0", "a"));
     }
 
     #[test]
     fn validate_catches_unknown_port_and_module() {
         let mut m = Module::new("m");
-        m.add_output("y", 1).unwrap();
-        m.add_cell("u0", StandardCell::Nor, vec![("q", Signal::net("y"))]);
-        let mut d = Design::new();
-        d.add_module(m).unwrap();
-        d.set_top("m").unwrap();
+        let y = m.add_output("y", 1);
+        m.add_cell("u0", StandardCell::Nor, &[("q", Signal::Net(y))]);
+        let v = violations(&single(m));
+        assert_eq!((v[0].instance.as_str(), v[0].port.as_str()), ("u0", "q"));
+        assert_eq!(
+            v[0].fault,
+            Fault::UnknownPort {
+                target: "NOR".into()
+            }
+        );
+
+        // A module id from another design cannot be added as a child.
+        let mut other = Design::new();
+        other.add_module(Module::new("x")).unwrap();
+        let foreign = other.add_module(Module::new("y")).unwrap();
+        let mut m2 = Module::new("m2");
+        m2.add_instance(&other, "c0", foreign, &[]);
+        let mut d2 = Design::new();
         assert!(matches!(
-            d.validate(),
-            Err(NetlistError::UnknownPort { .. })
+            d2.add_module(m2),
+            Err(NetlistError::UnknownModule(_))
+        ));
+    }
+
+    #[test]
+    fn validate_reports_every_located_fault() {
+        let mut d = Design::new();
+        let mut leaf = Module::new("leaf");
+        let x = leaf.add_input("x", 4);
+        let z = leaf.add_output("z", 1);
+        leaf.add_cell(
+            "n0",
+            StandardCell::Nor,
+            &[
+                ("a", Signal::Bit(x, 0)),
+                ("b", Signal::Bit(x, 1)),
+                ("y", Signal::Net(z)),
+            ],
+        );
+        let leaf = d.add_module(leaf).unwrap();
+
+        let mut top = Module::new("top");
+        let a = top.add_input("a", 4);
+        let y = top.add_output("y", 1);
+        // Fault 1: the cell has no port `q`.
+        top.add_cell(
+            "u_port",
+            StandardCell::Nor,
+            &[("q", Signal::Bit(a, 0)), ("y", Signal::Net(y))],
+        );
+        // Fault 2: a 2-bit slice into the child's 4-bit port.
+        top.add_instance(
+            &d,
+            "u_width",
+            leaf,
+            &[("x", Signal::slice(a, 1, 0)), ("z", Signal::Net(y))],
+        );
+        // Fault 3: bit 9 of a 4-bit net.
+        top.add_cell(
+            "u_index",
+            StandardCell::Nor,
+            &[
+                ("a", Signal::Bit(a, 9)),
+                ("b", Signal::Bit(a, 0)),
+                ("y", Signal::Net(y)),
+            ],
+        );
+        let top = d.add_module(top).unwrap();
+        d.set_top_id(top);
+
+        let v = violations(&d);
+        assert_eq!(v.len(), 3, "{v:?}");
+        let located: Vec<(&str, &str, &str)> = v
+            .iter()
+            .map(|v| (v.module.as_str(), v.instance.as_str(), v.port.as_str()))
+            .collect();
+        assert_eq!(
+            located,
+            [
+                ("top", "u_port", "q"),
+                ("top", "u_width", "x"),
+                ("top", "u_index", "a")
+            ]
+        );
+        assert_eq!(
+            v[0].fault,
+            Fault::UnknownPort {
+                target: "NOR".into()
+            }
+        );
+        assert_eq!(
+            v[1].fault,
+            Fault::WidthMismatch {
+                expected: 4,
+                actual: 2
+            }
+        );
+        assert!(matches!(
+            v[2].fault,
+            Fault::IndexOutOfRange {
+                index: 9,
+                width: 4,
+                ..
+            }
         ));
 
-        let mut m2 = Module::new("m2");
-        m2.add_output("y", 1).unwrap();
-        m2.add_instance("c0", "ghost", vec![]);
-        let mut d2 = Design::new();
-        d2.add_module(m2).unwrap();
-        d2.set_top("m2").unwrap();
-        assert!(matches!(d2.validate(), Err(NetlistError::UnknownModule(_))));
+        let message = d.validate().unwrap_err().to_string();
+        assert!(
+            message.starts_with("netlist has 3 violation(s):"),
+            "{message}"
+        );
+        for site in [
+            "instance `u_port`, port `q`",
+            "instance `u_width`, port `x`",
+            "instance `u_index`, port `a`",
+        ] {
+            assert!(
+                message.contains(&format!("module `top`, {site}")),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn assign_faults_are_located() {
+        let (mut m, [a, _, y, _]) = tiny_module();
+        m.add_assign(Signal::Net(y), Signal::Net(a));
+        let v = violations(&single(m));
+        assert_eq!(v[0].instance, "assign #0");
+        assert_eq!(
+            v[0].fault,
+            Fault::WidthMismatch {
+                expected: 1,
+                actual: 4
+            }
+        );
+    }
+
+    #[test]
+    fn validation_is_kept_until_the_design_changes() {
+        let (m, _) = tiny_module();
+        let mut d = single(m);
+        d.validate().unwrap();
+        assert!(d.checked.get().is_some());
+        d.add_module(Module::new("late")).unwrap();
+        assert!(d.checked.get().is_none());
+        d.validate().unwrap();
     }
 
     #[test]
@@ -679,6 +1143,27 @@ mod tests {
     fn no_top_is_an_error() {
         let d = Design::new();
         assert!(matches!(d.validate(), Err(NetlistError::NoTop)));
+        let mut d = Design::new();
+        d.add_module(Module::new("x")).unwrap();
+        assert!(matches!(
+            d.set_top("ghost"),
+            Err(NetlistError::UnknownModule(_))
+        ));
+    }
+
+    #[test]
+    fn children_come_first() {
+        let mut d = Design::new();
+        let leaf = d.add_module(Module::new("leaf")).unwrap();
+        let mut mid = Module::new("mid");
+        mid.add_instance(&d, "l0", leaf, &[]);
+        let mid = d.add_module(mid).unwrap();
+        let mut top = Module::new("top");
+        top.add_instance(&d, "m0", mid, &[]);
+        top.add_instance(&d, "l1", leaf, &[]);
+        let top = d.add_module(top).unwrap();
+        d.add_module(Module::new("unused")).unwrap();
+        assert_eq!(d.children_first(top), [leaf, mid, top]);
     }
 
     #[test]
@@ -686,10 +1171,8 @@ mod tests {
         let errs = [
             NetlistError::DuplicateModule("m".into()),
             NetlistError::NoTop,
-            NetlistError::UnknownNet {
-                module: "m".into(),
-                net: "n".into(),
-            },
+            NetlistError::UnknownModule("m".into()),
+            NetlistError::DesignPoint(ParamError::ZeroDimension("n")),
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

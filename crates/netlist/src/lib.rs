@@ -6,7 +6,9 @@
 //! route. This crate is that generator:
 //!
 //! * a hierarchical structural **netlist IR** ([`Design`], [`Module`],
-//!   [`Instance`], [`Signal`]) with width-checked connections,
+//!   [`Instance`], [`Signal`]) addressed by [`ModuleId`] / [`NetId`] /
+//!   [`InstId`] indices, with one validation pass that reports every
+//!   located width or port violation,
 //! * **template generators** for every DCIM block of paper Fig. 3
 //!   ([`generators`]) — compute unit, adder tree, shift accumulator, result
 //!   fusion, FP pre-alignment, INT-to-FP converter, input buffer, SRAM
@@ -44,4 +46,7 @@ mod ir;
 pub mod stats;
 pub mod verilog;
 
-pub use ir::{Design, Dir, Instance, InstanceTarget, Module, NetlistError, Port, Signal, Wire};
+pub use ir::{
+    Concat, Design, Dir, Fault, InstId, Instance, InstanceTarget, Module, ModuleId, NetId,
+    NetlistError, Port, Signal, Violation,
+};

@@ -1,69 +1,96 @@
 //! Gate-count statistics and the generator-vs-estimator audit.
 //!
-//! [`cell_counts`] recursively counts every Table III standard cell in a
-//! hierarchical [`Design`] (with memoization, so deep hierarchies cost one
-//! traversal per module definition). [`audit`] then cross-checks the
-//! generated hardware against a [`MacroEstimate`]: the paper's whole flow
-//! rests on the estimator predicting what the generator builds, and here
-//! that property is enforced to floating-point precision.
+//! [`cell_counts`] counts every Table III standard cell under a module of
+//! a hierarchical [`Design`] in one bottom-up pass: each module's direct
+//! cells plus, per distinct child, the child's total times its instance
+//! count — work proportional to the instances, not to the flattened cells.
+//! [`audit`] then cross-checks the generated hardware against a
+//! [`MacroEstimate`]: the paper's whole flow rests on the estimator
+//! predicting what the generator builds, and here that property is
+//! enforced to floating-point precision.
 
 use std::collections::HashMap;
 
-use crate::ir::{Design, InstanceTarget, NetlistError};
-use sega_cells::{Cost, StandardCell};
+use crate::ir::{Design, InstanceTarget, ModuleId, NetlistError};
+use sega_cells::{Cost, StandardCell, ALL_CELLS};
 use sega_estimator::MacroEstimate;
+
+/// Cell counts indexed by `StandardCell as usize` (the [`ALL_CELLS`] order).
+pub(crate) type Tally = [u64; ALL_CELLS.len()];
+
+/// One bottom-up pass over the modules `0..=root` in id order, where
+/// children always precede their parents.
+pub(crate) struct Census {
+    /// Per module: its distinct child modules in first-use order, each
+    /// with its instance count.
+    pub(crate) uses: Vec<Vec<(ModuleId, u64)>>,
+    /// Per module: its recursive cell tally.
+    pub(crate) tally: Vec<Tally>,
+}
+
+impl Census {
+    pub(crate) fn of(design: &Design, root: ModuleId) -> Census {
+        let modules = &design.modules()[..=root.index()];
+        let mut uses = Vec::with_capacity(modules.len());
+        let mut tally: Vec<Tally> = Vec::with_capacity(modules.len());
+        for module in modules {
+            let mut own: Tally = [0; ALL_CELLS.len()];
+            let mut children: Vec<(ModuleId, u64)> = Vec::new();
+            for &target in module.targets() {
+                match target {
+                    InstanceTarget::Cell(cell) => own[cell as usize] += 1,
+                    InstanceTarget::Module(child) => {
+                        match children.iter_mut().find(|(c, _)| *c == child) {
+                            Some((_, n)) => *n += 1,
+                            None => children.push((child, 1)),
+                        }
+                    }
+                }
+            }
+            for &(child, n) in &children {
+                for (total, below) in own.iter_mut().zip(&tally[child.index()]) {
+                    *total += n * below;
+                }
+            }
+            tally.push(own);
+            uses.push(children);
+        }
+        Census { uses, tally }
+    }
+}
 
 /// Counts standard cells under the design's top module.
 ///
 /// # Errors
 ///
-/// Fails if the design has no top or references unknown modules.
+/// Fails if the design has no top.
 pub fn cell_counts(design: &Design) -> Result<HashMap<StandardCell, u64>, NetlistError> {
-    let top = design.top()?.name.clone();
-    cell_counts_of_module(design, &top)
+    Ok(counts_of(design, design.top_id()?))
 }
 
 /// Counts standard cells under the named module (recursively).
 ///
 /// # Errors
 ///
-/// Fails with [`NetlistError::UnknownModule`] for dangling references.
+/// Fails with [`NetlistError::UnknownModule`] if no module has that name.
 pub fn cell_counts_of_module(
     design: &Design,
     module: &str,
 ) -> Result<HashMap<StandardCell, u64>, NetlistError> {
-    let mut memo: HashMap<String, HashMap<StandardCell, u64>> = HashMap::new();
-    counts_rec(design, module, &mut memo)?;
-    Ok(memo.remove(module).expect("memoized after recursion"))
+    let id = design
+        .module_id(module)
+        .ok_or_else(|| NetlistError::UnknownModule(module.to_owned()))?;
+    Ok(counts_of(design, id))
 }
 
-fn counts_rec(
-    design: &Design,
-    module: &str,
-    memo: &mut HashMap<String, HashMap<StandardCell, u64>>,
-) -> Result<(), NetlistError> {
-    if memo.contains_key(module) {
-        return Ok(());
-    }
-    let m = design
-        .module(module)
-        .ok_or_else(|| NetlistError::UnknownModule(module.to_owned()))?;
-    let mut counts: HashMap<StandardCell, u64> = HashMap::new();
-    for inst in &m.instances {
-        match &inst.target {
-            InstanceTarget::Cell(cell) => {
-                *counts.entry(*cell).or_insert(0) += 1;
-            }
-            InstanceTarget::Module(child) => {
-                counts_rec(design, child, memo)?;
-                for (cell, n) in memo.get(child.as_str()).expect("memoized child") {
-                    *counts.entry(*cell).or_insert(0) += n;
-                }
-            }
-        }
-    }
-    memo.insert(module.to_owned(), counts);
-    Ok(())
+/// The nonzero counts under `root`.
+fn counts_of(design: &Design, root: ModuleId) -> HashMap<StandardCell, u64> {
+    let tally = Census::of(design, root).tally[root.index()];
+    ALL_CELLS
+        .into_iter()
+        .zip(tally)
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// Total area/energy of a cell-count table in NOR-gate units (delay is not
@@ -128,7 +155,7 @@ impl Audit {
 ///
 /// # Errors
 ///
-/// Fails if the netlist has no top or dangling module references.
+/// Fails if the netlist has no top.
 ///
 /// ```
 /// use sega_estimator::{estimate, DcimDesign, OperatingConditions, Precision};
@@ -161,17 +188,35 @@ mod tests {
 
     fn leaf(name: &str, nors: u32) -> Module {
         let mut m = Module::new(name);
-        m.add_input("a", 1).unwrap();
-        m.add_output("y", nors).unwrap();
+        let a = m.add_input("a", 1);
+        let y = m.add_output("y", nors);
         for i in 0..nors {
             m.add_cell(
-                format!("n{i}"),
+                format_args!("n{i}"),
                 StandardCell::Nor,
-                vec![
-                    ("a", Signal::net("a")),
-                    ("b", Signal::net("a")),
-                    ("y", Signal::bit("y", i)),
+                &[
+                    ("a", Signal::Net(a)),
+                    ("b", Signal::Net(a)),
+                    ("y", Signal::Bit(y, i)),
                 ],
+            );
+        }
+        m
+    }
+
+    /// A module `name` with one input `a` and `count` instances of `child`,
+    /// each driving its own 2-bit wire.
+    fn parent(d: &Design, name: &str, child: ModuleId, count: u32) -> Module {
+        let mut m = Module::new(name);
+        let a = m.add_input("a", 1);
+        m.add_output("y", 2);
+        for i in 0..count {
+            let w = m.add_wire(format_args!("w{i}"), 2);
+            m.add_instance(
+                d,
+                format_args!("u{i}"),
+                child,
+                &[("a", Signal::Net(a)), ("y", Signal::Net(w))],
             );
         }
         m
@@ -189,35 +234,22 @@ mod tests {
     #[test]
     fn counts_multiply_through_hierarchy() {
         let mut d = Design::new();
-        d.add_module(leaf("leaf2", 2)).unwrap();
-        let mut mid = Module::new("mid");
-        mid.add_input("a", 1).unwrap();
-        mid.add_output("y", 2).unwrap();
-        for i in 0..4 {
-            mid.add_wire(format!("w{i}"), 2).unwrap();
-            mid.add_instance(
-                format!("u{i}"),
-                "leaf2",
-                vec![("a", Signal::net("a")), ("y", Signal::net(format!("w{i}")))],
-            );
-        }
-        d.add_module(mid).unwrap();
-        let mut top = Module::new("top");
-        top.add_input("a", 1).unwrap();
-        top.add_output("y", 2).unwrap();
-        for i in 0..3 {
-            top.add_wire(format!("w{i}"), 2).unwrap();
-            top.add_instance(
-                format!("m{i}"),
-                "mid",
-                vec![("a", Signal::net("a")), ("y", Signal::net(format!("w{i}")))],
-            );
-        }
-        d.add_module(top).unwrap();
-        d.set_top("top").unwrap();
+        let leaf2 = d.add_module(leaf("leaf2", 2)).unwrap();
+        let mid = d.add_module(parent(&d, "mid", leaf2, 4)).unwrap();
+        let top = d.add_module(parent(&d, "top", mid, 3)).unwrap();
+        d.set_top_id(top);
+        d.validate().unwrap();
         // 3 mids × 4 leaves × 2 NORs = 24.
         let c = cell_counts(&d).unwrap();
         assert_eq!(c.get(&StandardCell::Nor), Some(&24));
+        assert_eq!(
+            cell_counts_of_module(&d, "mid").unwrap()[&StandardCell::Nor],
+            8
+        );
+        assert!(matches!(
+            cell_counts_of_module(&d, "ghost"),
+            Err(NetlistError::UnknownModule(_))
+        ));
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! hands to the commercial synthesis/P&R flow; `sega-layout` consumes the
 //! same [`Design`] directly.
 
-use std::collections::HashSet;
-use std::fmt::Write as _;
-
 use crate::cells::cell_verilog;
 use crate::ir::{Design, Dir, InstanceTarget, Module, NetlistError, Signal};
-use sega_cells::StandardCell;
+use sega_cells::{StandardCell, ALL_CELLS};
 
 /// Emits the whole design as self-contained structural Verilog.
+///
+/// The text is written straight into one `String`, reserved up front from
+/// the design's size, without per-signal or per-connection temporaries.
 ///
 /// # Errors
 ///
@@ -22,126 +22,180 @@ use sega_cells::StandardCell;
 /// malformed netlist).
 pub fn emit(design: &Design) -> Result<String, NetlistError> {
     design.validate()?;
-    let mut out = String::new();
-    let top = design.top()?;
-    let _ = writeln!(
-        out,
-        "// Generated by sega-netlist (SEGA-DCIM template-based generator)"
+    let top = design.top_id()?;
+    let order = design.children_first(top);
+    let mut out = String::with_capacity(
+        1024 + order
+            .iter()
+            .map(|&id| size_hint(design, &design[id]))
+            .sum::<usize>(),
     );
-    let _ = writeln!(out, "// Top module: {}\n", top.name);
+    out.push_str("// Generated by sega-netlist (SEGA-DCIM template-based generator)\n");
+    out.push_str("// Top module: ");
+    out.push_str(&design[top].name);
+    out.push_str("\n\n");
 
-    // Behavioral primitives for every used cell.
-    let mut used_cells: Vec<StandardCell> = used_cells(design).into_iter().collect();
-    used_cells.sort();
-    for cell in used_cells {
+    // Behavioral primitives for every cell used anywhere in the design.
+    for cell in used_cells(design) {
         out.push_str(cell_verilog(cell));
         out.push('\n');
     }
 
     // Modules in dependency order.
-    let order = emission_order(design)?;
-    for name in order {
-        let module = design.module(&name).expect("ordered names exist");
-        emit_module(&mut out, module);
+    for id in order {
+        emit_module(&mut out, design, &design[id]);
     }
     Ok(out)
 }
 
-/// All standard cells instantiated anywhere in the design.
-fn used_cells(design: &Design) -> HashSet<StandardCell> {
-    let mut set = HashSet::new();
+/// All standard cells instantiated anywhere in the design, in `Ord` order.
+fn used_cells(design: &Design) -> Vec<StandardCell> {
+    let mut used = [false; ALL_CELLS.len()];
     for m in design.modules() {
-        for inst in &m.instances {
-            if let InstanceTarget::Cell(c) = inst.target {
-                set.insert(c);
+        for &target in m.targets() {
+            if let InstanceTarget::Cell(c) = target {
+                used[c as usize] = true;
             }
         }
     }
-    set
+    ALL_CELLS
+        .into_iter()
+        .filter(|&c| used[c as usize])
+        .collect()
 }
 
-/// Post-order DFS from the top: children before parents, only reachable
-/// modules.
-fn emission_order(design: &Design) -> Result<Vec<String>, NetlistError> {
-    let top = design.top()?.name.clone();
-    let mut order = Vec::new();
-    let mut visited = HashSet::new();
-    visit(design, &top, &mut visited, &mut order)?;
-    Ok(order)
+/// A slight over-estimate of `m`'s emitted size: per instance its target
+/// and name, per connection a port, a net name and a bus index.
+fn size_hint(design: &Design, m: &Module) -> usize {
+    let nets = m.ports().len() + m.wires().len();
+    let instances: usize = m
+        .targets()
+        .iter()
+        .map(|&t| design.target_name(t).len() + 24)
+        .sum();
+    64 + 32 * nets + 48 * m.assigns().len() + instances + 32 * m.connection_count()
 }
 
-fn visit(
-    design: &Design,
-    name: &str,
-    visited: &mut HashSet<String>,
-    order: &mut Vec<String>,
-) -> Result<(), NetlistError> {
-    if !visited.insert(name.to_owned()) {
-        return Ok(());
-    }
-    let m = design
-        .module(name)
-        .ok_or_else(|| NetlistError::UnknownModule(name.to_owned()))?;
-    for inst in &m.instances {
-        if let InstanceTarget::Module(child) = &inst.target {
-            visit(design, child, visited, order)?;
+fn push_num(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
     }
-    order.push(name.to_owned());
-    Ok(())
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
-fn bus_decl(width: u32) -> String {
-    if width == 1 {
-        String::new()
-    } else {
-        format!("[{}:0] ", width - 1)
+/// `[width-1:0] ` for a bus, nothing for a single bit.
+fn push_bus_decl(out: &mut String, width: u32) {
+    if width != 1 {
+        out.push('[');
+        push_num(out, u64::from(width) - 1);
+        out.push_str(":0] ");
     }
 }
 
-fn emit_module(out: &mut String, m: &Module) {
-    let port_list: Vec<String> = m.ports.iter().map(|p| p.name.clone()).collect();
-    let _ = writeln!(out, "module {}({});", m.name, port_list.join(", "));
-    for p in &m.ports {
-        let dir = match p.dir {
-            Dir::Input => "input",
-            Dir::Output => "output",
-        };
-        let _ = writeln!(out, "  {} {}{};", dir, bus_decl(p.width), p.name);
+fn emit_module(out: &mut String, design: &Design, m: &Module) {
+    out.push_str("module ");
+    out.push_str(&m.name);
+    out.push('(');
+    for (i, p) in m.ports().iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(m.net_name(p.net));
     }
-    for w in &m.wires {
-        let _ = writeln!(out, "  wire {}{};", bus_decl(w.width), w.name);
+    out.push_str(");\n");
+    for p in m.ports() {
+        out.push_str(match p.dir {
+            Dir::Input => "  input ",
+            Dir::Output => "  output ",
+        });
+        push_bus_decl(out, m.net_width(p.net));
+        out.push_str(m.net_name(p.net));
+        out.push_str(";\n");
     }
-    for (lhs, rhs) in &m.assigns {
-        let _ = writeln!(out, "  assign {} = {};", render(lhs), render(rhs));
+    for &w in m.wires() {
+        out.push_str("  wire ");
+        push_bus_decl(out, m.net_width(w));
+        out.push_str(m.net_name(w));
+        out.push_str(";\n");
     }
-    for inst in &m.instances {
-        let conns: Vec<String> = inst
-            .connections
-            .iter()
-            .map(|(port, sig)| format!(".{}({})", port, render(sig)))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  {} {} ({});",
-            inst.target.name(),
-            inst.name,
-            conns.join(", ")
-        );
+    for &(lhs, rhs) in m.assigns() {
+        out.push_str("  assign ");
+        render(out, m, lhs);
+        out.push_str(" = ");
+        render(out, m, rhs);
+        out.push_str(";\n");
     }
-    let _ = writeln!(out, "endmodule\n");
+    // The target's name and port names, looked up again only when the
+    // target changes (runs of one target are the common case).
+    let mut target = None;
+    let (mut target_name, mut port_names) = ("", Vec::new());
+    for inst in m.instances() {
+        if target != Some(inst.target) {
+            target = Some(inst.target);
+            target_name = design.target_name(inst.target);
+            port_names = (0..)
+                .map_while(|i| design.port_name(inst.target, i))
+                .collect();
+        }
+        out.push_str("  ");
+        out.push_str(target_name);
+        out.push(' ');
+        out.push_str(inst.name);
+        out.push_str(" (");
+        for (i, &(port, signal)) in inst.connections.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push('.');
+            out.push_str(port_names[port as usize]);
+            out.push('(');
+            render(out, m, signal);
+            out.push(')');
+        }
+        out.push_str(");\n");
+    }
+    out.push_str("endmodule\n\n");
 }
 
-/// Renders a signal expression as Verilog.
-fn render(signal: &Signal) -> String {
+/// Appends a signal expression as Verilog.
+fn render(out: &mut String, m: &Module, signal: Signal) {
     match signal {
-        Signal::Net(n) => n.clone(),
-        Signal::Bit(n, b) => format!("{n}[{b}]"),
-        Signal::Slice { net, msb, lsb } => format!("{net}[{msb}:{lsb}]"),
-        Signal::Const { width, value } => format!("{width}'d{value}"),
-        Signal::Concat(parts) => {
-            let inner: Vec<String> = parts.iter().map(render).collect();
-            format!("{{{}}}", inner.join(", "))
+        Signal::Net(n) => out.push_str(m.net_name(n)),
+        Signal::Bit(n, b) => {
+            out.push_str(m.net_name(n));
+            out.push('[');
+            push_num(out, u64::from(b));
+            out.push(']');
+        }
+        Signal::Slice { net, msb, lsb } => {
+            out.push_str(m.net_name(net));
+            out.push('[');
+            push_num(out, u64::from(msb));
+            out.push(':');
+            push_num(out, u64::from(lsb));
+            out.push(']');
+        }
+        Signal::Const { width, value } => {
+            push_num(out, u64::from(width));
+            out.push_str("'d");
+            push_num(out, value);
+        }
+        Signal::Concat(c) => {
+            out.push('{');
+            for (i, &part) in m.concat_parts(c).iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                render(out, m, part);
+            }
+            out.push('}');
         }
     }
 }
@@ -190,14 +244,50 @@ mod tests {
 
     #[test]
     fn render_forms() {
-        assert_eq!(render(&Signal::net("x")), "x");
-        assert_eq!(render(&Signal::bit("x", 3)), "x[3]");
-        assert_eq!(render(&Signal::slice("x", 7, 4)), "x[7:4]");
-        assert_eq!(render(&Signal::Const { width: 4, value: 5 }), "4'd5");
-        assert_eq!(
-            render(&Signal::Concat(vec![Signal::net("a"), Signal::bit("b", 0)])),
-            "{a, b[0]}"
-        );
+        let mut m = Module::new("m");
+        let x = m.add_wire("x", 8);
+        let a = m.add_wire("a", 2);
+        let cat = m.concat(&[Signal::Net(a), Signal::Bit(x, 0)]);
+        let nested = m.concat(&[Signal::zeros(1), cat]);
+        let rendered = |s| {
+            let mut out = String::new();
+            render(&mut out, &m, s);
+            out
+        };
+        assert_eq!(rendered(Signal::Net(x)), "x");
+        assert_eq!(rendered(Signal::Bit(x, 3)), "x[3]");
+        assert_eq!(rendered(Signal::slice(x, 7, 4)), "x[7:4]");
+        assert_eq!(rendered(Signal::Const { width: 4, value: 5 }), "4'd5");
+        assert_eq!(rendered(cat), "{a, x[0]}");
+        assert_eq!(rendered(nested), "{1'd0, {a, x[0]}}");
+    }
+
+    #[test]
+    fn numbers_render_in_decimal() {
+        for v in [0, 7, 10, 4_294_967_295, u64::MAX] {
+            let mut out = String::new();
+            push_num(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
+    fn size_hint_covers_the_output() {
+        for (p, n, h, l, k) in [
+            (Precision::Int4, 8, 4, 2, 1),
+            (Precision::Bf16, 16, 7, 3, 3),
+            (Precision::Fp32, 48, 5, 1, 24),
+        ] {
+            let d = generate_macro(&DcimDesign::for_precision(p, n, h, l, k).unwrap()).unwrap();
+            let v = emit(&d).unwrap();
+            assert!(v.capacity() >= v.len(), "{p:?}");
+            let hint: usize = d.modules().iter().map(|m| size_hint(&d, m)).sum();
+            assert!(
+                hint >= v.len() && hint < 3 * v.len(),
+                "{p:?}: {hint} vs {}",
+                v.len()
+            );
+        }
     }
 
     #[test]
