@@ -105,7 +105,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use sega_dcim::batch::{parse_jobs, run_batch_with};
+use sega_dcim::batch::{parse_jobs, run_batch_with, MIN_POPULATION};
 use sega_dcim::report::{csv_table, markdown_table};
 use sega_dcim::{
     BatchJob, CacheKey, CacheStore, Compiler, DistillStrategy, ExplorationResult,
@@ -292,6 +292,9 @@ fn get_strategy(flags: &HashMap<String, String>) -> Result<DistillStrategy, Stri
 fn compiler_from(flags: &HashMap<String, String>) -> Result<Compiler, String> {
     let mut cfg = Nsga2Config::default();
     if let Some(p) = get_u32_opt(flags, "population")? {
+        if (p as usize) < MIN_POPULATION {
+            return Err(format!("--population must be >= {MIN_POPULATION}"));
+        }
         cfg.population = p as usize;
     }
     if let Some(g) = get_u32_opt(flags, "generations")? {

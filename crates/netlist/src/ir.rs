@@ -398,6 +398,7 @@ impl Module {
         connections: &[(&str, Signal)],
         port_name: impl Fn(usize) -> Option<&'p str>,
     ) -> InstId {
+        let start = u32::try_from(self.conns.len()).expect("fewer than 2^32 connections");
         for (k, &(port, signal)) in connections.iter().enumerate() {
             // Connections usually follow the port order: try position k first.
             let found = if port_name(k) == Some(port) {
@@ -408,14 +409,14 @@ impl Module {
             let index = match found {
                 Some(i) => i as u32,
                 None => {
-                    self.unresolved
-                        .push((self.conns.len() as u32, port.to_owned()));
+                    self.unresolved.push((start + k as u32, port.to_owned()));
                     UNRESOLVED
                 }
             };
             self.conns.push((index, signal));
         }
-        self.conn_ends.push(self.conns.len() as u32);
+        let end = u32::try_from(self.conns.len()).expect("fewer than 2^32 connections");
+        self.conn_ends.push(end);
         self.targets.push(target);
         InstId(self.inst_names.push(name))
     }
@@ -467,19 +468,6 @@ impl Module {
     /// Panics if `net` is not a net of this module.
     pub fn net_width(&self, net: NetId) -> u32 {
         self.net_widths[net.0 as usize]
-    }
-
-    /// The net with the given name, if any (a linear search).
-    pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.net_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| NetId(i as u32))
-    }
-
-    /// Position of the named port in [`ports`](Module::ports).
-    pub fn port_index(&self, name: &str) -> Option<usize> {
-        self.ports.iter().position(|p| self.net_name(p.net) == name)
     }
 
     /// The parts of a concatenation built by [`concat`](Module::concat).
@@ -681,7 +669,7 @@ impl Design {
             .find(|t| matches!(t, InstanceTarget::Module(c) if *c >= id))
         {
             return Err(NetlistError::UnknownModule(format!(
-                "#{} (instantiated by `{}`)",
+                "#{} (instantiated by {})",
                 child.0, module.name
             )));
         }
@@ -691,19 +679,9 @@ impl Design {
         Ok(id)
     }
 
-    /// True when a module with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
-        self.index.contains_key(name)
-    }
-
     /// The id of the named module.
     pub fn module_id(&self, name: &str) -> Option<ModuleId> {
         self.index.get(name).copied()
-    }
-
-    /// Looks a module up by name.
-    pub fn module(&self, name: &str) -> Option<&Module> {
-        self.module_id(name).map(|id| &self[id])
     }
 
     /// All modules, in insertion (dependency) order: a module's children
@@ -879,10 +857,9 @@ mod tests {
         assert_eq!(m.net_width(a), 4);
         assert_eq!(m.net_width(t), 2);
         assert_eq!(m.net_name(t), "t");
-        assert_eq!(m.find_net("t"), Some(t));
-        assert_eq!(m.find_net("nope"), None);
-        assert_eq!(m.port_index("y"), Some(2));
-        assert_eq!(m.port_index("t"), None);
+        let ports: Vec<&str> = m.ports().iter().map(|p| m.net_name(p.net)).collect();
+        assert_eq!(ports, ["a", "b", "y"]);
+        assert_eq!(m.wires(), [t]);
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub fn emit(design: &Design) -> Result<String, NetlistError> {
     Ok(out)
 }
 
-/// All standard cells instantiated anywhere in the design, in `Ord` order.
+/// All standard cells instantiated anywhere in the design, in `Ord`
+/// (declaration) order.
 fn used_cells(design: &Design) -> Vec<StandardCell> {
     let mut used = [false; ALL_CELLS.len()];
     for m in design.modules() {
@@ -280,7 +281,6 @@ mod tests {
         ] {
             let d = generate_macro(&DcimDesign::for_precision(p, n, h, l, k).unwrap()).unwrap();
             let v = emit(&d).unwrap();
-            assert!(v.capacity() >= v.len(), "{p:?}");
             let hint: usize = d.modules().iter().map(|m| size_hint(&d, m)).sum();
             assert!(
                 hint >= v.len() && hint < 3 * v.len(),
