@@ -189,7 +189,7 @@ impl std::error::Error for JobError {}
 /// # Errors
 ///
 /// [`JobError::Population`] when `population < MIN_POPULATION`.
-pub fn check_population(index: usize, population: usize) -> Result<(), JobError> {
+pub(crate) fn check_population(index: usize, population: usize) -> Result<(), JobError> {
     if population < MIN_POPULATION {
         return Err(JobError::Population { index, population });
     }
