@@ -16,7 +16,14 @@
 //! tier, whose bill is `word_ops` (64-lane mask words) rather than
 //! scalar comparisons — the guard compares the *effective* counter
 //! `comparisons + word_ops` against the pairwise bill.
+//!
+//! The random clouds hold no duplicate rows. One more M=4 case is shaped
+//! like the GA's selection pool instead — N = 200 rows drawn with
+//! replacement from 92 random ones, 82 of them distinct — and every
+//! record carries the bill of sorting its distinct rows alone, which a
+//! kernel that collapses copies must not exceed.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -30,6 +37,47 @@ use sega_moga::pareto::{non_dominated_sort_matrix_into, non_dominated_sort_naive
 /// oracle tests always sort identical point sets.
 fn cloud(n: usize, m: usize, seed: u64) -> ObjectiveMatrix {
     ObjectiveMatrix::xorshift_cloud(n, m, None, seed)
+}
+
+/// The GA's parents ∪ offspring pool shape: `n` M=4 rows drawn with
+/// replacement from `distinct` random rows (a converged pool is mostly
+/// bit-identical copies).
+fn ga_pool(n: usize, distinct: usize, seed: u64) -> ObjectiveMatrix {
+    let rows = cloud(distinct, 4, seed);
+    let mut state = seed | 1;
+    let mut pool = ObjectiveMatrix::with_capacity(4, n);
+    for _ in 0..n {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        pool.push_row_from(&rows, (state % distinct as u64) as usize);
+    }
+    pool
+}
+
+/// The bit-distinct rows of `matrix`, in first-appearance order.
+fn distinct_rows(matrix: &ObjectiveMatrix) -> ObjectiveMatrix {
+    let mut seen = HashSet::new();
+    let mut out = ObjectiveMatrix::new(matrix.width());
+    for row in matrix.iter_rows() {
+        if seen.insert(row.iter().map(|x| x.to_bits()).collect::<Vec<_>>()) {
+            out.push_row(row);
+        }
+    }
+    out
+}
+
+/// Counters of one warm (steady-state) sort of `matrix`, its fronts and
+/// its wall clock.
+fn warm_sort(matrix: &ObjectiveMatrix) -> (sega_moga::DominanceStats, Vec<Vec<usize>>, f64) {
+    let mut scratch = SortScratch::default();
+    let mut fronts = Vec::new();
+    non_dominated_sort_matrix_into(matrix, &mut scratch, &mut fronts);
+    scratch.reset_stats();
+    let started = Instant::now();
+    non_dominated_sort_matrix_into(matrix, &mut scratch, &mut fronts);
+    let wall_s = started.elapsed().as_secs_f64();
+    (scratch.stats(), fronts, wall_s)
 }
 
 const CASES: [(usize, usize); 9] = [
@@ -48,17 +96,15 @@ fn bench_moga_kernel(c: &mut Criterion) {
     // Receipts, computed once: counters + wall clock per case, fronts
     // cross-checked against the naive oracle.
     let mut records = Vec::new();
-    for (n, m) in CASES {
-        let matrix = cloud(n, m, (n * 31 + m) as u64);
-        let mut scratch = SortScratch::default();
-        let mut fronts = Vec::new();
-        // Warm the scratch so the measured sort is the steady state.
-        non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
-        scratch.reset_stats();
-        let started = Instant::now();
-        non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
-        let wall_s = started.elapsed().as_secs_f64();
-        let stats = scratch.stats();
+    let inputs = CASES
+        .iter()
+        .map(|&(n, m)| cloud(n, m, (n * 31 + m) as u64))
+        .chain(std::iter::once(ga_pool(200, 92, 0x6A_9001)));
+    for matrix in inputs {
+        let (n, m) = (matrix.len(), matrix.width());
+        let (stats, fronts, wall_s) = warm_sort(&matrix);
+        let distinct = distinct_rows(&matrix);
+        let (distinct_stats, _, _) = warm_sort(&distinct);
 
         let rows: Vec<&[f64]> = matrix.iter_rows().collect();
         let naive = non_dominated_sort_naive(&rows);
@@ -76,6 +122,11 @@ fn bench_moga_kernel(c: &mut Criterion) {
 
         let naive_comparisons = (n * (n - 1) / 2) as u64;
         let effective = stats.comparisons + stats.word_ops;
+        let distinct_bill = distinct_stats.comparisons + distinct_stats.word_ops;
+        assert!(
+            effective <= distinct_bill,
+            "N={n} M={m}: {effective} effective ops exceed the distinct rows' {distinct_bill}",
+        );
         if n == 1024 {
             let factor = if m == 4 { 4 } else { 8 };
             assert!(
@@ -86,8 +137,9 @@ fn bench_moga_kernel(c: &mut Criterion) {
         }
         assert_eq!(stats.allocations, 0, "warm sorts must not allocate");
         eprintln!(
-            "moga_kernel N={n:<5} M={m}: {:>8} comparisons + {:>6} word ops \
+            "moga_kernel N={n:<5} M={m} D={:<5}: {:>8} comparisons + {:>6} word ops \
              (naive {naive_comparisons:>7}, {:>5.1}x fewer), {} fronts, {:.6}s",
+            distinct.len(),
             stats.comparisons,
             stats.word_ops,
             naive_comparisons as f64 / effective.max(1) as f64,
@@ -100,6 +152,8 @@ fn bench_moga_kernel(c: &mut Criterion) {
             comparisons: stats.comparisons,
             word_ops: stats.word_ops,
             naive_comparisons,
+            distinct: distinct.len(),
+            distinct_bill,
             allocations: stats.allocations,
             fronts: fronts.len(),
             wall_s,

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | **Presort + sweep** | `M = 2`, all rows finite-or-∞ (no NaN) | `O(N log N)` |
 //! | **Sweep + Pareto staircases** (Jensen/Fortin-style) | `M = 3`, no NaN | `O(N log N · log F)` |
-//! | **Bitset-row fallback** | `M ∉ {2, 3}` or any NaN entry | `O(M · N²)`, flat row-major bitsets |
+//! | **Bitset-row fallback** | `M ∉ {2, 3}` or any NaN entry | `O(N log N)` grouping + `O(M · D²)` over the `D ≤ N` distinct rows, flat row-major bitsets |
 //!
 //! All tiers return *exactly* the fronts of the textbook Deb et al.
 //! `O(M·N²)` pass (retained as [`non_dominated_sort_naive`], the test
@@ -27,11 +27,31 @@
 //! transitivity "front `r` dominates `p`" implies "front `r − 1`
 //! dominates `p`".
 //!
+//! The fallback first **collapses duplicates**: rows are grouped by their
+//! exact IEEE-754 bit pattern (identical bits compare identically against
+//! every other row, and no row dominates a copy of itself, NaN rows
+//! included; `-0.0` and `0.0` stay separate classes). The fill and peel
+//! run over one representative per class, and the peel expands classes
+//! back to points in the exact Deb order:
+//!
+//! - front 0 lists its members by ascending index;
+//! - a member `j` of front `k ≥ 1` is keyed by the position, in front
+//!   `k − 1`'s order, of the last front-`(k − 1)` point that dominates
+//!   `j`, and the front is ordered by `(key, j)`. Copies share every
+//!   dominator, so the peel walks a class's dominance row once, at its
+//!   last member in front `k − 1`, and merges the members of the classes
+//!   it releases by index.
+//!
+//! A converged GA pool is mostly copies (a 200-row parents ∪ offspring
+//! pool holds about 80 distinct rows), so the quadratic fill shrinks by
+//! about 6×; when every row is distinct the grouping is the identity.
+//!
 //! Every sort accumulates a [`DominanceStats`] counter (dominance
 //! comparisons / search probes, and buffer allocations) in its
 //! [`SortScratch`], so the asymptotic win over the `N·(N−1)/2` pairwise
 //! baseline is machine-checkable in tests and benches rather than
-//! dependent on wall clock.
+//! dependent on wall clock. The fallback bills its `D` distinct rows:
+//! `D·(D−1)/2` pair comparisons on the scalar path.
 
 use crate::matrix::ObjectiveMatrix;
 use rand::rngs::StdRng;
@@ -100,7 +120,8 @@ fn dominance_pair(a: &[f64], b: &[f64]) -> (bool, bool) {
 /// and binary-search probes in the sweep/staircase tiers — the naive
 /// kernel performs exactly `N·(N−1)/2` of them per sort, so the counter
 /// makes the asymptotic win assertable in tests independent of wall
-/// clock. `word_ops` counts 64-point mask words produced by the blocked
+/// clock. The fallback bills only its `D` distinct rows (`D·(D−1)/2` on
+/// the scalar path). `word_ops` counts 64-point mask words produced by the blocked
 /// M=4 tier (one per objective per tile), each subsuming up to 64
 /// pairwise comparisons. `allocations` counts buffers the kernel had to
 /// allocate fresh; a scratch-reusing steady state performs zero.
@@ -148,10 +169,10 @@ pub fn non_dominated_sort_matrix(points: &ObjectiveMatrix) -> Vec<Vec<usize>> {
 
 /// Reusable working memory for the dominance kernel: lexicographic order
 /// and assignment buffers, the sweep/staircase structures, the fallback's
-/// bitset rows, a pool of spare front buffers, and the accumulated
-/// [`DominanceStats`]. One scratch serves any number of sorts; a GA
-/// reuses it every generation so the sort performs no steady-state
-/// allocation.
+/// duplicate classes and bitset rows, a pool of spare front buffers, and
+/// the accumulated [`DominanceStats`]. One scratch serves any number of
+/// sorts; a GA reuses it every generation so the sort performs no
+/// steady-state allocation.
 #[derive(Debug)]
 pub struct SortScratch {
     /// Point indices in lexicographic row order.
@@ -174,6 +195,19 @@ pub struct SortScratch {
     cols: Vec<f64>,
     /// Blocked M=4 tier: bitmask of NaN-free rows, ⌈n/64⌉ words.
     valid: Vec<u64>,
+    /// Fallback: class (distinct bit pattern) of each point.
+    class_of: Vec<usize>,
+    /// Fallback: lowest-index point of each class, ascending.
+    reps: Vec<usize>,
+    /// Fallback: open-addressing hash table of class representatives.
+    rep_table: Vec<usize>,
+    /// Fallback: `members[member_start[c]..member_start[c + 1]]` are the
+    /// points of class `c`, ascending.
+    members: Vec<usize>,
+    member_start: Vec<usize>,
+    /// Fallback: position of each class's last member in the front being
+    /// peeled.
+    last: Vec<usize>,
     /// Route the fallback through the per-pair path even for M=4.
     force_scalar: bool,
     /// Flat staging matrix for the slice-based adapters.
@@ -194,6 +228,12 @@ impl Default for SortScratch {
             domination_count: Vec::new(),
             cols: Vec::new(),
             valid: Vec::new(),
+            class_of: Vec::new(),
+            reps: Vec::new(),
+            rep_table: Vec::new(),
+            members: Vec::new(),
+            member_start: Vec::new(),
+            last: Vec::new(),
             force_scalar: force_scalar_env(),
             adapter: ObjectiveMatrix::default(),
             stats: DominanceStats::default(),
@@ -478,10 +518,86 @@ fn staircase_sort_m3(
     scratch.stairs = stairs;
 }
 
+/// Clears `buf` and refills it with `len` copies of `value`, billing an
+/// allocation when it has to grow.
+fn reset_buf<T: Clone>(buf: &mut Vec<T>, len: usize, value: T, stats: &mut DominanceStats) {
+    if buf.capacity() < len {
+        stats.allocations += 1;
+    }
+    buf.clear();
+    buf.resize(len, value);
+}
+
+/// True when two rows have identical IEEE-754 bit patterns.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Groups the points into classes of bit-identical rows (see the module
+/// docs for why this is exact): `class_of[i]` is point `i`'s class,
+/// classes are numbered by first appearance with `reps[c]` the class's
+/// lowest-index point, and `members[member_start[c]..member_start[c + 1]]`
+/// lists the class's points ascending. One pass over an open-addressing
+/// table of representatives keyed by a multiplicative hash of the row
+/// bits; with every row distinct the grouping is the identity.
+fn group_identical_rows(points: &ObjectiveMatrix, scratch: &mut SortScratch) {
+    let n = points.len();
+    let stats = &mut scratch.stats;
+    let table_bits = (2 * n).max(2).next_power_of_two().trailing_zeros();
+    let table = &mut scratch.rep_table;
+    reset_buf(table, 1 << table_bits, usize::MAX, stats);
+    let class_of = &mut scratch.class_of;
+    reset_buf(class_of, n, 0, stats);
+    let reps = &mut scratch.reps;
+    reps.clear();
+    if reps.capacity() < n {
+        stats.allocations += 1;
+        reps.reserve(n);
+    }
+    for (i, row) in points.iter_rows().enumerate() {
+        let hash = row.iter().fold(0u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        let mut slot = (hash >> (64 - table_bits)) as usize;
+        loop {
+            let rep = table[slot];
+            if rep == usize::MAX {
+                table[slot] = i;
+                class_of[i] = reps.len();
+                reps.push(i);
+                break;
+            }
+            if same_bits(points.row(rep), row) {
+                class_of[i] = class_of[rep];
+                break;
+            }
+            slot = (slot + 1) & (table.len() - 1);
+        }
+    }
+    // Membership lists by counting sort on the class (`last` serves as
+    // the fill cursor; the peel reinitializes it).
+    let d = reps.len();
+    reset_buf(&mut scratch.member_start, d + 1, 0, stats);
+    for &c in class_of.iter() {
+        scratch.member_start[c + 1] += 1;
+    }
+    for c in 0..d {
+        scratch.member_start[c + 1] += scratch.member_start[c];
+    }
+    reset_buf(&mut scratch.last, d, 0, stats);
+    scratch.last.copy_from_slice(&scratch.member_start[..d]);
+    reset_buf(&mut scratch.members, n, 0, stats);
+    for (i, &c) in class_of.iter().enumerate() {
+        scratch.members[scratch.last[c]] = i;
+        scratch.last[c] += 1;
+    }
+}
+
 /// Fallback tier (`M ∉ {2, 3}` or NaN rows): Deb's pairwise pass over the
-/// flat matrix, with the per-point adjacency lists replaced by row-major
-/// bitsets — `⌈N/64⌉` words per point, walked word-at-a-time during the
-/// peel. Produces fronts in exactly the order of the textbook algorithm.
+/// distinct rows ([`group_identical_rows`]), with the per-point adjacency
+/// lists replaced by row-major bitsets — `⌈D/64⌉` words per class, walked
+/// word-at-a-time during the peel. Produces fronts in exactly the order
+/// of the textbook algorithm (the expansion rule is in the module docs).
 ///
 /// For `M = 4` (the production objective count) the fill phase runs the
 /// blocked branchless tile kernel ([`bitset_fill_blocked_m4`]) unless
@@ -494,36 +610,55 @@ fn bitset_sort_fallback(
     scratch: &mut SortScratch,
     fronts: &mut Vec<Vec<usize>>,
 ) {
-    let n = points.len();
-    let words = n.div_ceil(64);
-    if scratch.bits.capacity() < n * words {
-        scratch.stats.allocations += 1;
-    }
-    scratch.bits.clear();
-    scratch.bits.resize(n * words, 0);
+    group_identical_rows(points, scratch);
+    let d = scratch.reps.len();
+    let words = d.div_ceil(64);
+    reset_buf(&mut scratch.bits, d * words, 0, &mut scratch.stats);
     scratch.domination_count.clear();
-    scratch.domination_count.resize(n, 0);
+    scratch.domination_count.resize(d, 0);
+    let reps = std::mem::take(&mut scratch.reps);
     if points.width() == 4 && !scratch.force_scalar {
-        bitset_fill_blocked_m4(points, scratch, n, words);
+        bitset_fill_blocked_m4(points, &reps, scratch, words);
     } else {
-        bitset_fill_pairwise(points, scratch, n, words);
+        bitset_fill_pairwise(points, &reps, scratch, words);
     }
+    scratch.reps = reps;
+    // The peel walks each class's dominance row once, at the class's last
+    // member in the current front — where the point-level peel would
+    // release everything the class dominates — and appends the released
+    // classes' members, merged by index when more than one class with
+    // copies is released at once.
     let mut current = scratch.take_front();
-    current.extend((0..n).filter(|&i| scratch.domination_count[i] == 0));
+    current
+        .extend((0..points.len()).filter(|&i| scratch.domination_count[scratch.class_of[i]] == 0));
     while !current.is_empty() {
+        for (pos, &i) in current.iter().enumerate() {
+            scratch.last[scratch.class_of[i]] = pos;
+        }
         let mut next = scratch.take_front();
-        for &i in &current {
-            let row = &scratch.bits[i * words..(i + 1) * words];
+        for (pos, &i) in current.iter().enumerate() {
+            let c = scratch.class_of[i];
+            if scratch.last[c] != pos {
+                continue;
+            }
+            let start = next.len();
+            let mut released = 0;
+            let row = &scratch.bits[c * words..(c + 1) * words];
             for (w, &word) in row.iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
-                    let j = w * 64 + word.trailing_zeros() as usize;
+                    let e = w * 64 + word.trailing_zeros() as usize;
                     word &= word - 1;
-                    scratch.domination_count[j] -= 1;
-                    if scratch.domination_count[j] == 0 {
-                        next.push(j);
+                    scratch.domination_count[e] -= 1;
+                    if scratch.domination_count[e] == 0 {
+                        let members = scratch.member_start[e]..scratch.member_start[e + 1];
+                        next.extend_from_slice(&scratch.members[members]);
+                        released += 1;
                     }
                 }
+            }
+            if released > 1 && next.len() - start > released {
+                next[start..].sort_unstable();
             }
         }
         fronts.push(std::mem::replace(&mut current, next));
@@ -531,19 +666,20 @@ fn bitset_sort_fallback(
     scratch.spare.push(current);
 }
 
-/// The seed per-pair fill: one branchy [`dominance_pair`] per unordered
-/// pair, counted in `comparisons`.
+/// The seed per-pair fill over the class representatives `reps`: one
+/// branchy [`dominance_pair`] per unordered pair, counted in
+/// `comparisons`.
 fn bitset_fill_pairwise(
     points: &ObjectiveMatrix,
+    reps: &[usize],
     scratch: &mut SortScratch,
-    n: usize,
     words: usize,
 ) {
-    for i in 0..n {
-        let row_i = points.row(i);
-        for j in (i + 1)..n {
+    for (i, &p) in reps.iter().enumerate() {
+        let row_i = points.row(p);
+        for (j, &q) in reps.iter().enumerate().skip(i + 1) {
             scratch.stats.comparisons += 1;
-            let (i_dominates, j_dominates) = dominance_pair(row_i, points.row(j));
+            let (i_dominates, j_dominates) = dominance_pair(row_i, points.row(q));
             if i_dominates {
                 scratch.bits[i * words + j / 64] |= 1u64 << (j % 64);
                 scratch.domination_count[j] += 1;
@@ -555,9 +691,10 @@ fn bitset_fill_pairwise(
     }
 }
 
-/// Blocked branchless fill for `M = 4`: the matrix is transposed into
-/// four objective-major columns, and each anchor row `i` is compared
-/// against 64-point tiles of rows `j > i` at once. Per objective the
+/// Blocked branchless fill for `M = 4`: the class representatives'
+/// rows (`reps`) are transposed into four objective-major columns, and
+/// each anchor row `i` is compared against 64-point tiles of rows
+/// `j > i` at once. Per objective the
 /// tile produces two lane masks — `a[m] ≤ v` and `a[m] < v` — built
 /// with bool-to-bit shifts (no data-dependent branches, and a shape
 /// LLVM autovectorizes); four `&`/`|` word reductions then yield "i
@@ -571,10 +708,11 @@ fn bitset_fill_pairwise(
 /// below hold only for NaN-free lanes, including ±∞).
 fn bitset_fill_blocked_m4(
     points: &ObjectiveMatrix,
+    reps: &[usize],
     scratch: &mut SortScratch,
-    n: usize,
     words: usize,
 ) {
+    let n = reps.len();
     if scratch.cols.capacity() < 4 * n || scratch.valid.capacity() < words {
         scratch.stats.allocations += 1;
     }
@@ -583,8 +721,8 @@ fn bitset_fill_blocked_m4(
     scratch.valid.clear();
     scratch.valid.resize(words, 0);
     let mut any_nan = false;
-    for j in 0..n {
-        let row = points.row(j);
+    for (j, &p) in reps.iter().enumerate() {
+        let row = points.row(p);
         for (m, &x) in row.iter().enumerate() {
             scratch.cols[m * n + j] = x;
         }
@@ -601,13 +739,13 @@ fn bitset_fill_blocked_m4(
             if scratch.valid[i / 64] >> (i % 64) & 1 == 1 {
                 continue;
             }
-            let row_i = points.row(i);
-            for j in 0..n {
+            let row_i = points.row(reps[i]);
+            for (j, &q) in reps.iter().enumerate() {
                 if j == i || (j < i && scratch.valid[j / 64] >> (j % 64) & 1 == 0) {
                     continue;
                 }
                 scratch.stats.comparisons += 1;
-                let (i_dominates, j_dominates) = dominance_pair(row_i, points.row(j));
+                let (i_dominates, j_dominates) = dominance_pair(row_i, points.row(q));
                 if i_dominates {
                     scratch.bits[i * words + j / 64] |= 1u64 << (j % 64);
                     scratch.domination_count[j] += 1;
@@ -755,15 +893,17 @@ pub fn crowding_distances_slices(points: &[&[f64]], front: &[usize]) -> Vec<f64>
     dist
 }
 
-/// Reusable working memory for the crowding-distance computations: the
-/// index-sort buffer, seeded with the identity once per front and then
-/// sorted **in place** objective after objective (a stable sort, so ties
-/// in one objective keep the previous objective's order — exactly the
-/// seed engine's tie semantics). One scratch serves every front of every
+/// Reusable working memory for the crowding-distance computations: a
+/// contiguous `(objective value, front position)` key buffer, seeded with
+/// the front order once per front; each objective gathers its values into
+/// the keys and stable-sorts them **in place** (so ties in one objective
+/// keep the previous objective's order — exactly the seed engine's tie
+/// semantics), and the neighbour differences then read the sorted keys
+/// instead of the rows. One scratch serves every front of every
 /// generation, so steady-state crowding computes without allocating.
 #[derive(Debug, Default)]
 pub struct CrowdingScratch {
-    order: Vec<usize>,
+    keys: Vec<(f64, usize)>,
 }
 
 /// [`crowding_distances_slices`] writing into caller-owned buffers
@@ -819,27 +959,23 @@ fn crowding_into(
         return;
     }
     dist.resize(n, 0.0);
-    scratch.order.clear();
-    scratch.order.extend(0..n);
-    let order = &mut scratch.order;
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend((0..n).map(|pos| (0.0, pos)));
     for obj in 0..m {
-        order.sort_by(|&a, &b| {
-            objective(front[a], obj)
-                .partial_cmp(&objective(front[b], obj))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let lo = objective(front[order[0]], obj);
-        let hi = objective(front[order[n - 1]], obj);
-        dist[order[0]] = f64::INFINITY;
-        dist[order[n - 1]] = f64::INFINITY;
-        let span = hi - lo;
+        for key in keys.iter_mut() {
+            key.0 = objective(front[key.1], obj);
+        }
+        keys.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let (lo, hi) = (keys[0], keys[n - 1]);
+        dist[lo.1] = f64::INFINITY;
+        dist[hi.1] = f64::INFINITY;
+        let span = hi.0 - lo.0;
         if span <= 0.0 || !span.is_finite() {
             continue;
         }
-        for w in 1..(n - 1) {
-            let prev = objective(front[order[w - 1]], obj);
-            let next = objective(front[order[w + 1]], obj);
-            dist[order[w]] += (next - prev) / span;
+        for w in keys.windows(3) {
+            dist[w[1].1] += (w[2].0 - w[0].0) / span;
         }
     }
 }
@@ -1183,6 +1319,104 @@ mod tests {
             &mut CrowdingScratch::default(),
         );
         assert_eq!(via_slices, via_matrix);
+    }
+
+    /// The closure-based crowding kernel the keyed one replaced, kept as
+    /// the bit-identity reference: every comparison of the per-objective
+    /// index sort re-reads the row through `front[order[k]]`.
+    fn crowding_reference(
+        objective: impl Fn(usize, usize) -> f64,
+        m: usize,
+        front: &[usize],
+    ) -> Vec<f64> {
+        let n = front.len();
+        if n <= 2 {
+            return vec![f64::INFINITY; n];
+        }
+        let mut dist = vec![0.0; n];
+        let mut order: Vec<usize> = (0..n).collect();
+        for obj in 0..m {
+            order.sort_by(|&a, &b| {
+                objective(front[a], obj)
+                    .partial_cmp(&objective(front[b], obj))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let lo = objective(front[order[0]], obj);
+            let hi = objective(front[order[n - 1]], obj);
+            dist[order[0]] = f64::INFINITY;
+            dist[order[n - 1]] = f64::INFINITY;
+            let span = hi - lo;
+            if span <= 0.0 || !span.is_finite() {
+                continue;
+            }
+            for w in 1..(n - 1) {
+                let prev = objective(front[order[w - 1]], obj);
+                let next = objective(front[order[w + 1]], obj);
+                dist[order[w]] += (next - prev) / span;
+            }
+        }
+        dist
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs a crowding kernel, mapping a panic to `None`: the shared
+    /// comparator is no total order once NaN entries appear, and the
+    /// standard stable sort may detect that on fronts past its
+    /// insertion-sort cutoff. Both kernels must then fail alike.
+    fn outcome(kernel: impl FnOnce() -> Vec<f64>) -> Option<Vec<u64>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel))
+            .ok()
+            .map(|d| bits(&d))
+    }
+
+    #[test]
+    fn keyed_crowding_is_bit_identical_to_the_reference() {
+        // Gridded values (ties and duplicate rows), with ±∞, NaN and
+        // `-0.0` entries sprinkled in; fronts of every size class the
+        // stable sort treats differently, listed in a scrambled order.
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0];
+        let mut scratch = CrowdingScratch::default();
+        let mut dist = Vec::new();
+        for (case, n) in [0usize, 1, 2, 3, 5, 17, 21, 33, 64, 65, 100, 257, 300, 600]
+            .into_iter()
+            .enumerate()
+        {
+            for m in [2usize, 3, 4] {
+                for special_rate in [0u64, 5, 13] {
+                    let seed = (case * 7 + m) as u64 * 1000 + special_rate;
+                    let mut pts = ObjectiveMatrix::xorshift_cloud(n, m, Some(6.0), seed).to_rows();
+                    let mut state = seed | 1;
+                    for v in pts.iter_mut().flatten() {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        if special_rate > 0 && state.is_multiple_of(special_rate) {
+                            *v = specials[(state >> 8) as usize % specials.len()];
+                        }
+                    }
+                    let front: Vec<usize> = (0..n).map(|k| (k * 37 + case) % n).collect();
+                    let refs: Vec<&[f64]> = pts.iter().map(Vec::as_slice).collect();
+                    let matrix = ObjectiveMatrix::from_rows(&pts);
+                    let label = format!("n={n} m={m} special_rate={special_rate}");
+
+                    let expected = outcome(|| crowding_reference(|i, obj| pts[i][obj], m, &front));
+                    assert!(expected.is_some() || special_rate > 0, "{label}");
+                    let via_slices = outcome(|| {
+                        crowding_distances_slices_into(&refs, &front, &mut dist, &mut scratch);
+                        dist.clone()
+                    });
+                    assert_eq!(via_slices, expected, "slices {label}");
+                    let via_matrix = outcome(|| {
+                        crowding_distances_matrix_into(&matrix, &front, &mut dist, &mut scratch);
+                        dist.clone()
+                    });
+                    assert_eq!(via_matrix, expected, "matrix {label}");
+                }
+            }
+        }
     }
 
     #[test]

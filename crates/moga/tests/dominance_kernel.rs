@@ -6,6 +6,8 @@
 //! `N·(N−1)/2` pairwise bill (the ISSUE's machine-checkable acceptance
 //! criterion, independent of the 1-CPU container's wall clock).
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use sega_moga::matrix::ObjectiveMatrix;
 use sega_moga::pareto::{non_dominated_sort_matrix_into, non_dominated_sort_naive, SortScratch};
@@ -42,6 +44,44 @@ fn random_points(n: usize, m: usize, quant: Option<f64>, seed: u64) -> Vec<Vec<f
 
 fn naive_pairs(n: usize) -> u64 {
     (n * (n - 1) / 2) as u64
+}
+
+/// Number of bit-distinct rows: the fallback tier sorts one
+/// representative per distinct row, so its scalar bill is
+/// `naive_pairs(distinct_rows(points))`.
+fn distinct_rows(points: &[Vec<f64>]) -> usize {
+    points
+        .iter()
+        .map(|p| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        .collect::<HashSet<_>>()
+        .len()
+}
+
+/// `n` M=4 rows drawn with replacement from a pool of `k` gridded rows.
+/// From `k = 6` the pool's first rows are specials: two NaN rows with
+/// different payloads, `+∞` and `−∞` entries, and a pair of rows equal
+/// except for `-0.0` versus `0.0` — the converged-GA shape with every
+/// bit-level corner the duplicate grouping must keep apart.
+fn duplicate_pool(n: usize, k: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut pool = random_points(k, 4, Some(4.0), seed);
+    if k >= 6 {
+        pool[0][1] = f64::NAN;
+        pool[1][0] = f64::INFINITY;
+        pool[2][3] = f64::NEG_INFINITY;
+        pool[4][0] = 0.0;
+        pool[3] = pool[4].clone();
+        pool[3][0] = -0.0;
+        pool[5][2] = f64::from_bits(f64::NAN.to_bits() | 1);
+    }
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            pool[(state % k as u64) as usize].clone()
+        })
+        .collect()
 }
 
 proptest! {
@@ -123,7 +163,37 @@ proptest! {
         non_dominated_sort_matrix_into(&matrix, &mut scalar, &mut scalar_fronts);
         prop_assert_eq!(&blocked_fronts, &scalar_fronts);
         prop_assert_eq!(scalar.stats().word_ops, 0);
-        prop_assert_eq!(scalar.stats().comparisons, naive_pairs(n));
+        prop_assert_eq!(scalar.stats().comparisons, naive_pairs(distinct_rows(&pts)));
+    }
+
+    /// Duplicate-heavy M=4 pools (≤ 40 distinct rows, NaN, ±∞ and
+    /// `-0.0`/`0.0` included): the blocked and forced-scalar sorts both
+    /// reproduce the oracle's **exact** front order, the scalar path
+    /// bills only the distinct pairs, and a warm resort allocates
+    /// nothing.
+    #[test]
+    fn m4_duplicate_pools_match_naive_exactly(
+        n in 1usize..=256,
+        k in 1usize..=40,
+        seed in 0u64..10_000,
+    ) {
+        let pts = duplicate_pool(n, k, seed);
+        let expected = naive(&pts);
+        let matrix = ObjectiveMatrix::from_rows(&pts);
+        for force_scalar in [false, true] {
+            let mut scratch = SortScratch::default();
+            scratch.set_force_scalar(force_scalar);
+            let mut fronts = Vec::new();
+            non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
+            prop_assert_eq!(&fronts, &expected, "force_scalar={}", force_scalar);
+            if force_scalar {
+                prop_assert_eq!(scratch.stats().comparisons, naive_pairs(distinct_rows(&pts)));
+            }
+            let warm = scratch.stats().allocations;
+            non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
+            prop_assert_eq!(&fronts, &expected);
+            prop_assert_eq!(scratch.stats().allocations, warm, "warm sort allocated");
+        }
     }
 }
 
@@ -218,7 +288,9 @@ fn m4_blocked_tier_beats_pairwise_bill_at_n1024() {
 }
 
 /// Forced-scalar mode routes M=4 through the per-pair fill and still
-/// produces byte-identical fronts, at exactly the pairwise bill.
+/// produces byte-identical fronts, at exactly the pairwise bill of the
+/// distinct rows (the gridded cloud has copies; the continuous ones do
+/// not, so they pay the full `N·(N−1)/2`).
 #[test]
 fn m4_forced_scalar_matches_blocked_at_scale() {
     for (seed, quant) in [(1u64, None), (77, Some(4.0)), (0xFEED, None)] {
@@ -232,7 +304,7 @@ fn m4_forced_scalar_matches_blocked_at_scale() {
         non_dominated_sort_matrix_into(&matrix, &mut blocked, &mut blocked_fronts);
         non_dominated_sort_matrix_into(&matrix, &mut scalar, &mut scalar_fronts);
         assert_eq!(blocked_fronts, scalar_fronts, "seed={seed}");
-        assert_eq!(scalar.stats().comparisons, naive_pairs(512));
+        assert_eq!(scalar.stats().comparisons, naive_pairs(distinct_rows(&pts)));
         assert_eq!(scalar.stats().word_ops, 0);
         assert!(blocked.stats().word_ops > 0);
     }

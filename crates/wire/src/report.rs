@@ -250,6 +250,11 @@ pub struct MogaKernelRecord {
     pub word_ops: u64,
     /// The naive kernel's pairwise bill for the same input.
     pub naive_comparisons: u64,
+    /// Bit-distinct rows among the `n` points.
+    pub distinct: usize,
+    /// Effective bill (`comparisons + word_ops`) of sorting only the
+    /// distinct rows: a kernel that collapses copies never exceeds it.
+    pub distinct_bill: u64,
     /// Buffers the kernel allocated (0 once the scratch is warm).
     pub allocations: u64,
     /// Fronts produced.
@@ -266,6 +271,8 @@ impl MogaKernelRecord {
             ("comparisons", Json::from(self.comparisons)),
             ("word_ops", Json::from(self.word_ops)),
             ("naive_comparisons", Json::from(self.naive_comparisons)),
+            ("distinct", Json::from(self.distinct)),
+            ("distinct_bill", Json::from(self.distinct_bill)),
             ("allocations", Json::from(self.allocations)),
             ("fronts", Json::from(self.fronts)),
             ("wall_s", Json::from(self.wall_s)),
@@ -502,6 +509,8 @@ mod tests {
                 comparisons: 40_000,
                 word_ops: 0,
                 naive_comparisons: 523_776,
+                distinct: 1024,
+                distinct_bill: 40_000,
                 allocations: 0,
                 fronts: 17,
                 wall_s: 0.001,
@@ -511,7 +520,9 @@ mod tests {
         assert!(text.starts_with(r#"{"bench":"moga_kernel","cases":["#));
         assert!(text.contains(r#""n":1024,"m":3,"comparisons":40000"#));
         assert!(text.contains(r#""comparisons":40000,"word_ops":0"#));
-        assert!(text.contains(r#""naive_comparisons":523776,"allocations":0,"fronts":17"#));
+        assert!(text.contains(
+            r#""naive_comparisons":523776,"distinct":1024,"distinct_bill":40000,"allocations":0,"fronts":17"#
+        ));
         Json::parse(&text).unwrap();
     }
 

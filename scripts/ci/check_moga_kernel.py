@@ -4,7 +4,7 @@
 Usage: check_moga_kernel.py BASELINE_JSON FRESH_JSON
 
 Counter-based (deterministic), so it is stable on a noisy 1-CPU runner.
-Two guarded cases:
+Three guarded cases:
 
 * N=1024/M=3 (the staircase tier): scalar comparisons within 5% of the
   committed BENCH_moga.json baseline, and 8x below the naive pairwise
@@ -12,6 +12,9 @@ Two guarded cases:
 * N=1024/M=4 (the production DCIM shape, blocked branchless tier): the
   effective counter `comparisons + word_ops` within 5% of the baseline,
   and at least 4x below the naive `N*(N-1)/2` bill.
+* N=200/M=4 (the GA's selection pool: 200 rows, ~80 distinct): the
+  effective counter at most the bill of sorting the distinct rows alone
+  (`distinct_bill`), so copies cost nothing, and no warm allocation.
 """
 
 import json
@@ -73,6 +76,19 @@ def main() -> None:
         "vs baseline",
         effective(b4),
         f"(naive {f4['naive_comparisons']})",
+    )
+
+    pool = case(fresh, 200, 4)
+    assert pool["distinct"] < pool["n"], f"GA-pool case has no duplicate rows: {pool}"
+    assert effective(pool) <= pool["distinct_bill"], (
+        f"M=4 sort bills duplicate rows: {effective(pool)} effective ops > "
+        f"{pool['distinct_bill']} for the {pool['distinct']} distinct rows alone"
+    )
+    assert pool["allocations"] == 0, f"warm GA-pool sorts must not allocate: {pool}"
+    print(
+        "moga kernel guard OK (GA pool):",
+        f"{effective(pool)} effective ops for N={pool['n']},",
+        f"{pool['distinct']} distinct rows alone bill {pool['distinct_bill']}",
     )
 
 
