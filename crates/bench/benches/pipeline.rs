@@ -17,29 +17,22 @@
 //!   evaluations (everything is served from the first run's estimates).
 //!
 //! The setup prints the evaluation accounting at the default
-//! `Nsga2Config` budget, runs the **speculative-loop arms** (macro and
-//! remote) on a small low-mutation budget where cohorts genuinely
-//! confirm — recording the `speculated`/`confirmed`/`rebred` ledger,
-//! which is deterministic (counter-based, never wall-clock) so CI can
-//! guard it on a 1-CPU runner — compares the mixed-precision fan-out
-//! under per-problem vs shared caching, and — when `BENCH_PIPELINE_JSON`
-//! is set — records everything to `BENCH_pipeline.json` so CI can track
-//! the perf trajectory per PR (see `sega_bench::json`).
+//! `Nsga2Config` budget, compares the mixed-precision fan-out under
+//! per-problem vs shared caching, and — when `BENCH_PIPELINE_JSON` is
+//! set — records everything to `BENCH_pipeline.json` so CI can track the
+//! perf trajectory per PR (see `sega_bench::json`).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sega_bench::json::{
-    pipeline_json_path, CacheTrafficRecord, ConfigRecord, PipelineReport, RemoteTrafficRecord,
-    SpeculationRecord,
-};
+use sega_bench::json::{pipeline_json_path, ConfigRecord, PipelineReport, RemoteTrafficRecord};
 use sega_bench::{quick_nsga_config, FIG7_PRECISIONS};
 use sega_cells::Technology;
 use sega_dcim::{
-    explore_mixed_with, explore_pareto_with, CacheStore, PipelineOptions, RemoteBackend,
-    RemoteOptions, SharedEvalCache, UserSpec,
+    explore_mixed_with, explore_pareto_with, PipelineOptions, RemoteBackend, RemoteOptions,
+    SharedEvalCache, UserSpec,
 };
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
@@ -117,9 +110,7 @@ fn bench_pipeline(c: &mut Criterion) {
             evaluations: run.evaluations,
             distinct_evaluations: run.distinct_evaluations,
             cache_hits: run.cache_hits,
-            speculation: None,
             remote: None,
-            cache: None,
         });
         fronts.push((name, run));
     }
@@ -152,7 +143,6 @@ fn bench_pipeline(c: &mut Criterion) {
                     evaluations: run.evaluations,
                     distinct_evaluations: run.distinct_evaluations,
                     cache_hits: run.cache_hits,
-                    speculation: None,
                     remote: Some(RemoteTrafficRecord {
                         workers,
                         transport: stats.transport.name().to_owned(),
@@ -165,7 +155,6 @@ fn bench_pipeline(c: &mut Criterion) {
                         workers_spawned: stats.workers_spawned,
                         capacities: stats.capacities.clone(),
                     }),
-                    cache: None,
                 });
                 fronts.push(("remote", run));
             }
@@ -195,9 +184,7 @@ fn bench_pipeline(c: &mut Criterion) {
             evaluations: run.evaluations,
             distinct_evaluations: run.distinct_evaluations,
             cache_hits: run.cache_hits,
-            speculation: None,
             remote: None,
-            cache: None,
         });
         if run_idx == 2 {
             assert_eq!(
@@ -207,67 +194,6 @@ fn bench_pipeline(c: &mut Criterion) {
         }
         fronts.push(("shared_cache", run));
     }
-
-    // The persistent-store scenario: two explorations through *separate*
-    // caches bridged only by an on-disk segment store — the cross-process
-    // warm start. Run 1 fills its cache and saves delta segments; run 2
-    // starts from a cold cache, loads the segments back, and must answer
-    // everything from the warm start (hit_rate exactly 1.0 — CI-guarded).
-    let store_dir = std::env::temp_dir().join(format!("sega-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store_dir);
-    for run_idx in 1..=2 {
-        let mut store = CacheStore::dir(&store_dir, 4).expect("create segment store");
-        let cache = Arc::new(SharedEvalCache::new());
-        let outcome = store.load().expect("load segment store");
-        let preloaded_entries = outcome.snapshot.len();
-        if preloaded_entries > 0 {
-            cache
-                .load(&outcome.snapshot)
-                .expect("warm-start from store");
-        }
-        let pipeline = PipelineOptions {
-            threads: 0,
-            cache: true,
-            min_batch_per_worker: 1,
-            ..Default::default()
-        }
-        .with_shared_cache(Arc::clone(&cache));
-        let started = Instant::now();
-        let run = explore_pareto_with(&spec, &tech, &cond, &default_cfg, pipeline);
-        let wall_s = started.elapsed().as_secs_f64();
-        store.save(&cache.snapshot()).expect("save segment store");
-        let stats = store.stats();
-        if run_idx == 2 {
-            assert_eq!(
-                run.distinct_evaluations, 0,
-                "a warm segment store must serve the whole second run"
-            );
-        }
-        records.push(ConfigRecord {
-            name: format!("segment_store_run{run_idx}"),
-            wall_s,
-            evaluations: run.evaluations,
-            distinct_evaluations: run.distinct_evaluations,
-            cache_hits: run.cache_hits,
-            speculation: None,
-            remote: None,
-            cache: Some(CacheTrafficRecord {
-                hit_rate: if run.evaluations > 0 {
-                    run.cache_hits as f64 / run.evaluations as f64
-                } else {
-                    0.0
-                },
-                preloaded_entries,
-                segments: stats.segments,
-                segments_appended: stats.segments_appended,
-                compactions: stats.compactions,
-                bytes_read: stats.bytes_read,
-                bytes_written: stats.bytes_written,
-            }),
-        });
-        fronts.push(("segment_store", run));
-    }
-    let _ = std::fs::remove_dir_all(&store_dir);
 
     let reference = fronts[0].1.objective_matrix();
     for (name, run) in &fronts {
@@ -287,121 +213,6 @@ fn bench_pipeline(c: &mut Criterion) {
             r.evaluations as f64 / (r.distinct_evaluations.max(1)) as f64,
             r.wall_s,
         );
-    }
-
-    // The speculative-loop arms: breed generation g+1 from cached rows
-    // while generation g is in flight, on its own small budget. The
-    // ledger is a pure function of seed + cache history (prediction
-    // never polls the in-flight ticket), so the counters are
-    // deterministic and CI guards them without touching wall-clock —
-    // stable even on a 1-CPU runner. Low mutation is what makes cohorts
-    // actually confirm: at the default 0.35 rate nearly every cohort
-    // carries a fresh genome, whose predicted +inf row always
-    // mispredicts, and the ledger degenerates to all-rebred.
-    let spec_small = UserSpec::new(8192, Precision::Int8).unwrap();
-    let spec_cfg = Nsga2Config {
-        population: 10,
-        generations: 12,
-        mutation_rate: 0.05,
-        seed: 41,
-        ..Default::default()
-    };
-    let spec_pipeline = PipelineOptions {
-        threads: 1,
-        cache: true,
-        min_batch_per_worker: 1,
-        ..Default::default()
-    };
-    let sync_started = Instant::now();
-    let sync = explore_pareto_with(&spec_small, &tech, &cond, &spec_cfg, spec_pipeline.clone());
-    let sync_wall = sync_started.elapsed().as_secs_f64();
-    assert_eq!(
-        sync.speculation.speculated, 0,
-        "the synchronous reference must not speculate"
-    );
-    records.push(ConfigRecord {
-        name: "speculative_sync_ref".to_owned(),
-        wall_s: sync_wall,
-        evaluations: sync.evaluations,
-        distinct_evaluations: sync.distinct_evaluations,
-        cache_hits: sync.cache_hits,
-        speculation: None,
-        remote: None,
-        cache: None,
-    });
-    let mut speculative_arms = vec![("speculative_macro".to_owned(), None)];
-    match worker_binary() {
-        Some(program) => speculative_arms.push((
-            "speculative_remote_w3".to_owned(),
-            Some(Arc::new(
-                RemoteBackend::spawn(RemoteOptions::fleet(&program, 3))
-                    .expect("spawn remote fleet"),
-            )),
-        )),
-        None => eprintln!("speculative remote arm skipped: sega-dcim binary not found"),
-    }
-    for (name, backend) in speculative_arms {
-        let mut pipeline = spec_pipeline.clone();
-        pipeline.speculate = true;
-        if let Some(backend) = &backend {
-            pipeline = pipeline.with_backend(Arc::clone(backend) as _);
-        }
-        let started = Instant::now();
-        let run = explore_pareto_with(&spec_small, &tech, &cond, &spec_cfg, pipeline);
-        let wall_s = started.elapsed().as_secs_f64();
-        let s = run.speculation;
-        assert_eq!(
-            run.objective_matrix(),
-            sync.objective_matrix(),
-            "{name}: the speculative front must reproduce the synchronous one bit-identically"
-        );
-        assert_eq!(
-            s.speculated,
-            s.confirmed + s.rebred,
-            "{name}: the ledger must partition: {s:?}"
-        );
-        assert_eq!(
-            s.speculated, spec_cfg.generations as u64,
-            "{name}: every generation past the first cohort is bred speculatively: {s:?}"
-        );
-        assert!(
-            s.confirmed > 0,
-            "{name}: a fault-free arm at this budget must confirm cohorts: {s:?}"
-        );
-        let remote = backend.map(|backend| {
-            let stats = backend.stats();
-            assert_eq!(stats.worker_deaths, 0, "healthy fleet expected: {stats:?}");
-            RemoteTrafficRecord {
-                workers: 3,
-                transport: stats.transport.name().to_owned(),
-                round_trips: stats.round_trips,
-                requeues: stats.requeues,
-                worker_deaths: stats.worker_deaths,
-                respawns: stats.respawns,
-                rejoins: stats.rejoins,
-                workers_alive: stats.workers_alive,
-                workers_spawned: stats.workers_spawned,
-                capacities: stats.capacities.clone(),
-            }
-        });
-        eprintln!(
-            "{name:<22}: {} cohorts bred ahead -> {} confirmed, {} re-bred in {wall_s:.3}s",
-            s.speculated, s.confirmed, s.rebred,
-        );
-        records.push(ConfigRecord {
-            name,
-            wall_s,
-            evaluations: run.evaluations,
-            distinct_evaluations: run.distinct_evaluations,
-            cache_hits: run.cache_hits,
-            speculation: Some(SpeculationRecord {
-                speculated: s.speculated,
-                confirmed: s.confirmed,
-                rebred: s.rebred,
-            }),
-            remote,
-            cache: None,
-        });
     }
 
     if let Some(path) = pipeline_json_path() {

@@ -5,7 +5,6 @@
 
 pub use sega_wire::json::{Json, JsonError};
 pub use sega_wire::report::{
-    estimator_json_path, moga_json_path, pipeline_json_path, CacheTrafficRecord, ConfigRecord,
-    EstimatorCohortRecord, EstimatorReport, MogaKernelRecord, MogaKernelReport, PipelineReport,
-    RemoteTrafficRecord, SpeculationRecord,
+    estimator_json_path, moga_json_path, pipeline_json_path, ConfigRecord, EstimatorCohortRecord,
+    EstimatorReport, MogaKernelRecord, MogaKernelReport, PipelineReport, RemoteTrafficRecord,
 };

@@ -131,30 +131,6 @@ pub trait CohortEvaluator: Send + Sync + std::fmt::Debug {
     /// any other result.
     fn evaluate_cohort(&self, cohort: &[Geometry], pool: &Pool, workers: usize) -> Vec<[f64; 4]>;
 
-    /// Submits a cohort for evaluation without waiting for the rows —
-    /// the asynchronous half of the seam. The returned [`EvalTicket`]
-    /// is redeemed with [`EvalTicket::wait`] (or probed with
-    /// [`EvalTicket::poll`]); the rows it yields are exactly what
-    /// [`evaluate_cohort`](Self::evaluate_cohort) would have returned,
-    /// so a caller may freely overlap its own work — speculative
-    /// breeding, checkpointing — with the evaluation in flight.
-    ///
-    /// The default adapter evaluates synchronously and returns an
-    /// already-complete ticket, so in-process backends are untouched
-    /// semantically; [`RemoteBackend`](crate::remote::RemoteBackend)
-    /// overrides it to leave the cohort genuinely in flight on the
-    /// worker fleet.
-    fn submit_cohort(
-        &self,
-        cohort: &[Geometry],
-        pool: &Arc<Pool>,
-        workers: usize,
-    ) -> Box<dyn EvalTicket> {
-        Box::new(ReadyTicket {
-            rows: self.evaluate_cohort(cohort, pool, workers),
-        })
-    }
-
     /// The presentation-grade form of one geometry — the full design
     /// point and estimate a front member or enumeration point reports.
     /// `None` for infeasible geometries.
@@ -167,42 +143,6 @@ pub trait CohortEvaluator: Send + Sync + std::fmt::Debug {
     /// report the zero default.
     fn estimator_stats(&self) -> EstimatorStats {
         EstimatorStats::default()
-    }
-}
-
-/// A handle to one submitted cohort: the asynchronous half of the
-/// [`CohortEvaluator::submit_cohort`] seam.
-///
-/// Redeeming the ticket yields exactly the rows
-/// [`CohortEvaluator::evaluate_cohort`] would have returned for the same
-/// cohort — submission changes *when* the rows arrive, never what they
-/// are, so every determinism guarantee of the synchronous path carries
-/// over.
-pub trait EvalTicket: Send {
-    /// The number of cohort rows already landed (monotonic; equals the
-    /// cohort length once everything is in). Never blocks; a probe for
-    /// callers deciding whether speculation is still worth placing.
-    fn poll(&mut self) -> usize;
-
-    /// Blocks until every row is available and returns them in cohort
-    /// order.
-    fn wait(self: Box<Self>) -> Vec<[f64; 4]>;
-}
-
-/// The blocking adapter behind the default
-/// [`CohortEvaluator::submit_cohort`]: the work already happened at
-/// submit time, the ticket just carries the rows.
-struct ReadyTicket {
-    rows: Vec<[f64; 4]>,
-}
-
-impl EvalTicket for ReadyTicket {
-    fn poll(&mut self) -> usize {
-        self.rows.len()
-    }
-
-    fn wait(self: Box<Self>) -> Vec<[f64; 4]> {
-        self.rows
     }
 }
 

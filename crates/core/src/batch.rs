@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use sega_cells::Technology;
 use sega_estimator::{EstimatorStats, OperatingConditions, Precision};
-use sega_moga::{Nsga2Config, SpeculationStats};
+use sega_moga::Nsga2Config;
 use sega_parallel::{resolve_threads, Pool};
 use sega_wire::{Json, Snapshot};
 
@@ -76,9 +76,6 @@ pub struct BatchReport {
     /// Estimator-kernel totals across all jobs: designs estimated, and
     /// the vector/scalar split of their finish lanes.
     pub estimator: EstimatorStats,
-    /// Speculative-loop ledger totals across all jobs; all-zero (and
-    /// absent from the JSON report) on synchronous runs.
-    pub speculation: SpeculationStats,
     /// Entries the shared cache held *before* the first job (the warm
     /// start, e.g. from a loaded `--cache-file`).
     pub preloaded_entries: usize,
@@ -90,38 +87,16 @@ pub struct BatchReport {
     /// CLI fills this in after the run); serialized as the `"remote"`
     /// object only when present, so in-process reports are unchanged.
     pub remote: Option<RemoteStats>,
-    /// Persistent cache-store activity (segments loaded/skipped,
-    /// appends, compactions, bytes) when the run used a cache file or
-    /// segment directory; serialized as the `"cache"` object's nested
-    /// `"store"` only when present, so storeless reports are unchanged.
+    /// Cache-file activity (entries loaded, bytes read and written)
+    /// when the run used `--cache-file`; serialized as the `"cache"`
+    /// object's nested `"store"` only when present, so storeless reports
+    /// are unchanged.
     pub store: Option<crate::store::StoreStats>,
-    /// Anti-entropy accounting when the run sync-pulled a daemon's
-    /// cache (`--connect` with a local store); serialized as the
-    /// `"cache"` object's nested `"sync"` only when present.
-    pub sync: Option<CacheSyncStats>,
     /// `false` when [`BatchControl::stop_after_jobs`] ended the run
     /// before the job list did — the report covers only a prefix.
     pub complete: bool,
     /// Jobs reconstructed from a resume journal instead of executed.
     pub resumed_jobs: usize,
-}
-
-/// Anti-entropy accounting of a connected batch run: what the digest
-/// exchanges against the daemon's cache actually moved, versus what
-/// full-snapshot transfers would have cost in their place.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSyncStats {
-    /// Digest exchanges completed (one per sync pull).
-    pub exchanges: u64,
-    /// Entries the digests proved both sides already shared (skipped).
-    pub matched_entries: u64,
-    /// Entries the syncs actually shipped and installed locally.
-    pub synced_entries: u64,
-    /// Bytes of encoded delta snapshot the syncs moved.
-    pub bytes_synced: u64,
-    /// Bytes the responder's full snapshots would have moved instead —
-    /// `bytes_synced ≤ full_snapshot_bytes` is the saving, made visible.
-    pub full_snapshot_bytes: u64,
 }
 
 /// Execution controls of [`run_batch_with`]: checkpointing and early
@@ -148,6 +123,15 @@ pub struct BatchControl {
 /// The smallest population NSGA-II can breed from.
 pub const MIN_POPULATION: usize = 2;
 
+/// The largest population a job may ask for. The GA allocates per
+/// member, so an unbounded request from a job file or a daemon frame
+/// could ask for memory no host has; no workload here uses more than 100.
+pub const MAX_POPULATION: usize = 10_000;
+
+/// The largest generation count a job may ask for (no workload here runs
+/// more than 120).
+pub const MAX_GENERATIONS: usize = 10_000;
+
 /// Why a job list was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
@@ -167,6 +151,18 @@ pub enum JobError {
         /// The requested population.
         population: usize,
     },
+    /// Job `index` asks for more than [`MAX_POPULATION`] members or
+    /// [`MAX_GENERATIONS`] generations.
+    TooLarge {
+        /// Position of the job in the list.
+        index: usize,
+        /// The budget field: `population` or `generations`.
+        field: &'static str,
+        /// The requested value.
+        value: usize,
+        /// The field's upper bound.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -178,20 +174,44 @@ impl std::fmt::Display for JobError {
                 f,
                 "job {index}: population {population} is below the minimum of {MIN_POPULATION}"
             ),
+            JobError::TooLarge {
+                index,
+                field,
+                value,
+                max,
+            } => write!(
+                f,
+                "job {index}: {field} {value} exceeds the maximum of {max}"
+            ),
         }
     }
 }
 
 impl std::error::Error for JobError {}
 
-/// Rejects a population NSGA-II cannot run, naming the job.
+/// Rejects a GA budget outside what NSGA-II can run, naming the job.
 ///
 /// # Errors
 ///
-/// [`JobError::Population`] when `population < MIN_POPULATION`.
-pub(crate) fn check_population(index: usize, population: usize) -> Result<(), JobError> {
+/// [`JobError::Population`] when `population < MIN_POPULATION`, and
+/// [`JobError::TooLarge`] when the population exceeds [`MAX_POPULATION`]
+/// or the generation count exceeds [`MAX_GENERATIONS`].
+pub fn check_budget(index: usize, population: usize, generations: usize) -> Result<(), JobError> {
     if population < MIN_POPULATION {
         return Err(JobError::Population { index, population });
+    }
+    for (field, value, max) in [
+        ("population", population, MAX_POPULATION),
+        ("generations", generations, MAX_GENERATIONS),
+    ] {
+        if value > max {
+            return Err(JobError::TooLarge {
+                index,
+                field,
+                value,
+                max,
+            });
+        }
     }
     Ok(())
 }
@@ -203,7 +223,8 @@ pub(crate) fn check_population(index: usize, population: usize) -> Result<(), Jo
 /// # Errors
 ///
 /// A [`JobError`] naming the offending job index and field, including a
-/// population below [`MIN_POPULATION`] (from the job or from `defaults`).
+/// budget outside [`check_budget`]'s bounds (from the job or from
+/// `defaults`).
 pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, JobError> {
     let doc = Json::parse(text).map_err(|e| JobError::File(format!("job file: {e}")))?;
     let raw_jobs = doc
@@ -246,10 +267,10 @@ pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, J
             if let Some(p) = override_usize("population")? {
                 config.population = p;
             }
-            check_population(index, config.population)?;
             if let Some(g) = override_usize("generations")? {
                 config.generations = g;
             }
+            check_budget(index, config.population, config.generations)?;
             if let Some(seed) = raw.get("seed") {
                 config.seed = seed.as_u64().ok_or_else(|| field("seed"))?;
             }
@@ -468,19 +489,11 @@ pub fn run_batch_with(
                 acc.merge(o.result.estimator);
                 acc
             }),
-        speculation: outcomes
-            .iter()
-            .fold(SpeculationStats::default(), |acc, o| SpeculationStats {
-                speculated: acc.speculated + o.result.speculation.speculated,
-                confirmed: acc.confirmed + o.result.speculation.confirmed,
-                rebred: acc.rebred + o.result.speculation.rebred,
-            }),
         preloaded_entries,
         cache_entries: cache.len(),
         backend,
         remote: None,
         store: None,
-        sync: None,
         complete,
         resumed_jobs,
         outcomes,
@@ -522,18 +535,6 @@ impl BatchReport {
             ),
             ("cache", self.cache_json()),
         ];
-        // The speculation ledger rides along only when the speculative
-        // loop actually ran, so synchronous reports stay byte-stable.
-        if self.speculation.speculated > 0 {
-            fields.push((
-                "speculation",
-                Json::obj([
-                    ("speculated", Json::from(self.speculation.speculated)),
-                    ("confirmed", Json::from(self.speculation.confirmed)),
-                    ("rebred", Json::from(self.speculation.rebred)),
-                ]),
-            ));
-        }
         // The fleet ledger rides along only on remote runs, so
         // in-process reports stay byte-stable across this addition.
         if let Some(remote) = &self.remote {
@@ -553,10 +554,6 @@ impl BatchReport {
                     ),
                     ("geometries", Json::from(remote.geometries)),
                     ("merged_entries", Json::from(remote.merged_entries)),
-                    ("rejoin_syncs", Json::from(remote.rejoin_syncs)),
-                    ("sync_entries", Json::from(remote.sync_entries)),
-                    ("sync_bytes", Json::from(remote.sync_bytes)),
-                    ("sync_full_bytes", Json::from(remote.sync_full_bytes)),
                     ("workers_alive", Json::from(remote.workers_alive)),
                     ("workers_spawned", Json::from(remote.workers_spawned)),
                     (
@@ -574,8 +571,8 @@ impl BatchReport {
     }
 
     /// The `"cache"` stats object: warm-start and final entry counts,
-    /// the hit rate, and — only when a persistent store or an
-    /// anti-entropy sync was active — their nested ledgers.
+    /// the hit rate, and — only when a cache file was used — its nested
+    /// ledger.
     fn cache_json(&self) -> Json {
         let hit_rate = if self.evaluations > 0 {
             self.cache_hits as f64 / self.evaluations as f64
@@ -591,27 +588,9 @@ impl BatchReport {
             fields.push((
                 "store",
                 Json::obj([
-                    ("segments", Json::from(store.segments)),
-                    ("segments_loaded", Json::from(store.segments_loaded)),
-                    ("segments_skipped", Json::from(store.segments_skipped)),
-                    ("segments_filtered", Json::from(store.segments_filtered)),
                     ("entries_loaded", Json::from(store.entries_loaded)),
-                    ("segments_appended", Json::from(store.segments_appended)),
-                    ("compactions", Json::from(store.compactions)),
                     ("bytes_read", Json::from(store.bytes_read)),
                     ("bytes_written", Json::from(store.bytes_written)),
-                ]),
-            ));
-        }
-        if let Some(sync) = &self.sync {
-            fields.push((
-                "sync",
-                Json::obj([
-                    ("exchanges", Json::from(sync.exchanges)),
-                    ("matched_entries", Json::from(sync.matched_entries)),
-                    ("synced_entries", Json::from(sync.synced_entries)),
-                    ("bytes_synced", Json::from(sync.bytes_synced)),
-                    ("full_snapshot_bytes", Json::from(sync.full_snapshot_bytes)),
                 ]),
             ));
         }
@@ -797,6 +776,35 @@ mod tests {
             &quick()
         )
         .is_ok());
+    }
+
+    #[test]
+    fn budgets_above_the_maximum_are_rejected_by_index_and_field() {
+        let huge = r#"[{"wstore":4096,"precision":"INT4","population":8},
+                       {"wstore":4096,"precision":"INT4","population":100000000}]"#;
+        let err = parse_jobs(huge, &quick()).unwrap_err();
+        assert_eq!(
+            err,
+            JobError::TooLarge {
+                index: 1,
+                field: "population",
+                value: 100_000_000,
+                max: MAX_POPULATION
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "job 1: population 100000000 exceeds the maximum of 10000"
+        );
+        let long = r#"[{"wstore":4096,"precision":"INT4","generations":10001}]"#;
+        assert_eq!(
+            parse_jobs(long, &quick()).unwrap_err().to_string(),
+            "job 0: generations 10001 exceeds the maximum of 10000"
+        );
+        let at_bounds = format!(
+            r#"[{{"wstore":4096,"precision":"INT4","population":{MAX_POPULATION},"generations":{MAX_GENERATIONS}}}]"#
+        );
+        assert!(parse_jobs(&at_bounds, &quick()).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! sega-dcim estimate --n 32 --h 128 --l 16 --k 4 --precision int8 [--json]
 //! sega-dcim batch   --jobs FILE [--cache-file FILE] [--report FILE]
 //!                   [--population N] [--generations N] [--seed N]
-//!                   [--threads N] [--shards N] [--speculate]
+//!                   [--threads N] [--shards N]
 //!                   [--backend macro|instrumented|remote] [--workers N]
 //!                   [--worker-log-dir DIR] [--worker-deadline-ms N]
 //!                   [--restart-budget N] [--backoff-ms N] [--backoff-seed N]
@@ -66,11 +66,6 @@
 //! of re-running it; `--stop-after-progress N` abandons the run right
 //! after the Nth such record — the mid-job kill stand-in.
 //!
-//! `--speculate` overlaps generations: while a cohort is in flight on
-//! the backend, the next one is bred from cache-hit rows and predicted
-//! misses, then re-bred if the real rows disagree — the committed
-//! trajectory (and front) is bit-identical to the synchronous loop.
-//!
 //! `--transport stdio|unix|tcp` picks the fleet's link: stdio pipes
 //! (the default), a Unix domain socket, or TCP on `127.0.0.1` — fronts
 //! and accounting are bit-identical across all three. On the socket
@@ -105,11 +100,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use sega_dcim::batch::{parse_jobs, run_batch_with, MIN_POPULATION};
+use sega_dcim::batch::{check_budget, parse_jobs, run_batch_with, MIN_POPULATION};
 use sega_dcim::report::{csv_table, markdown_table};
 use sega_dcim::{
-    BatchJob, CacheKey, CacheStore, Compiler, DistillStrategy, ExplorationResult,
-    InstrumentedBackend, PipelineOptions, RemoteBackend, RemoteOptions, SharedEvalCache, UserSpec,
+    CacheStore, Compiler, DistillStrategy, ExplorationResult, InstrumentedBackend, JobError,
+    PipelineOptions, RemoteBackend, RemoteOptions, SharedEvalCache, UserSpec,
 };
 use sega_estimator::{estimate, DcimDesign, MacroEstimate, OperatingConditions, Precision};
 use sega_layout::export::to_ascii;
@@ -134,10 +129,9 @@ const USAGE: &str = "usage:
                      [--population N] [--generations N] [--seed N] [--threads N] [--no-cache] [--out DIR]
   sega-dcim explore  --wstore N --precision P [--threads N] [--no-cache] [--csv | --json]
   sega-dcim estimate --n N --h H --l L --k K --precision P [--json]
-  sega-dcim batch    --jobs FILE [--cache-file FILE | --cache-dir DIR] [--report FILE]
-                     [--cache-max-segments N]
+  sega-dcim batch    --jobs FILE [--cache-file FILE] [--report FILE]
                      [--population N] [--generations N] [--seed N]
-                     [--threads N] [--shards N] [--speculate]
+                     [--threads N] [--shards N]
                      [--backend macro|instrumented|remote] [--workers N]
                      [--worker-log-dir DIR] [--worker-deadline-ms N]
                      [--restart-budget N] [--backoff-ms N] [--backoff-seed N]
@@ -147,10 +141,8 @@ const USAGE: &str = "usage:
                      [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
                      [--checkpoint-generations N] [--stop-after-progress N]
   sega-dcim batch    --jobs FILE --connect ADDR [--drain] [--report FILE]
-                     [--cache-file FILE | --cache-dir DIR] [--cache-max-segments N]
                      [--population N] [--generations N] [--seed N]
-  sega-dcim serve    --listen ADDR [--cache-file FILE | --cache-dir DIR] [--threads N]
-                     [--cache-max-segments N]
+  sega-dcim serve    --listen ADDR [--cache-file FILE] [--threads N]
                      [--backend macro|remote] [--workers N] [--transport stdio|unix|tcp]
                      [--hello-deadline-ms N] [--idle-timeout-ms N] [--grace-ms N] [--log]
   sega-dcim worker   --serve | --connect ADDR [--fail-after N] [--corrupt-after N]
@@ -165,14 +157,8 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
 --jobs:       JSON job file: {\"jobs\":[{\"wstore\":8192,\"precision\":\"int8\",
               \"population\":..,\"generations\":..,\"seed\":..}, ...]}
 --cache-file: load the eval cache before the batch, save it after (warm start;
-              binary snapshot, or JSON text when the path ends in .json)
---cache-dir:  like --cache-file, but an append-only directory of fingerprinted
-              snapshot segments: a save appends only the delta, a load skips
-              segments no job needs, and a crash-torn trailing segment is
-              skipped with a warning instead of aborting; with --connect the
-              local store anti-entropy-syncs missing entries from the daemon
---cache-max-segments: compaction budget for --cache-dir (default 8): a save
-              past the budget folds every segment into one
+              binary snapshot, or JSON text when the path ends in .json);
+              with --connect the daemon owns the cache: use serve --cache-file
 --report:     write the batch results JSON here (default: stdout)
 --backend:    estimator backend (default macro; instrumented = macro + counters;
               remote = a fleet of worker processes over the wire protocol)
@@ -189,9 +175,6 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
 --inject-fault: sabotage remote worker 0 (none|kill-one|corrupt-one|hang-one|
               stall-one|truncate-one|drop-conn-one|reconnect-one) — the CI
               fault matrix; results must stay bit-identical regardless
---speculate:  breed each generation speculatively while the previous cohort is
-              still in flight (predicted rows for cache misses, re-bred on
-              mismatch); fronts stay bit-identical to the synchronous loop
 --checkpoint: journal completed jobs (and cache deltas) to FILE as they finish
 --resume:     skip the jobs FILE already records and warm-start from its deltas;
               the finished report is byte-identical to an uninterrupted run
@@ -245,7 +228,6 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             || key == "json"
             || key == "serve"
             || key == "log"
-            || key == "speculate"
             || key == "drain"
         {
             flags.insert(key.to_owned(), "true".to_owned());
@@ -292,14 +274,15 @@ fn get_strategy(flags: &HashMap<String, String>) -> Result<DistillStrategy, Stri
 fn compiler_from(flags: &HashMap<String, String>) -> Result<Compiler, String> {
     let mut cfg = Nsga2Config::default();
     if let Some(p) = get_u32_opt(flags, "population")? {
-        if (p as usize) < MIN_POPULATION {
-            return Err(format!("--population must be >= {MIN_POPULATION}"));
-        }
         cfg.population = p as usize;
     }
     if let Some(g) = get_u32_opt(flags, "generations")? {
         cfg.generations = g as usize;
     }
+    check_budget(0, cfg.population, cfg.generations).map_err(|e| match e {
+        JobError::TooLarge { field, max, .. } => format!("--{field} must be <= {max}"),
+        _ => format!("--population must be >= {MIN_POPULATION}"),
+    })?;
     if let Some(s) = flags.get("seed") {
         cfg.seed = s.parse().map_err(|e| format!("--seed: {e}"))?;
     }
@@ -548,94 +531,23 @@ fn get_positive(
     }
 }
 
-/// The persistent cache store the `--cache-file` / `--cache-dir` flags
-/// describe: `None` when neither is given, and an error when both are
-/// (one cache, one home) or when `--cache-max-segments` has no
-/// directory to budget.
-fn cache_store_of(flags: &HashMap<String, String>) -> Result<Option<CacheStore>, String> {
-    let max_segments = get_positive(
-        flags,
-        "cache-max-segments",
-        "a zero budget could never hold a segment",
-    )?;
-    match (flags.get("cache-dir"), flags.get("cache-file")) {
-        (Some(_), Some(_)) => Err(
-            "--cache-file and --cache-dir are mutually exclusive (one persistent \
-             home per cache)"
-                .to_owned(),
-        ),
-        (Some(dir), None) => {
-            CacheStore::dir(dir, max_segments.unwrap_or(sega_dcim::DEFAULT_MAX_SEGMENTS)).map(Some)
-        }
-        (None, file) => {
-            if max_segments.is_some() {
-                return Err(
-                    "--cache-max-segments requires --cache-dir (only the segment \
-                     directory compacts)"
-                        .to_owned(),
-                );
-            }
-            Ok(file.map(CacheStore::file))
-        }
-    }
-}
-
-/// The key-space fingerprints a job list touches — the partial-load
-/// filter: store segments holding none of these are skipped without
-/// reading their payload.
-fn job_space_fingerprints(jobs: &[BatchJob]) -> std::collections::HashSet<u64> {
-    let tech = sega_cells::Technology::tsmc28();
-    let conditions = OperatingConditions::paper_default();
-    jobs.iter()
-        .map(|job| {
-            CacheKey::new(&tech, &conditions, job.spec.precision, job.spec.wstore)
-                .to_record()
-                .fingerprint()
-        })
-        .collect()
-}
-
-/// Warm-starts `cache` from `store`, printing any skipped-segment
-/// warnings, restricted to the key spaces `jobs` can touch.
-fn warm_start(
-    store: &mut CacheStore,
-    cache: &SharedEvalCache,
-    jobs: &[BatchJob],
-) -> Result<(), String> {
-    let wanted = job_space_fingerprints(jobs);
-    let outcome = store.load_filtered(Some(&wanted))?;
-    for warning in &outcome.warnings {
-        eprintln!("warning: {warning}");
-    }
-    if outcome.snapshot.is_empty() {
-        eprintln!(
-            "cache store {} holds nothing for these jobs, starting cold",
-            store.path().display()
-        );
-    } else {
-        let installed = cache.load(&outcome.snapshot).map_err(|e| e.to_string())?;
-        eprintln!(
-            "loaded {} cached estimates from {}",
-            installed,
-            store.path().display()
-        );
-    }
-    Ok(())
-}
-
 /// Runs the batch against a `sega-dcim serve` daemon instead of
 /// in-process: the daemon owns the backend, cache and checkpointing, so
 /// every local-execution flag is rejected up front rather than silently
-/// ignored. (`--cache-file`/`--cache-dir` stay *client-side*: a local
-/// store is warm-started before the jobs and anti-entropy-synced with
-/// the daemon, so a redial moves only missing entries.)
+/// ignored.
 fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<(), String> {
     let addr = sega_dcim::ListenAddr::parse(raw_addr)?;
+    if flags.contains_key("cache-file") {
+        return Err(
+            "--cache-file does not apply with --connect (the daemon owns the cache; \
+             persist it with `serve --cache-file`)"
+                .to_owned(),
+        );
+    }
     for flag in [
         "backend",
         "threads",
         "shards",
-        "speculate",
         "workers",
         "worker-log-dir",
         "worker-deadline-ms",
@@ -671,13 +583,7 @@ fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<()
         defaults.seed = s.parse().map_err(|e| format!("--seed: {e}"))?;
     }
     let jobs = parse_jobs(&jobs_text, &defaults).map_err(|e| e.to_string())?;
-    let mut store = cache_store_of(flags)?;
-    let report = sega_dcim::run_batch_connected_with(
-        &addr,
-        &jobs,
-        flags.contains_key("drain"),
-        store.as_mut(),
-    )?;
+    let report = sega_dcim::run_batch_connected(&addr, &jobs, flags.contains_key("drain"))?;
     let document = report.to_json().to_string();
     match flags.get("report") {
         Some(path) => {
@@ -694,12 +600,6 @@ fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<()
         report.distinct_evaluations,
         report.cache_hits
     );
-    if let Some(sync) = &report.sync {
-        eprintln!(
-            "cache sync: {} exchanges, {} entries pulled ({} of {} full-snapshot bytes)",
-            sync.exchanges, sync.synced_entries, sync.bytes_synced, sync.full_snapshot_bytes
-        );
-    }
     Ok(())
 }
 
@@ -867,22 +767,30 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let jobs = parse_jobs(&jobs_text, &defaults).map_err(|e| e.to_string())?;
 
-    // One shared cache for the whole batch, warm-started from the
-    // persistent store (--cache-file blob or --cache-dir segments) when
-    // present. The load is partial: only the key spaces this job list
-    // touches come off disk.
+    // One shared cache for the whole batch, warm-started from the cache
+    // file when present.
     let cache = Arc::new(SharedEvalCache::with_shards(shards));
-    let mut store = cache_store_of(flags)?;
+    let mut store = flags.get("cache-file").map(CacheStore::file);
     if let Some(store) = &mut store {
-        warm_start(store, &cache, &jobs)?;
+        let snapshot = store.load()?;
+        if snapshot.is_empty() {
+            eprintln!(
+                "cache file {} is missing or empty, starting cold",
+                store.path().display()
+            );
+        } else {
+            let installed = cache.load(&snapshot).map_err(|e| e.to_string())?;
+            eprintln!(
+                "loaded {} cached estimates from {}",
+                installed,
+                store.path().display()
+            );
+        }
     }
 
     let mut pipeline = PipelineOptions::default().with_shared_cache(Arc::clone(&cache));
     if let Some(t) = threads {
         pipeline.threads = t;
-    }
-    if flags.contains_key("speculate") {
-        pipeline.speculate = true;
     }
     let mut instrumented: Option<Arc<InstrumentedBackend>> = None;
     let mut remote: Option<Arc<RemoteBackend>> = None;
@@ -957,7 +865,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         report.remote = Some(backend.stats());
     }
     // Persist before emitting the report so its "cache" object carries
-    // the save's append/compaction accounting too.
+    // the save's byte count too.
     if let Some(store) = &mut store {
         store.save(&cache.snapshot())?;
         report.store = Some(store.stats());
@@ -1003,12 +911,6 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         report.cache_hits,
         report.preloaded_entries
     );
-    if report.speculation.speculated > 0 {
-        summary.push_str(&format!(
-            "speculation: {} cohorts bred ahead, {} confirmed, {} re-bred\n",
-            report.speculation.speculated, report.speculation.confirmed, report.speculation.rebred,
-        ));
-    }
     if let Some(backend) = instrumented {
         summary.push_str(&format!(
             "backend traffic: {} cohorts, {} geometries\n",
@@ -1035,25 +937,11 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
             stats.fallback_geometries,
             stats.merged_entries,
         ));
-        if stats.rejoin_syncs > 0 {
-            summary.push_str(&format!(
-                "rejoin sync: {} exchanges, {} entries restored ({} of {} full-snapshot bytes)\n",
-                stats.rejoin_syncs, stats.sync_entries, stats.sync_bytes, stats.sync_full_bytes,
-            ));
-        }
     }
     if let Some(stats) = &report.store {
         summary.push_str(&format!(
-            "cache store: {} segment(s) ({} loaded, {} filtered, {} skipped), \
-             {} appended, {} compaction(s), {} B read, {} B written\n",
-            stats.segments,
-            stats.segments_loaded,
-            stats.segments_filtered,
-            stats.segments_skipped,
-            stats.segments_appended,
-            stats.compactions,
-            stats.bytes_read,
-            stats.bytes_written,
+            "cache file: {} entries loaded, {} B read, {} B written\n",
+            stats.entries_loaded, stats.bytes_read, stats.bytes_written,
         ));
     }
     let _ = std::io::stderr().lock().write_all(summary.as_bytes());
@@ -1086,28 +974,6 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let listen = sega_dcim::ListenAddr::parse(raw)?;
     let mut options = sega_dcim::ServeOptions::new(listen);
     options.cache_file = flags.get("cache-file").map(PathBuf::from);
-    options.cache_dir = flags.get("cache-dir").map(PathBuf::from);
-    if options.cache_file.is_some() && options.cache_dir.is_some() {
-        return Err(
-            "--cache-file and --cache-dir are mutually exclusive (one persistent \
-             home per cache)"
-                .to_owned(),
-        );
-    }
-    if let Some(n) = get_positive(
-        flags,
-        "cache-max-segments",
-        "a zero budget could never hold a segment",
-    )? {
-        if options.cache_dir.is_none() {
-            return Err(
-                "--cache-max-segments requires --cache-dir (only the segment \
-                 directory compacts)"
-                    .to_owned(),
-            );
-        }
-        options.cache_max_segments = n;
-    }
     options.log = flags.contains_key("log");
     if let Some(t) = get_positive(
         flags,

@@ -22,7 +22,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use sega_estimator::EstimatorStats;
-use sega_moga::{DominanceStats, DriverState, Nsga2Config, ObjectiveMatrix, SpeculationStats};
+use sega_moga::{DominanceStats, DriverState, Nsga2Config, ObjectiveMatrix};
 use sega_wire::frame::{self, FrameError};
 use sega_wire::{DriverStateRecord, GeometryRecord, Reader, Snapshot, WireError, Writer};
 
@@ -63,10 +63,15 @@ impl CheckpointConfig {
     }
 }
 
-/// Document kind tag of the journal header frame.
-const HEADER_KIND: &str = "batch-checkpoint";
-/// Document kind tag of each per-job record frame.
-const RECORD_KIND: &str = "batch-job-record";
+/// Document kind tag of the journal header frame. The `-v2` suffix
+/// marks journals whose records use the `-v2` layouts below, so resuming
+/// an older journal fails at its header, before anything is truncated.
+const HEADER_KIND: &str = "batch-checkpoint-v2";
+/// Document kind tag of each per-job record frame. The `-v2` suffix
+/// marks the layout without the three retired ledger words that used
+/// to follow the estimator counters: an older record fails the kind
+/// check instead of having its front length misread.
+const RECORD_KIND: &str = "batch-job-record-v2";
 /// Document kind tag of a mid-job progress frame (a generation-boundary
 /// GA checkpoint inside a long exploration).
 const PROGRESS_KIND: &str = "batch-job-progress";
@@ -129,9 +134,6 @@ pub(crate) struct JobRecord {
     pub dominance: DominanceStats,
     /// Estimator-kernel counters of the run.
     pub estimator: EstimatorStats,
-    /// Speculative-loop ledger of the run (all zero without
-    /// `--speculate`).
-    pub speculation: SpeculationStats,
     /// The front, in report order, as log-geometry triples — the macro
     /// model re-materializes the full solutions deterministically.
     pub front: Vec<GeometryRecord>,
@@ -156,9 +158,6 @@ impl JobRecord {
         w.put_u64(self.estimator.batched);
         w.put_u64(self.estimator.scalar_fallbacks);
         w.put_u64(self.estimator.allocations);
-        w.put_u64(self.speculation.speculated);
-        w.put_u64(self.speculation.confirmed);
-        w.put_u64(self.speculation.rebred);
         w.put_u64(self.front.len() as u64);
         for g in &self.front {
             w.put_u32(g.log_h);
@@ -195,11 +194,6 @@ impl JobRecord {
             scalar_fallbacks: r.take_u64()?,
             allocations: r.take_u64()?,
         };
-        let speculation = SpeculationStats {
-            speculated: r.take_u64()?,
-            confirmed: r.take_u64()?,
-            rebred: r.take_u64()?,
-        };
         let front_len = r.take_u64()? as usize;
         let mut front = Vec::with_capacity(front_len.min(1 << 20));
         for _ in 0..front_len {
@@ -219,7 +213,6 @@ impl JobRecord {
             interned,
             dominance,
             estimator,
-            speculation,
             front,
             delta,
         })
@@ -336,11 +329,6 @@ pub(crate) fn driver_record_of(state: &DriverState<Geometry>) -> DriverStateReco
             state.dominance.word_ops,
             state.dominance.allocations,
         ],
-        speculation: [
-            state.speculation.speculated,
-            state.speculation.confirmed,
-            state.speculation.rebred,
-        ],
     }
 }
 
@@ -391,11 +379,6 @@ pub(crate) fn driver_state_of(record: &DriverStateRecord) -> DriverState<Geometr
             comparisons: record.dominance[0],
             word_ops: record.dominance[1],
             allocations: record.dominance[2],
-        },
-        speculation: SpeculationStats {
-            speculated: record.speculation[0],
-            confirmed: record.speculation[1],
-            rebred: record.speculation[2],
         },
     }
 }
@@ -583,7 +566,6 @@ pub(crate) fn record_of_outcome(
         interned: result.interned as u64,
         dominance: result.dominance,
         estimator: result.estimator,
-        speculation: result.speculation,
         front: result
             .solutions
             .iter()
@@ -649,7 +631,6 @@ pub(crate) fn reconstruct_outcome(
             interned: record.interned as usize,
             dominance: record.dominance,
             estimator: record.estimator,
-            speculation: record.speculation,
         },
     })
 }
@@ -691,11 +672,6 @@ mod tests {
                 scalar_fallbacks: 4,
                 allocations: 2,
             },
-            speculation: SpeculationStats {
-                speculated: 9,
-                confirmed: 7,
-                rebred: 2,
-            },
             front: vec![
                 GeometryRecord {
                     log_h: 5,
@@ -731,6 +707,90 @@ mod tests {
         // Kind tags are checked, not assumed.
         assert!(Header::decode(&record.encode()).is_err());
         assert!(JobRecord::decode(&header.encode()).is_err());
+    }
+
+    /// A record in the layout before the `-v2` kind tag: three retired
+    /// ledger words sat between the estimator counters and the
+    /// front length.
+    fn unversioned_record_bytes(record: &JobRecord) -> Vec<u8> {
+        let mut w = Writer::with_header();
+        w.put_str("batch-job-record");
+        w.put_u64(record.index);
+        w.put_u64(record.evaluations);
+        w.put_u64(record.distinct_evaluations);
+        w.put_u64(record.cache_hits);
+        w.put_u64(record.interned);
+        for v in [
+            record.dominance.comparisons,
+            record.dominance.word_ops,
+            record.dominance.allocations,
+            record.estimator.designs,
+            record.estimator.batched,
+            record.estimator.scalar_fallbacks,
+            record.estimator.allocations,
+            9,
+            7,
+            2,
+        ] {
+            w.put_u64(v);
+        }
+        w.put_u64(record.front.len() as u64);
+        for g in &record.front {
+            w.put_u32(g.log_h);
+            w.put_u32(g.log_l);
+            w.put_u32(g.k);
+        }
+        let delta = record.delta.encode_binary();
+        w.put_u64(delta.len() as u64);
+        w.put_bytes(&delta);
+        w.finish()
+    }
+
+    #[test]
+    fn records_in_the_unversioned_layout_are_rejected_not_misread() {
+        let old = unversioned_record_bytes(&sample_record(0));
+        match JobRecord::decode(&old) {
+            Err(WireError::Malformed(message)) => assert_eq!(
+                message,
+                "expected a batch-job-record-v2 document, found `batch-job-record`"
+            ),
+            other => panic!("expected a kind mismatch, got {other:?}"),
+        }
+        // A whole journal in the unversioned layout: its header names the
+        // old kind, so `--resume` fails loudly at the header and leaves
+        // the file untouched instead of silently rerunning every job.
+        let jobs = jobs();
+        let mut w = Writer::with_header();
+        w.put_str("batch-checkpoint");
+        w.put_u64(jobs_fingerprint(&jobs));
+        w.put_u64(0);
+        w.put_str("macro-model");
+        let mut bytes = Vec::new();
+        frame::write_frame(&mut bytes, &w.finish()).unwrap();
+        frame::write_frame(&mut bytes, &old).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("sega-ckpt-unversioned-{}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = crate::batch::run_batch_with(
+            &jobs,
+            &Technology::tsmc28(),
+            &OperatingConditions::paper_default(),
+            crate::PipelineOptions {
+                threads: 1,
+                ..Default::default()
+            },
+            &crate::batch::BatchControl {
+                checkpoint: Some(CheckpointConfig::resume(&path)),
+                ..Default::default()
+            },
+        )
+        .expect_err("an unversioned journal must not resume");
+        assert!(
+            err.contains("expected a batch-checkpoint-v2 document, found `batch-checkpoint`"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -32,11 +32,11 @@ use sega_cells::Technology;
 use sega_estimator::{DcimDesign, EstimatorStats, MacroEstimate, OperatingConditions};
 use sega_moga::{
     DominanceStats, DriverPhase, DriverState, Nsga2Config, Nsga2Driver, Nsga2Result,
-    ObjectiveMatrix, Problem, SpeculationStats,
+    ObjectiveMatrix, Problem,
 };
 use sega_parallel::{resolve_threads, Pool};
 
-use crate::backend::{default_backend, CohortEvaluator, EvalBackend, EvalTicket, GeometryLens};
+use crate::backend::{default_backend, CohortEvaluator, EvalBackend, GeometryLens};
 use crate::cache::{CacheKey, EvalStats, FxHashMap, KeySpace, SharedEvalCache};
 use crate::spec::UserSpec;
 
@@ -85,16 +85,6 @@ pub struct PipelineOptions {
     /// so the choice can never change a front — only where and how fast
     /// estimates happen.
     pub backend: Option<Arc<dyn EvalBackend>>,
-    /// Overlap evaluation with breeding: while a generation's cohort is
-    /// in flight on the backend, breed the next generation against
-    /// *predicted* rows (cache hits exact, misses pessimistically `+∞`)
-    /// and reconcile when the true rows land — a mispredict rewinds and
-    /// re-breeds, so the committed trajectory is **bit-identical** to
-    /// the synchronous loop for every prediction outcome (see
-    /// [`Nsga2Driver::speculate`]). The bet is accounted in
-    /// [`ExplorationResult::speculation`]. Off by default: it only pays
-    /// when evaluation has real latency to hide (a remote fleet).
-    pub speculate: bool,
 }
 
 impl Default for PipelineOptions {
@@ -106,7 +96,6 @@ impl Default for PipelineOptions {
             pool: None,
             shared_cache: None,
             backend: None,
-            speculate: false,
         }
     }
 }
@@ -157,14 +146,6 @@ impl PipelineOptions {
     #[must_use]
     pub fn with_backend(mut self, backend: Arc<dyn EvalBackend>) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Enables the speculative breed-ahead loop (see
-    /// [`PipelineOptions::speculate`]).
-    #[must_use]
-    pub fn speculative(mut self) -> Self {
-        self.speculate = true;
         self
     }
 }
@@ -267,11 +248,6 @@ pub struct ExplorationResult {
     /// designs estimated and how many lanes went through the vector
     /// finish vs the scalar block.
     pub estimator: EstimatorStats,
-    /// The speculative loop's ledger (all zero unless
-    /// [`PipelineOptions::speculate`] was on):
-    /// `speculated == confirmed + rebred` always holds, and the front is
-    /// bit-identical to the synchronous loop either way.
-    pub speculation: SpeculationStats,
 }
 
 impl ExplorationResult {
@@ -353,38 +329,6 @@ struct BatchScratch {
     missing: Vec<Geometry>,
     /// `missing[i]`'s index into `distinct`.
     missing_slots: Vec<usize>,
-}
-
-/// One cohort between [`DcimProblem::begin_cohort`] and
-/// [`DcimProblem::finish_cohort`]: the dedup tables, what the cache
-/// already knew, and the [`EvalTicket`] for the misses in flight on the
-/// backend. Owns its buffers (unlike the synchronous path's shared
-/// [`BatchScratch`]) because it outlives the call that created it.
-pub struct PendingCohort {
-    /// Input genomes in the cohort (pre-dedup).
-    total: usize,
-    /// For every input genome, its index into the distinct list.
-    slots: Vec<usize>,
-    /// Cache-resolved objectives per distinct geometry (`None` = in
-    /// flight on the backend).
-    resolved: Vec<Option<[f64; 4]>>,
-    /// The cache misses submitted to the backend.
-    missing: Vec<Geometry>,
-    /// `missing[i]`'s index into the distinct list.
-    missing_slots: Vec<usize>,
-    /// The backend's handle on the in-flight misses.
-    ticket: Box<dyn EvalTicket>,
-    /// Estimator counters at submit time, so `finish_cohort` records the
-    /// same delta the synchronous path would.
-    before: EstimatorStats,
-}
-
-impl PendingCohort {
-    /// How many of the cohort's distinct geometries are cache misses
-    /// still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.missing.len()
-    }
 }
 
 impl DcimProblem {
@@ -473,105 +417,6 @@ impl DcimProblem {
     /// The persistent pool this problem's batches run on.
     pub fn pool(&self) -> &Arc<Pool> {
         &self.pool
-    }
-
-    /// The asynchronous half-open form of
-    /// [`evaluate_batch_into`](Problem::evaluate_batch_into): dedup the
-    /// cohort, resolve what the cache knows, and **submit** the misses
-    /// to the backend without waiting — the caller gets a
-    /// [`PendingCohort`] to finish later and may do useful work (breed
-    /// the next speculative generation) in between. The dedup, probe and
-    /// submit logic mirrors the synchronous path exactly, so
-    /// `begin_cohort` + [`finish_cohort`](Self::finish_cohort) produces
-    /// the same rows and the same accounting as one
-    /// `evaluate_batch_into` call.
-    pub fn begin_cohort(&self, genomes: &[Geometry]) -> PendingCohort {
-        let mut index_of: FxHashMap<Geometry, usize> = FxHashMap::default();
-        let mut distinct: Vec<Geometry> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(genomes.len());
-        for g in genomes {
-            let slot = *index_of.entry(*g).or_insert_with(|| {
-                distinct.push(*g);
-                distinct.len() - 1
-            });
-            slots.push(slot);
-        }
-        let mut resolved: Vec<Option<[f64; 4]>> = vec![None; distinct.len()];
-        let mut missing: Vec<Geometry> = Vec::new();
-        let mut missing_slots: Vec<usize> = Vec::new();
-        if self.pipeline.cache {
-            for (i, g) in distinct.iter().enumerate() {
-                match self.space.get(g) {
-                    Some(objectives) => resolved[i] = Some(objectives),
-                    None => {
-                        missing.push(*g);
-                        missing_slots.push(i);
-                    }
-                }
-            }
-        } else {
-            missing.extend_from_slice(&distinct);
-            missing_slots.extend(0..distinct.len());
-        }
-        let workers = batch_workers(&self.pipeline, missing.len());
-        let before = self.evaluator.estimator_stats();
-        let ticket = self.evaluator.submit_cohort(&missing, &self.pool, workers);
-        PendingCohort {
-            total: genomes.len(),
-            slots,
-            resolved,
-            missing,
-            missing_slots,
-            ticket,
-            before,
-        }
-    }
-
-    /// The speculative survivor estimate for an in-flight cohort: cache
-    /// hits answer with their exact rows, outstanding misses predict
-    /// `+∞` on every objective (certainly dominated, so a predicted miss
-    /// never displaces a real survivor). Deliberately **never** polls
-    /// the ticket: the prediction is a pure function of the seed and the
-    /// cache history, so [`ExplorationResult::speculation`] is
-    /// reproducible run-over-run instead of depending on worker timing.
-    pub fn predicted_rows(&self, pending: &PendingCohort) -> ObjectiveMatrix {
-        let mut rows = ObjectiveMatrix::with_capacity(4, pending.total);
-        for &slot in &pending.slots {
-            rows.push_row(&pending.resolved[slot].unwrap_or([f64::INFINITY; 4]));
-        }
-        rows
-    }
-
-    /// Waits out a [`begin_cohort`](Self::begin_cohort) ticket and
-    /// completes the batch exactly as the synchronous path would:
-    /// estimator delta recorded, fresh rows installed into the cache,
-    /// hit/miss accounting, and one objective row per input genome.
-    pub fn finish_cohort(&self, pending: PendingCohort) -> ObjectiveMatrix {
-        let PendingCohort {
-            total,
-            slots,
-            mut resolved,
-            missing,
-            missing_slots,
-            ticket,
-            before,
-        } = pending;
-        let computed = ticket.wait();
-        self.stats
-            .record_estimator(self.evaluator.estimator_stats().since(before));
-        for ((slot, genome), objectives) in missing_slots.iter().zip(&missing).zip(computed) {
-            if self.pipeline.cache {
-                self.space.insert(*genome, objectives);
-            }
-            resolved[*slot] = Some(objectives);
-        }
-        self.stats.record(total - missing.len(), missing.len());
-        self.cache.record(total - missing.len(), missing.len());
-        let mut rows = ObjectiveMatrix::with_capacity(4, total);
-        for &slot in &slots {
-            rows.push_row(&resolved[slot].expect("every distinct geometry resolved"));
-        }
-        rows
     }
 
     /// Evaluates one geometry through the backend, bypassing the cache.
@@ -849,11 +694,6 @@ pub struct ExploreResume {
 /// also restored the cache) the front are exactly those of an
 /// uninterrupted run — except the dominance `allocations` counter, which
 /// measures scratch-buffer warmth the resumed process must rebuild.
-///
-/// Speculation ([`PipelineOptions::speculate`]) composes: a cohort whose
-/// commit lands on a checkpoint boundary takes the synchronous path so
-/// the driver passes through the `Breed` boundary where state export is
-/// defined.
 #[allow(clippy::too_many_arguments)]
 pub fn explore_pareto_resumable(
     spec: &UserSpec,
@@ -865,7 +705,6 @@ pub fn explore_pareto_resumable(
     checkpoint_every: usize,
     on_checkpoint: &mut dyn FnMut(&ExploreResume) -> bool,
 ) -> Option<ExplorationResult> {
-    let speculate = pipeline.speculate;
     let problem = DcimProblem::with_options(*spec, tech.clone(), *conditions, pipeline);
     let mut driver = match resume {
         Some(resume) => {
@@ -903,22 +742,10 @@ pub fn explore_pareto_resumable(
                 driver.breed(&problem);
             }
             DriverPhase::Submitted => {
-                // A cohort committing onto a checkpoint boundary stays
-                // synchronous so the driver reaches the Breed boundary
-                // where `export_state` is defined.
-                let boundary = checkpoint_every > 0 && driver.bred() % checkpoint_every == 0;
-                if speculate && !driver.is_final_cohort() && !boundary {
-                    let pending = problem.begin_cohort(driver.pending());
-                    let predicted = problem.predicted_rows(&pending);
-                    driver.speculate(&problem, &predicted);
-                    let actual = problem.finish_cohort(pending);
-                    driver.resolve(&problem, &actual);
-                } else {
-                    let mut rows = ObjectiveMatrix::with_capacity(4, driver.pending().len());
-                    let cohort = driver.pending().to_vec();
-                    problem.evaluate_batch_into(&cohort, &mut rows);
-                    driver.provide_rows(&rows);
-                }
+                let mut rows = ObjectiveMatrix::with_capacity(4, driver.pending().len());
+                let cohort = driver.pending().to_vec();
+                problem.evaluate_batch_into(&cohort, &mut rows);
+                driver.provide_rows(&rows);
             }
             DriverPhase::Reconcile => driver.reconcile(),
             DriverPhase::Select => driver.select(),
@@ -962,7 +789,6 @@ fn conclude(
         interned: result.interned,
         dominance: result.dominance,
         estimator: problem.stats().estimator(),
-        speculation: result.speculation,
     }
 }
 

@@ -83,11 +83,10 @@ pub mod store;
 pub mod testbench;
 
 pub use backend::{
-    CohortEvaluator, EvalBackend, EvalTicket, GeometryLens, InstrumentedBackend, MacroModelBackend,
+    CohortEvaluator, EvalBackend, GeometryLens, InstrumentedBackend, MacroModelBackend,
 };
 pub use batch::{
-    run_batch, run_batch_with, BatchControl, BatchJob, BatchOutcome, BatchReport, CacheSyncStats,
-    JobError,
+    run_batch, run_batch_with, BatchControl, BatchJob, BatchOutcome, BatchReport, JobError,
 };
 pub use cache::{CacheKey, EvalStats, SharedEvalCache};
 pub use checkpoint::CheckpointConfig;
@@ -103,12 +102,9 @@ pub use remote::{
     run_connected_worker, RemoteBackend, RemoteOptions, RemoteStats, TransportKind, WorkerCommand,
     WorkerOptions,
 };
-pub use serve::{
-    drain_flag, run_batch_connected, run_batch_connected_with, serve, ListenAddr, ServeOptions,
-    ServeReport,
-};
+pub use serve::{drain_flag, run_batch_connected, serve, ListenAddr, ServeOptions, ServeReport};
 pub use spec::{ExplorerLimits, SpecError, UserSpec};
-pub use store::{CacheStore, LoadOutcome, StoreStats, DEFAULT_MAX_SEGMENTS};
+pub use store::{CacheStore, StoreStats};
 pub use testbench::{generate_int_testbench, Testbench};
 
 // Re-export the workspace layers under one roof for downstream users.

@@ -1,6 +1,6 @@
 //! The remote evaluation backend: cohorts shipped to a fleet of worker
 //! **processes** over the `sega_wire` framed protocol — the transport +
-//! async-dispatch layer the `EvalBackend` seam was built for.
+//! pipelined-dispatch layer the `EvalBackend` seam was built for.
 //!
 //! # Topology
 //!
@@ -90,13 +90,12 @@ use sega_cells::Technology;
 use sega_estimator::{OperatingConditions, Precision};
 use sega_parallel::Pool;
 use sega_wire::frame::{
-    self, EvalRequest, EvalResponse, FrameError, Hello, Message, SyncEntries, SyncRequest,
-    SyncResponse, PROTOCOL_VERSION,
+    self, EvalRequest, EvalResponse, FrameError, Hello, Message, PROTOCOL_VERSION,
 };
 use sega_wire::snapshot::{EntryRecord, SpaceRecord};
-use sega_wire::{plan_delta, CacheDigest, GeometryRecord, KeyRecord, Snapshot};
+use sega_wire::{GeometryRecord, KeyRecord, Snapshot};
 
-use crate::backend::{CohortEvaluator, EvalBackend, EvalTicket, MacroModelBackend};
+use crate::backend::{CohortEvaluator, EvalBackend, MacroModelBackend};
 use crate::cache::{CacheKey, FxHasher, SharedEvalCache};
 use crate::explore::{Geometry, ParetoSolution};
 use crate::serve::{connect_with_retry, ListenAddr, Listener, Stream};
@@ -309,18 +308,6 @@ pub struct RemoteStats {
     pub geometries: u64,
     /// Cache entries installed into the sink from worker deltas.
     pub merged_entries: u64,
-    /// Anti-entropy digest exchanges completed against rejoined workers
-    /// (one per successful rejoin when a sink is attached).
-    pub rejoin_syncs: u64,
-    /// Cache entries the rejoin syncs installed into the sink — estimates
-    /// the worker computed while its link was down, recovered without
-    /// recomputation.
-    pub sync_entries: u64,
-    /// Bytes of encoded delta snapshot the rejoin syncs actually moved.
-    pub sync_bytes: u64,
-    /// Bytes a full-snapshot exchange would have moved in their place —
-    /// `sync_bytes ≤ sync_full_bytes` is the anti-entropy saving.
-    pub sync_full_bytes: u64,
     /// Workers still alive right now.
     pub workers_alive: usize,
     /// Workers the fleet was spawned with.
@@ -344,10 +331,6 @@ struct RemoteCounters {
     fallback_geometries: AtomicU64,
     geometries: AtomicU64,
     merged_entries: AtomicU64,
-    rejoin_syncs: AtomicU64,
-    sync_entries: AtomicU64,
-    sync_bytes: AtomicU64,
-    sync_full_bytes: AtomicU64,
 }
 
 /// `counters.round_trips.add(1)` — all counters are monotonic tallies.
@@ -404,14 +387,12 @@ struct WorkerHandle {
     /// Frames (or the terminal transport error) from the reader thread.
     incoming: Receiver<Result<Message, FrameError>>,
     /// Responses drained off the channel while looking for a different
-    /// correlation id — with multiple cohorts in flight (the async
-    /// submit/wait seam), worker responses can arrive interleaved, and a
-    /// ticket collecting its own id must park the others here rather
+    /// correlation id — when the mixed-precision fan-out runs several
+    /// explorations over one shared backend, their cohorts can be in
+    /// flight at once and worker responses arrive interleaved, so a
+    /// collect waiting for its own id must park the others here rather
     /// than drop them.
     stash: HashMap<u64, EvalResponse>,
-    /// A terminal frame/transport error drained by a non-blocking
-    /// harvest, replayed to the next collect against this worker.
-    pending_error: Option<FrameError>,
     reader: Option<JoinHandle<()>>,
     alive: bool,
     /// The partition weight this worker's hello negotiated (≥ 1).
@@ -740,13 +721,10 @@ impl Fleet {
     /// cohort start and inside the recovery loop — never from a timer,
     /// so a quiet backend spawns nothing behind the caller's back.
     ///
-    /// With a `sink`, every adopted rejoin is followed by an
-    /// anti-entropy digest exchange ([`Fleet::sync_rejoined`]): the
-    /// worker may hold estimates it computed while its link was down
-    /// (the response that died with the link), and the sync recovers
-    /// them into the sink without recomputation — moving only the
-    /// entries the digests prove missing, never a whole snapshot.
-    fn maintain(&self, state: &mut FleetState, sink: Option<&SharedEvalCache>) {
+    /// A rejoined worker simply resumes: the sub-cohort lost with its
+    /// link was already requeued, and every row is a pure function of
+    /// the request.
+    fn maintain(&self, state: &mut FleetState) {
         if let Some(hub) = &self.hub {
             for w in 0..state.workers.len() {
                 if state.workers[w].alive || state.supervise[w].retry_at.is_none() {
@@ -778,16 +756,6 @@ impl Fleet {
                         state.supervise[w].restarts += 1;
                         state.supervise[w].retry_at = None;
                         self.counters.rejoins.add(1);
-                        // Recover what the worker computed while its
-                        // link was down. A failed exchange re-buries:
-                        // the link just proved itself unreliable, and
-                        // the next maintain pass can try again.
-                        if let Some(sink) = sink {
-                            if let Err(e) = self.sync_rejoined(&mut state.workers[w], sink) {
-                                eprintln!("warning: rejoin sync of worker {w} failed: {e}");
-                                self.bury(state, w);
-                            }
-                        }
                     }
                     Err(e) => {
                         eprintln!("warning: rejoin of worker {w} failed: {e}");
@@ -855,43 +823,6 @@ impl Fleet {
                 }
             }
         }
-    }
-
-    /// One anti-entropy exchange against a just-rejoined worker: send
-    /// the sink's digest, receive the plan summary and the missing
-    /// entries, union-merge them into the sink. Runs synchronously on a
-    /// fresh link with nothing in flight, bounded by the per-request
-    /// deadline — a silent worker fails the exchange instead of pinning
-    /// the maintenance pass.
-    fn sync_rejoined(
-        &self,
-        worker: &mut WorkerHandle,
-        sink: &SharedEvalCache,
-    ) -> Result<(), String> {
-        let id = self.counters.rejoins.load(Ordering::Relaxed);
-        let digest = CacheDigest::of(&sink.snapshot());
-        worker
-            .send(&Message::SyncRequest(SyncRequest { id, digest }))
-            .map_err(|e| format!("sync request: {e}"))?;
-        let deadline = self.config.deadline;
-        let summary = match worker.recv_deadline(deadline) {
-            Ok(Message::SyncResponse(resp)) if resp.id == id => resp,
-            Ok(other) => return Err(format!("expected a sync summary, got {other:?}")),
-            Err(e) => return Err(format!("sync summary: {e}")),
-        };
-        let entries = match worker.recv_deadline(deadline) {
-            Ok(Message::SyncEntries(entries)) if entries.id == id => entries,
-            Ok(other) => return Err(format!("expected sync entries, got {other:?}")),
-            Err(e) => return Err(format!("sync entries: {e}")),
-        };
-        let installed = sink
-            .load(&entries.delta)
-            .map_err(|e| format!("sync delta rejected: {e}"))?;
-        self.counters.rejoin_syncs.add(1);
-        self.counters.sync_entries.add(installed as u64);
-        self.counters.sync_bytes.add(summary.delta_bytes);
-        self.counters.sync_full_bytes.add(summary.full_bytes);
-        Ok(())
     }
 }
 
@@ -1081,10 +1012,6 @@ impl RemoteBackend {
             fallback_geometries: c.fallback_geometries.load(Ordering::Relaxed),
             geometries: c.geometries.load(Ordering::Relaxed),
             merged_entries: c.merged_entries.load(Ordering::Relaxed),
-            rejoin_syncs: c.rejoin_syncs.load(Ordering::Relaxed),
-            sync_entries: c.sync_entries.load(Ordering::Relaxed),
-            sync_bytes: c.sync_bytes.load(Ordering::Relaxed),
-            sync_full_bytes: c.sync_full_bytes.load(Ordering::Relaxed),
             workers_alive: state.alive_count(),
             workers_spawned: self.fleet.spawned,
             transport: self.fleet.config.transport,
@@ -1145,7 +1072,6 @@ fn live_handle(
         writer: Some(writer),
         incoming,
         stash: HashMap::new(),
-        pending_error: None,
         reader: Some(reader),
         alive: true,
         capacity: capacity.max(1),
@@ -1166,7 +1092,6 @@ fn entomb(mut child: Child) -> Box<WorkerHandle> {
         writer: None,
         incoming,
         stash: HashMap::new(),
-        pending_error: None,
         reader: None,
         alive: false,
         capacity: 1,
@@ -1344,11 +1269,8 @@ impl EvalBackend for RemoteBackend {
 }
 
 /// [`RemoteBackend`] bound to one exploration's invariants: the key
-/// record every request carries, plus the shared fleet. `Clone` is
-/// cheap (a key record and three `Arc`s) — a [`RemoteTicket`] carries a
-/// clone so an in-flight cohort can outlive the borrow that submitted
-/// it.
-#[derive(Debug, Clone)]
+/// record every request carries, plus the shared fleet.
+#[derive(Debug)]
 struct RemoteEvaluator {
     key: KeyRecord,
     fleet: Arc<Fleet>,
@@ -1412,10 +1334,13 @@ fn validate_shape(
 /// One cohort between [`RemoteEvaluator::submit_inner`] and
 /// [`RemoteEvaluator::wait_inner`]: the dispatched requests, the
 /// sub-cohorts that already need recovery, and the output rows filled in
-/// so far. The fleet lock is **not** held across this gap — that is the
-/// point of the async seam — so responses landing while the coordinator
-/// does other work wait in the worker channels (or another ticket's
-/// collect parks them in the per-worker stash).
+/// so far. The fleet lock is **not** held across this gap, so another
+/// exploration of the mixed-precision fan-out (`explore_mixed_with`,
+/// several precisions over one shared backend) may dispatch meanwhile;
+/// responses landing in between wait in the worker channels (or the
+/// other exploration's collect parks them in the per-worker stash).
+/// Batch jobs never interleave here: `run_batch_with` runs them one
+/// after another and the daemon serializes them under its job lock.
 #[derive(Debug)]
 struct InflightCohort {
     cohort: Vec<Geometry>,
@@ -1466,8 +1391,8 @@ impl RemoteEvaluator {
     /// the fleet's per-request deadline, so a hung worker surfaces as
     /// [`FrameError::Timeout`] (counted) instead of blocking the batch —
     /// and validates its row count. The stash is consulted first and
-    /// fed in turn: with several cohorts in flight on the async seam,
-    /// the worker's responses can arrive interleaved, so a frame
+    /// fed in turn: with the mixed-precision fan-out's cohorts in flight
+    /// at once, the worker's responses can arrive interleaved, so a frame
     /// answering a *different* id is parked for that id's collect
     /// instead of being treated as a protocol error.
     fn collect(
@@ -1480,9 +1405,6 @@ impl RemoteEvaluator {
         loop {
             if let Some(resp) = state.workers[w].stash.remove(&id) {
                 return validate_shape(resp, id, expected_rows);
-            }
-            if let Some(e) = state.workers[w].pending_error.take() {
-                return Err(e);
             }
             let frame = match state.workers[w].recv_deadline(self.fleet.config.deadline) {
                 Ok(frame) => frame,
@@ -1505,31 +1427,6 @@ impl RemoteEvaluator {
                         "worker sent a non-response frame".to_owned(),
                     )))
                 }
-            }
-        }
-    }
-
-    /// Drains worker `w`'s channel without blocking, parking responses in
-    /// the stash and a terminal error in `pending_error` — the
-    /// [`EvalTicket::poll`] primitive.
-    fn harvest(&self, state: &mut FleetState, w: usize) {
-        loop {
-            match state.workers[w].incoming.try_recv() {
-                Ok(Ok(Message::Response(resp))) => {
-                    state.workers[w].stash.insert(resp.id, resp);
-                }
-                Ok(Ok(_)) => {
-                    state.workers[w].pending_error =
-                        Some(FrameError::Wire(sega_wire::WireError::Malformed(
-                            "worker sent a non-response frame".to_owned(),
-                        )));
-                    return;
-                }
-                Ok(Err(e)) => {
-                    state.workers[w].pending_error = Some(e);
-                    return;
-                }
-                Err(_) => return, // empty or disconnected: nothing buffered
             }
         }
     }
@@ -1560,9 +1457,7 @@ impl RemoteEvaluator {
 
     /// Phase 1 of a cohort — partition and pipelined dispatch. Writes
     /// every sub-cohort request before returning, so the fleet computes
-    /// while the coordinator does other work (breeding the next
-    /// speculative generation, say); the lock is released when this
-    /// returns.
+    /// concurrently; the lock is released when this returns.
     fn submit_inner(&self, cohort: &[Geometry]) -> InflightCohort {
         let mut flight = InflightCohort {
             cohort: cohort.to_vec(),
@@ -1581,7 +1476,7 @@ impl RemoteEvaluator {
         let mut state = self.fleet.state.lock().expect("fleet state poisoned");
         // Respawn pass: buried workers whose backoff elapsed rejoin the
         // rotation before this cohort partitions.
-        self.fleet.maintain(&mut state, Some(&self.sink));
+        self.fleet.maintain(&mut state);
         let fleet_size = state.workers.len();
 
         // Partition by weighted shard onto alive workers; orphans (no
@@ -1613,25 +1508,6 @@ impl RemoteEvaluator {
             }
         }
         flight
-    }
-
-    /// How many of the flight's geometries already have a response
-    /// buffered (applied rows are not tracked separately before wait, so
-    /// this counts stashed/channel-landed sub-cohorts) — a cheap
-    /// progress probe, never blocking.
-    fn poll_inner(&self, flight: &InflightCohort) -> usize {
-        if flight.cohort.is_empty() {
-            return 0;
-        }
-        let mut state = self.fleet.state.lock().expect("fleet state poisoned");
-        let mut landed = 0;
-        for &(w, id, ref slots) in &flight.inflight {
-            self.harvest(&mut state, w);
-            if state.workers[w].stash.contains_key(&id) {
-                landed += slots.len();
-            }
-        }
-        landed
     }
 
     /// Phases 2 and 3 of a cohort — collect in dispatch order, then the
@@ -1668,7 +1544,7 @@ impl RemoteEvaluator {
         // *waits* for one: an empty rotation falls back in-process, and
         // the front is bit-identical either way.
         while let Some(slots) = requeue.pop() {
-            self.fleet.maintain(&mut state, Some(&self.sink));
+            self.fleet.maintain(&mut state);
             match state.assign(0) {
                 Some(w) => {
                     counters.requeues.add(1);
@@ -1705,57 +1581,12 @@ impl RemoteEvaluator {
     }
 }
 
-/// A remote cohort in flight: the [`EvalTicket`] face of
-/// [`InflightCohort`]. Holds a clone of its evaluator (an `Arc` fan-out)
-/// so the ticket is `'static` and can outlive the exploration step that
-/// submitted it.
-struct RemoteTicket {
-    evaluator: RemoteEvaluator,
-    flight: Option<InflightCohort>,
-    pool: Arc<Pool>,
-    workers: usize,
-}
-
-impl EvalTicket for RemoteTicket {
-    fn poll(&mut self) -> usize {
-        match &self.flight {
-            Some(flight) => self.evaluator.poll_inner(flight),
-            None => 0,
-        }
-    }
-
-    fn wait(self: Box<Self>) -> Vec<[f64; 4]> {
-        let ticket = *self;
-        let flight = ticket.flight.expect("ticket waited twice");
-        ticket
-            .evaluator
-            .wait_inner(flight, &ticket.pool, ticket.workers)
-    }
-}
-
 impl CohortEvaluator for RemoteEvaluator {
     fn evaluate_cohort(&self, cohort: &[Geometry], pool: &Pool, workers: usize) -> Vec<[f64; 4]> {
         if cohort.is_empty() {
             return Vec::new();
         }
-        // The synchronous path is literally submit-then-wait — there is
-        // one transport code path, the async seam, and this is its
-        // degenerate use.
         self.wait_inner(self.submit_inner(cohort), pool, workers)
-    }
-
-    fn submit_cohort(
-        &self,
-        cohort: &[Geometry],
-        pool: &Arc<Pool>,
-        workers: usize,
-    ) -> Box<dyn EvalTicket> {
-        Box::new(RemoteTicket {
-            evaluator: self.clone(),
-            flight: Some(self.submit_inner(cohort)),
-            pool: Arc::clone(pool),
-            workers,
-        })
     }
 
     fn materialize(&self, g: &Geometry) -> Option<ParetoSolution> {
@@ -2039,42 +1870,6 @@ fn serve_session(
                 return Ok(WorkerExit::Shutdown);
             }
             Message::Heartbeat => continue,
-            Message::SyncRequest(req) => {
-                // Anti-entropy: answer from the process-lifetime memo
-                // cache (the bindings' spaces all live in `cache`) with
-                // only the entries the requester's digest proves
-                // missing, plus the accounting that makes the saving
-                // visible.
-                let mine = cache.snapshot();
-                let plan = plan_delta(&mine, &req.digest);
-                let delta_bytes = plan.delta.encode_binary().len() as u64;
-                let full_bytes = mine.encode_binary().len() as u64;
-                let summary = SyncResponse {
-                    id: req.id,
-                    matched_entries: plan.matched_entries,
-                    delta_entries: plan.delta.len() as u64,
-                    delta_bytes,
-                    full_bytes,
-                };
-                frame::send(output, &Message::SyncResponse(summary))
-                    .map_err(|e| format!("worker sync summary: {e}"))?;
-                let delta_len = plan.delta.len();
-                frame::send(
-                    output,
-                    &Message::SyncEntries(SyncEntries {
-                        id: req.id,
-                        delta: plan.delta,
-                    }),
-                )
-                .map_err(|e| format!("worker sync entries: {e}"))?;
-                log(
-                    req.id,
-                    &format!(
-                        "sync: {delta_len} delta entries ({delta_bytes} of {full_bytes} full bytes)"
-                    ),
-                );
-                continue;
-            }
             Message::Request(request) => request,
             _ => return Err("coordinator sent a non-request frame".to_owned()),
         };

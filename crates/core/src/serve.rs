@@ -21,10 +21,9 @@
 //! keep a quiet connection alive. *Draining* begins on SIGTERM (the CLI
 //! routes the signal through [`drain_flag`]) or a [`Message::Shutdown`]
 //! frame from any client: the daemon stops accepting, lets in-flight
-//! jobs finish under a bounded grace, flushes the cache to its
-//! persistent store (`--cache-file` or the segmented `--cache-dir` —
-//! see [`CacheStore`]), and only then exits. *Gone* closes the
-//! connection and reclaims its thread.
+//! jobs finish under a bounded grace, flushes the cache snapshot to
+//! `--cache-file`, and only then exits. *Gone* closes the connection and
+//! reclaims its thread.
 //!
 //! # Determinism
 //!
@@ -49,16 +48,15 @@ use sega_cells::Technology;
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
 use sega_wire::frame::{
-    self, FrameError, Hello, JobRequest, JobResponse, Message, SyncEntries, SyncRequest,
-    SyncResponse, PROTOCOL_VERSION,
+    self, FrameError, Hello, JobRequest, JobResponse, Message, PROTOCOL_VERSION,
 };
-use sega_wire::{plan_delta, CacheDigest, GeometryRecord, Snapshot};
+use sega_wire::GeometryRecord;
 
 use crate::backend::EvalBackend;
-use crate::batch::{BatchJob, BatchOutcome, BatchReport, CacheSyncStats};
+use crate::batch::{BatchJob, BatchOutcome, BatchReport};
 use crate::cache::SharedEvalCache;
 use crate::explore::{explore_pareto_with, ExplorationResult, Geometry, PipelineOptions};
-use crate::store::{CacheStore, DEFAULT_MAX_SEGMENTS};
+use crate::store::CacheStore;
 
 /// A parsed socket address: `unix:/path/to.sock` or `tcp:host:port`.
 ///
@@ -293,14 +291,6 @@ pub struct ServeOptions {
     /// Warm-start the cache from this snapshot at startup and flush the
     /// final snapshot here during drain.
     pub cache_file: Option<PathBuf>,
-    /// Persist the cache as an append-only segment directory instead of
-    /// a single file: warm-start from every readable segment at startup,
-    /// append a delta segment after each served job, compact under
-    /// [`cache_max_segments`](Self::cache_max_segments). Takes
-    /// precedence over [`cache_file`](Self::cache_file).
-    pub cache_dir: Option<PathBuf>,
-    /// Compaction budget of the segment directory.
-    pub cache_max_segments: usize,
     /// The shared eval cache jobs run against. `None` creates a private
     /// one; pass a handle to share it with a backend sink (the CLI wires
     /// a remote fleet's sink to the same cache).
@@ -330,8 +320,6 @@ impl ServeOptions {
         ServeOptions {
             listen,
             cache_file: None,
-            cache_dir: None,
-            cache_max_segments: DEFAULT_MAX_SEGMENTS,
             cache: None,
             backend: None,
             threads: 0,
@@ -381,11 +369,6 @@ struct DaemonShared {
     /// one backend, and serialized execution keeps the daemon's answer
     /// for any job history deterministic.
     job_lock: Mutex<()>,
-    /// The persistent home of the cache, when configured. A segment
-    /// directory gets a delta appended after every served job (so a
-    /// daemon killed mid-lifetime loses at most the in-flight job's
-    /// estimates); a single file is only rewritten at drain.
-    store: Mutex<Option<CacheStore>>,
 }
 
 impl DaemonShared {
@@ -396,20 +379,6 @@ impl DaemonShared {
     fn log(&self, text: &str) {
         if self.log {
             eprintln!("[serve] {text}");
-        }
-    }
-
-    /// Appends the cache delta accumulated since the last save to a
-    /// segmented store. Single-file stores are skipped here (rewriting
-    /// the whole blob per job would be quadratic) and flushed at drain.
-    fn persist_after_job(&self) {
-        let mut store = self.store.lock().expect("store lock poisoned");
-        let Some(store) = store.as_mut() else { return };
-        if !store.is_segmented() {
-            return;
-        }
-        if let Err(e) = store.save(&self.cache.snapshot()) {
-            eprintln!("warning: cache segment append failed: {e}");
         }
     }
 }
@@ -432,17 +401,9 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
     let cache = options
         .cache
         .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
-    let mut store = match (&options.cache_dir, &options.cache_file) {
-        (Some(dir), _) => Some(CacheStore::dir(dir, options.cache_max_segments)?),
-        (None, Some(path)) => Some(CacheStore::file(path)),
-        (None, None) => None,
-    };
+    let mut store = options.cache_file.map(CacheStore::file);
     if let Some(store) = &mut store {
-        let outcome = store.load()?;
-        for warning in &outcome.warnings {
-            eprintln!("warning: {warning}");
-        }
-        let installed = cache.load(&outcome.snapshot).map_err(|e| e.to_string())?;
+        let installed = cache.load(&store.load()?).map_err(|e| e.to_string())?;
         if options.log {
             eprintln!(
                 "[serve] warm-started {installed} cache entries from {}",
@@ -463,7 +424,6 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
         hello_timeouts: AtomicU64::new(0),
         idle_closed: AtomicU64::new(0),
         job_lock: Mutex::new(()),
-        store: Mutex::new(store),
     });
     shared.log(&format!("listening on {resolved}"));
 
@@ -503,16 +463,13 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
         std::thread::sleep(Duration::from_millis(10));
     }
     let drained_clean = shared.active.load(Ordering::SeqCst) == 0;
-    {
-        let mut store = shared.store.lock().expect("store lock poisoned");
-        if let Some(store) = store.as_mut() {
-            store.save(&cache.snapshot())?;
-            shared.log(&format!(
-                "flushed {} cache entries to {}",
-                cache.len(),
-                store.path().display()
-            ));
-        }
+    if let Some(store) = &mut store {
+        store.save(&cache.snapshot())?;
+        shared.log(&format!(
+            "flushed {} cache entries to {}",
+            cache.len(),
+            store.path().display()
+        ));
     }
     Ok(ServeReport {
         connections,
@@ -572,7 +529,6 @@ fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<
             Ok(Message::JobRequest(job)) => {
                 let response = run_job(shared, &job)?;
                 shared.jobs.fetch_add(1, Ordering::Relaxed);
-                shared.persist_after_job();
                 // A client gone mid-job is not an error: the job ran to
                 // completion and its estimates are in the cache — only
                 // the write is skipped (deterministically, for any
@@ -581,42 +537,6 @@ fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<
                     shared.log(&format!(
                         "connection {conn}: client left mid-job ({e}); cache delta retained"
                     ));
-                    return Ok(());
-                }
-            }
-            Ok(Message::SyncRequest(req)) => {
-                // Anti-entropy pull: answer the client's digest with
-                // only the entries it is provably missing, prefixed by
-                // the plan summary so the client can account
-                // bytes-synced against the full-snapshot cost.
-                let mine = shared.cache.snapshot();
-                let plan = plan_delta(&mine, &req.digest);
-                let delta_bytes = plan.delta.encode_binary().len() as u64;
-                let full_bytes = mine.encode_binary().len() as u64;
-                let summary = SyncResponse {
-                    id: req.id,
-                    matched_entries: plan.matched_entries,
-                    delta_entries: plan.delta.len() as u64,
-                    delta_bytes,
-                    full_bytes,
-                };
-                shared.log(&format!(
-                    "connection {conn}: sync {} entries ({delta_bytes} of {full_bytes} \
-                     full-snapshot bytes)",
-                    summary.delta_entries
-                ));
-                let sent =
-                    frame::send(&mut writer, &Message::SyncResponse(summary)).and_then(|()| {
-                        frame::send(
-                            &mut writer,
-                            &Message::SyncEntries(SyncEntries {
-                                id: req.id,
-                                delta: plan.delta,
-                            }),
-                        )
-                    });
-                if let Err(e) = sent {
-                    shared.log(&format!("connection {conn}: client left mid-sync ({e})"));
                     return Ok(());
                 }
             }
@@ -644,10 +564,14 @@ fn run_job(shared: &DaemonShared, job: &JobRequest) -> Result<JobResponse, Strin
     let precision = Precision::from_name(&job.precision)
         .ok_or_else(|| format!("job {} names unknown precision `{}`", job.id, job.precision))?;
     // Checked before taking the job lock: NSGA-II asserts on a population
-    // below 2, and a panic under the lock would poison it for every
-    // later client.
-    crate::batch::check_population(job.id as usize, job.population as usize)
-        .map_err(|e| e.to_string())?;
+    // below 2, an oversized budget would try to allocate without bound,
+    // and a panic under the lock would poison it for every later client.
+    crate::batch::check_budget(
+        job.id as usize,
+        job.population as usize,
+        job.generations as usize,
+    )
+    .map_err(|e| e.to_string())?;
     let spec = crate::spec::UserSpec::new(job.wstore, precision)
         .map_err(|e| format!("job {}: {e}", job.id))?;
     let config = Nsga2Config {
@@ -706,27 +630,6 @@ pub fn run_batch_connected(
     jobs: &[BatchJob],
     drain: bool,
 ) -> Result<BatchReport, String> {
-    run_batch_connected_with(addr, jobs, drain, None)
-}
-
-/// [`run_batch_connected`] with a local persistent cache store: the
-/// client anti-entropy-pulls the daemon's cache into the store — once
-/// after the hello (so the store warms before any job runs) and once
-/// after the last job (so the jobs' own estimates persist locally) —
-/// exchanging digests first and moving **only the missing entries**,
-/// never a whole snapshot. The report's `sync` ledger carries the
-/// bytes-moved vs full-snapshot accounting; fronts and evaluation
-/// accounting are bit-identical to a storeless connected run.
-///
-/// # Errors
-///
-/// As [`run_batch_connected`], plus store load/save failures.
-pub fn run_batch_connected_with(
-    addr: &ListenAddr,
-    jobs: &[BatchJob],
-    drain: bool,
-    mut store: Option<&mut CacheStore>,
-) -> Result<BatchReport, String> {
     let writer = connect_with_retry(addr, Duration::from_secs(5))?;
     let mut reader = BufReader::new(writer.try_clone().map_err(|e| e.to_string())?);
     let mut writer = writer;
@@ -742,21 +645,6 @@ pub fn run_batch_connected_with(
         }
         Ok(_) => return Err("daemon's first frame was not a hello".to_owned()),
         Err(e) => return Err(format!("hello: {e}")),
-    }
-
-    // Local store: load what we already hold, then pull the daemon's
-    // surplus before any job runs.
-    let mut local = Snapshot::default();
-    let mut preloaded_entries = 0;
-    let mut sync = CacheSyncStats::default();
-    if let Some(store) = store.as_deref_mut() {
-        let outcome = store.load()?;
-        for warning in &outcome.warnings {
-            eprintln!("warning: {warning}");
-        }
-        local = outcome.snapshot;
-        preloaded_entries = local.len();
-        sync_pull(&mut writer, &mut reader, &mut local, &mut sync)?;
     }
 
     let tech = Technology::tsmc28();
@@ -790,18 +678,10 @@ pub fn run_batch_connected_with(
             result: materialize_result(job, &response, &tech, &conditions)?,
         });
     }
-    // Second pull: the jobs just run (ours and any other client's) grew
-    // the daemon's cache; persist the union locally so the *next* client
-    // over this store syncs near zero bytes.
-    if let Some(store) = store.as_deref_mut() {
-        sync_pull(&mut writer, &mut reader, &mut local, &mut sync)?;
-        store.save(&local)?;
-    }
     if drain {
         frame::send(&mut writer, &Message::Shutdown).map_err(|e| format!("shutdown: {e}"))?;
     }
 
-    let synced = store.is_some();
     Ok(BatchReport {
         evaluations: outcomes.iter().map(|o| o.result.evaluations).sum(),
         distinct_evaluations: outcomes.iter().map(|o| o.result.distinct_evaluations).sum(),
@@ -809,70 +689,17 @@ pub fn run_batch_connected_with(
         dominance_comparisons: 0,
         dominance_word_ops: 0,
         estimator: Default::default(),
-        speculation: Default::default(),
-        // The daemon owns the cache; a connected client sees what its
-        // own jobs report — plus its local store, when it carries one.
-        preloaded_entries,
-        cache_entries: local.len(),
+        // The daemon owns the cache; a connected client only sees what
+        // its own jobs report.
+        preloaded_entries: 0,
+        cache_entries: 0,
         backend: "daemon",
         remote: None,
-        store: store.map(|s| s.stats()),
-        sync: synced.then_some(sync),
+        store: None,
         complete: true,
         resumed_jobs: 0,
         outcomes,
     })
-}
-
-/// One anti-entropy exchange from the client side: send the digest of
-/// `local`, merge the entries the daemon proves us missing, accumulate
-/// the ledger. Heartbeats between frames are tolerated.
-fn sync_pull(
-    writer: &mut Stream,
-    reader: &mut BufReader<Stream>,
-    local: &mut Snapshot,
-    sync: &mut CacheSyncStats,
-) -> Result<(), String> {
-    let id = sync.exchanges + 1;
-    frame::send(
-        writer,
-        &Message::SyncRequest(SyncRequest {
-            id,
-            digest: CacheDigest::of(local),
-        }),
-    )
-    .map_err(|e| format!("sync {id}: {e}"))?;
-    let summary = loop {
-        match frame::recv(reader) {
-            Ok(Message::SyncResponse(resp)) if resp.id == id => break resp,
-            Ok(Message::Heartbeat) => continue,
-            Ok(other) => {
-                return Err(format!(
-                    "sync {id}: daemon answered out of protocol: {other:?}"
-                ))
-            }
-            Err(e) => return Err(format!("sync {id}: {e}")),
-        }
-    };
-    let entries = loop {
-        match frame::recv(reader) {
-            Ok(Message::SyncEntries(entries)) if entries.id == id => break entries,
-            Ok(Message::Heartbeat) => continue,
-            Ok(other) => {
-                return Err(format!(
-                    "sync {id}: daemon answered out of protocol: {other:?}"
-                ))
-            }
-            Err(e) => return Err(format!("sync {id}: {e}")),
-        }
-    };
-    local.merge(&entries.delta);
-    sync.exchanges += 1;
-    sync.matched_entries += summary.matched_entries;
-    sync.synced_entries += summary.delta_entries;
-    sync.bytes_synced += summary.delta_bytes;
-    sync.full_snapshot_bytes += summary.full_bytes;
-    Ok(())
 }
 
 /// Rebuilds a full [`ExplorationResult`] from a daemon's job response:
@@ -910,7 +737,6 @@ fn materialize_result(
         interned: 0,
         dominance: Default::default(),
         estimator: Default::default(),
-        speculation: Default::default(),
     })
 }
 
@@ -1049,9 +875,10 @@ mod tests {
         assert_eq!(served.jobs, 1);
     }
 
-    /// A job NSGA-II cannot run (population 1) is refused before it takes
-    /// the job lock, so the daemon keeps serving: a later well-formed
-    /// client still gets its front, bit-identical to an in-process run.
+    /// A job NSGA-II cannot run (population 1) or must not run
+    /// (population 100,000,000) is refused before it takes the job lock,
+    /// so the daemon keeps serving: a later well-formed client still gets
+    /// its front, bit-identical to an in-process run.
     #[test]
     fn rejected_job_does_not_brick_the_daemon() {
         let addr = scratch_addr("reject");
@@ -1066,10 +893,12 @@ mod tests {
         .unwrap();
         // `parse_jobs` refuses this job, so build it by hand as a client
         // that skips validation would.
-        let mut bad = good.clone();
-        bad[0].config.population = 1;
-        let err = run_batch_connected(&addr, &bad, false).unwrap_err();
-        assert!(err.contains("job 1"), "{err}");
+        for population in [1, 100_000_000] {
+            let mut bad = good.clone();
+            bad[0].config.population = population;
+            let err = run_batch_connected(&addr, &bad, false).unwrap_err();
+            assert!(err.contains("job 1"), "{err}");
+        }
 
         let served = run_batch_connected(&addr, &good, true).expect("client after a bad job");
         let local = crate::batch::run_batch(

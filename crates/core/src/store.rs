@@ -1,559 +1,98 @@
 //! The persistent cache store: where a [`Snapshot`] lives between
 //! processes.
 //!
-//! Two layouts behind one [`CacheStore`]:
-//!
-//! * **Single file** (`--cache-file`, [`CacheStore::file`]) — the
-//!   original whole-snapshot blob, byte-compatible with every earlier
-//!   release: JSON when the path ends in `.json`, the compact binary
-//!   codec otherwise. Loading is all-or-nothing; saving rewrites the
-//!   file. This is exactly the degenerate one-segment case of the layout
-//!   below.
-//! * **Segment directory** (`--cache-dir`, [`CacheStore::dir`]) — an
-//!   append-only directory of fingerprinted segments `seg-NNNNNNNN.seg`,
-//!   each holding one canonical snapshot *delta*. A save appends only
-//!   what changed since load (via [`Snapshot::diff`]) and `fsync`s the
-//!   new segment — crash-safe by the same torn-write discipline as the
-//!   checkpoint journal: a segment is two length-prefixed frames
-//!   (fingerprinted header, then payload), and a torn or corrupt
-//!   **trailing** segment is skipped with a warning on the next load
-//!   instead of aborting the run. Because segments union-merge under the
-//!   proven commutative/idempotent [`Snapshot::merge`] laws, load order,
-//!   duplication between segments, and a compaction racing a crash all
-//!   converge to the same facts.
-//!
-//! When the directory grows past its [`max_segments`](CacheStore::dir)
-//! budget, a save **compacts**: the full current snapshot is written as
-//! one new segment (fsync'd first), then the older segments are deleted
-//! — a crash between the two steps leaves a superset, never a loss.
-//!
-//! The segment header lists each key space's fingerprint, so a load can
-//! be **partial**: give [`CacheStore::load_filtered`] the fingerprints
-//! of the key spaces a job list touches and segments containing none of
-//! them are skipped without even reading their payload frame.
+//! One whole-snapshot file (`--cache-file`, [`CacheStore::file`]): JSON
+//! when the path ends in `.json`, the compact binary codec otherwise.
+//! Loading reads every byte and is all-or-nothing; saving rewrites the
+//! file with the union of what was loaded and what the run added.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use sega_wire::frame::{read_frame, write_frame, FrameError};
 use sega_wire::snapshot::fnv1a64;
-use sega_wire::{Reader, Snapshot, WireError, Writer};
+use sega_wire::Snapshot;
 
 use crate::batch::{decode_cache_file, encode_cache_file};
-
-/// Default compaction budget: how many segments may accumulate before a
-/// save folds them into one.
-pub const DEFAULT_MAX_SEGMENTS: usize = 8;
-
-/// Document kind tag of a segment's header frame.
-const SEGMENT_KIND: &str = "cache-segment";
 
 /// Store traffic accounting, surfaced in the batch report's `"cache"`
 /// object.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Live segments after the last operation (1 for a single file).
-    pub segments: usize,
-    /// Segments whose payload was decoded and merged by the last load.
-    pub segments_loaded: usize,
-    /// Torn/corrupt trailing segments skipped with a warning.
-    pub segments_skipped: usize,
-    /// Segments the partial-load filter rejected without reading their
-    /// payload frame.
-    pub segments_filtered: usize,
     /// Entries the last load yielded.
     pub entries_loaded: usize,
-    /// Delta segments appended by saves.
-    pub segments_appended: usize,
-    /// Compactions performed by saves.
-    pub compactions: usize,
     /// Bytes read from disk.
     pub bytes_read: u64,
     /// Bytes written to disk.
     pub bytes_written: u64,
 }
 
-/// What a load produced: the merged snapshot plus any warnings about
-/// segments it skipped (the caller decides where to print them).
-#[derive(Debug, Default)]
-pub struct LoadOutcome {
-    /// The union of every readable segment (post-filter).
-    pub snapshot: Snapshot,
-    /// Human-readable warnings, one per skipped segment.
-    pub warnings: Vec<String>,
-}
-
-/// A persistent home for cache snapshots — single file or segment
-/// directory; see the module docs for the layouts.
+/// A persistent home for cache snapshots: one snapshot file.
 #[derive(Debug)]
-pub enum CacheStore {
-    /// The classic whole-snapshot `--cache-file` blob.
-    File {
-        /// The snapshot file path.
-        path: PathBuf,
-        /// Traffic accounting.
-        stats: StoreStats,
-        /// Key spaces a filtered load left out of the returned snapshot.
-        /// A save unions them back so a partial load never makes the
-        /// whole-file rewrite lossy.
-        residue: Snapshot,
-    },
-    /// The append-only `--cache-dir` segment directory.
-    Dir(SegmentDir),
-}
-
-/// The segment-directory state: the path, the compaction budget, and
-/// the loaded baseline a save diffs against.
-#[derive(Debug)]
-pub struct SegmentDir {
-    dir: PathBuf,
-    max_segments: usize,
-    /// Next sequence number a save will use.
-    next_seq: u64,
-    /// What load() yielded **before** filtering, as the delta baseline —
-    /// a save appends `current.diff(base)`.
-    base: Snapshot,
-    /// Sequence numbers of segments currently on disk.
-    live: Vec<u64>,
-    /// Segments the partial-load filter skipped without reading their
-    /// payload. Their facts are absent from `base` and from the caller's
-    /// snapshot, so a compaction must fold them back in before deleting.
-    unread: Vec<u64>,
+pub struct CacheStore {
+    path: PathBuf,
     stats: StoreStats,
 }
 
 impl CacheStore {
     /// A single-file store at `path` (created on first save).
     pub fn file(path: impl Into<PathBuf>) -> CacheStore {
-        CacheStore::File {
+        CacheStore {
             path: path.into(),
             stats: StoreStats::default(),
-            residue: Snapshot::default(),
         }
-    }
-
-    /// A segment-directory store at `dir` (created if absent) with the
-    /// given compaction budget (`0` is treated as 1).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when the directory cannot be created.
-    pub fn dir(dir: impl Into<PathBuf>, max_segments: usize) -> Result<CacheStore, String> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
-        Ok(CacheStore::Dir(SegmentDir {
-            dir,
-            max_segments: max_segments.max(1),
-            next_seq: 0,
-            base: Snapshot::default(),
-            live: Vec::new(),
-            unread: Vec::new(),
-            stats: StoreStats::default(),
-        }))
-    }
-
-    /// `true` for the append-only segment-directory layout — the layout
-    /// whose saves are cheap deltas rather than whole-file rewrites.
-    pub fn is_segmented(&self) -> bool {
-        matches!(self, CacheStore::Dir(_))
     }
 
     /// The store's path, for log lines.
     pub fn path(&self) -> &Path {
-        match self {
-            CacheStore::File { path, .. } => path,
-            CacheStore::Dir(seg) => &seg.dir,
-        }
+        &self.path
     }
 
     /// Traffic accounting so far.
     pub fn stats(&self) -> StoreStats {
-        match self {
-            CacheStore::File { stats, .. } => *stats,
-            CacheStore::Dir(seg) => seg.stats,
-        }
+        self.stats
     }
 
-    /// Loads everything the store holds. A missing file/empty directory
-    /// is an empty snapshot, not an error.
+    /// Loads everything the store holds. A missing file is an empty
+    /// snapshot, not an error.
     ///
     /// # Errors
     ///
-    /// A message naming the path, byte offset and segment fingerprint of
-    /// the first unreadable piece (a torn **trailing** segment is
-    /// downgraded to a [`LoadOutcome::warnings`] entry instead).
-    pub fn load(&mut self) -> Result<LoadOutcome, String> {
-        self.load_filtered(None)
-    }
-
-    /// [`CacheStore::load`], keeping only key spaces whose fingerprints
-    /// appear in `keep` (`None` keeps everything). On a segment
-    /// directory, segments containing none of the wanted spaces are
-    /// skipped without reading their payload frame.
-    pub fn load_filtered(&mut self, keep: Option<&HashSet<u64>>) -> Result<LoadOutcome, String> {
-        match self {
-            CacheStore::File {
-                path,
-                stats,
-                residue,
-            } => {
-                let mut outcome = LoadOutcome::default();
-                let bytes = match std::fs::read(&*path) {
-                    Ok(bytes) => bytes,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(outcome),
-                    Err(e) => {
-                        return Err(format!("cannot read cache file `{}`: {e}", path.display()))
-                    }
-                };
-                stats.bytes_read += bytes.len() as u64;
-                stats.segments = 1;
-                stats.segments_loaded = 1;
-                let mut snapshot = decode_cache_file(&bytes).map_err(|e| {
-                    format!(
-                        "cache file `{}` (content fingerprint {:016x}): {e}",
-                        path.display(),
-                        fnv1a64(&bytes)
-                    )
-                })?;
-                if let Some(keep) = keep {
-                    // Hold back the spaces the caller does not want; a
-                    // save unions them into the rewrite so the file
-                    // never loses facts to a partial load.
-                    *residue = Snapshot::default();
-                    residue.spaces.extend(
-                        snapshot
-                            .spaces
-                            .iter()
-                            .filter(|s| !keep.contains(&s.key.fingerprint()))
-                            .cloned(),
-                    );
-                    residue.canonicalize();
-                    snapshot
-                        .spaces
-                        .retain(|s| keep.contains(&s.key.fingerprint()));
-                }
-                stats.entries_loaded = snapshot.len();
-                outcome.snapshot = snapshot;
-                Ok(outcome)
+    /// A message naming the path, the content fingerprint and the byte
+    /// offset where decoding stopped.
+    pub fn load(&mut self) -> Result<Snapshot, String> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Snapshot::default()),
+            Err(e) => {
+                return Err(format!(
+                    "cannot read cache file `{}`: {e}",
+                    self.path.display()
+                ))
             }
-            CacheStore::Dir(seg) => seg.load_filtered(keep),
-        }
+        };
+        self.stats.bytes_read += bytes.len() as u64;
+        let snapshot = decode_cache_file(&bytes).map_err(|e| {
+            format!(
+                "cache file `{}` (content fingerprint {:016x}): {e}",
+                self.path.display(),
+                fnv1a64(&bytes)
+            )
+        })?;
+        self.stats.entries_loaded = snapshot.len();
+        Ok(snapshot)
     }
 
-    /// Persists `current`: a single file is rewritten whole; a segment
-    /// directory appends only the delta since load and compacts past its
-    /// budget. A no-op when nothing changed and no compaction is due.
+    /// Persists `current` by rewriting the file whole.
     ///
     /// # Errors
     ///
     /// A human-readable I/O message.
     pub fn save(&mut self, current: &Snapshot) -> Result<(), String> {
-        match self {
-            CacheStore::File {
-                path,
-                stats,
-                residue,
-            } => {
-                let bytes = if residue.is_empty() {
-                    encode_cache_file(current, path)
-                } else {
-                    let mut full = residue.clone();
-                    full.merge(current);
-                    encode_cache_file(&full, path)
-                };
-                std::fs::write(&*path, &bytes)
-                    .map_err(|e| format!("cannot write cache file `{}`: {e}", path.display()))?;
-                stats.bytes_written += bytes.len() as u64;
-                stats.segments = 1;
-                Ok(())
-            }
-            CacheStore::Dir(seg) => seg.save(current),
-        }
-    }
-}
-
-impl SegmentDir {
-    fn segment_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("seg-{seq:08}.seg"))
-    }
-
-    /// Every `seg-NNNNNNNN.seg` in the directory, ascending by sequence
-    /// number. Foreign files are ignored.
-    fn scan(&self) -> Result<Vec<u64>, String> {
-        let mut seqs = Vec::new();
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| format!("cannot read cache dir `{}`: {e}", self.dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("cache dir `{}`: {e}", self.dir.display()))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(seq) = name
-                .strip_prefix("seg-")
-                .and_then(|rest| rest.strip_suffix(".seg"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
-    }
-
-    fn load_filtered(&mut self, keep: Option<&HashSet<u64>>) -> Result<LoadOutcome, String> {
-        let seqs = self.scan()?;
-        self.next_seq = seqs.last().map_or(0, |last| last + 1);
-        self.live = seqs.clone();
-        self.unread.clear();
-        self.stats.segments = seqs.len();
-        let mut outcome = LoadOutcome::default();
-        let mut base = Snapshot::default();
-        for (i, &seq) in seqs.iter().enumerate() {
-            let trailing = i + 1 == seqs.len();
-            let path = self.segment_path(seq);
-            match read_segment(&path, keep) {
-                Ok(ReadSegment {
-                    snapshot: Some(snapshot),
-                    bytes_read,
-                    ..
-                }) => {
-                    self.stats.bytes_read += bytes_read;
-                    self.stats.segments_loaded += 1;
-                    base.merge(&snapshot);
-                    outcome.snapshot.merge(&snapshot);
-                }
-                Ok(ReadSegment {
-                    snapshot: None,
-                    bytes_read,
-                    ..
-                }) => {
-                    // The filter proved nothing wanted lives here; the
-                    // payload frame was never read. Remember the
-                    // sequence number: these facts are in no in-memory
-                    // snapshot, so a compaction must read and fold them
-                    // back in before it deletes the segment.
-                    self.stats.bytes_read += bytes_read;
-                    self.stats.segments_filtered += 1;
-                    self.unread.push(seq);
-                }
-                Err(message) if trailing => {
-                    self.stats.segments_skipped += 1;
-                    // Drop the unreadable tail from the live set so a
-                    // later compaction deletes it.
-                    outcome
-                        .warnings
-                        .push(format!("skipping torn trailing {message}"));
-                }
-                Err(message) => return Err(message),
-            }
-        }
-        self.stats.entries_loaded = outcome.snapshot.len();
-        self.base = base;
-        Ok(outcome)
-    }
-
-    fn save(&mut self, current: &Snapshot) -> Result<(), String> {
-        let delta = current.diff(&self.base);
-        if !delta.is_empty() {
-            let seq = self.next_seq;
-            self.stats.bytes_written += write_segment(&self.segment_path(seq), seq, &delta)?;
-            self.next_seq += 1;
-            self.live.push(seq);
-            self.stats.segments_appended += 1;
-            self.stats.segments = self.live.len();
-            self.base = current.clone();
-        }
-        if self.live.len() > self.max_segments {
-            self.compact(current)?;
-        }
+        let bytes = encode_cache_file(current, &self.path);
+        std::fs::write(&self.path, &bytes)
+            .map_err(|e| format!("cannot write cache file `{}`: {e}", self.path.display()))?;
+        self.stats.bytes_written += bytes.len() as u64;
         Ok(())
     }
-
-    /// Folds every live segment into one holding the full on-disk union:
-    /// the replacement is written and fsync'd **before** the old segments
-    /// are deleted, so a crash in between leaves a superset of the facts,
-    /// never a loss. Segments a partial load skipped are read here first
-    /// — their facts live nowhere else.
-    fn compact(&mut self, current: &Snapshot) -> Result<(), String> {
-        let mut full = current.clone();
-        for &skipped in &self.unread {
-            let path = self.segment_path(skipped);
-            let read = read_segment(&path, None)?;
-            self.stats.bytes_read += read.bytes_read;
-            if let Some(snapshot) = &read.snapshot {
-                full.merge(snapshot);
-            }
-        }
-        let seq = self.next_seq;
-        self.stats.bytes_written += write_segment(&self.segment_path(seq), seq, &full)?;
-        self.next_seq += 1;
-        for &old in &self.live {
-            let path = self.segment_path(old);
-            std::fs::remove_file(&path).map_err(|e| {
-                format!("cannot remove compacted segment `{}`: {e}", path.display())
-            })?;
-        }
-        self.live = vec![seq];
-        self.unread.clear();
-        self.base = full;
-        self.stats.compactions += 1;
-        self.stats.segments = 1;
-        Ok(())
-    }
-}
-
-/// One parsed segment header: the payload fingerprint and the `(space
-/// fingerprint, entry count)` directory that powers partial load. (The
-/// header also carries its sequence number on disk; readers trust the
-/// filename, so it is skipped on decode.)
-#[derive(Debug)]
-struct SegmentHeader {
-    payload_fingerprint: u64,
-    spaces: Vec<(u64, u64)>,
-}
-
-struct ReadSegment {
-    /// `None` when the filter skipped the payload frame.
-    snapshot: Option<Snapshot>,
-    bytes_read: u64,
-}
-
-fn write_segment(path: &Path, seq: u64, snapshot: &Snapshot) -> Result<u64, String> {
-    let payload = snapshot.encode_binary();
-    let mut header = Writer::with_header();
-    header.put_str(SEGMENT_KIND);
-    header.put_u64(seq);
-    header.put_u64(fnv1a64(&payload));
-    header.put_u32(snapshot.spaces.len() as u32);
-    for space in &snapshot.spaces {
-        header.put_u64(space.key.fingerprint());
-        header.put_u64(space.entries.len() as u64);
-    }
-    let header = header.finish();
-    let mut file = std::fs::File::create(path)
-        .map_err(|e| format!("cannot create cache segment `{}`: {e}", path.display()))?;
-    write_frame(&mut file, &header)
-        .and_then(|()| write_frame(&mut file, &payload))
-        .map_err(|e| format!("cache segment `{}` write: {e}", path.display()))?;
-    file.sync_data()
-        .map_err(|e| format!("cache segment `{}` sync: {e}", path.display()))?;
-    Ok((header.len() + payload.len() + 8) as u64)
-}
-
-/// Reads one segment, skipping the payload frame when `keep` proves the
-/// segment holds no wanted space. Errors name the path, the byte offset
-/// where decoding stopped, and the header's payload fingerprint when it
-/// was readable.
-fn read_segment(path: &Path, keep: Option<&HashSet<u64>>) -> Result<ReadSegment, String> {
-    let mut file = std::fs::File::open(path)
-        .map_err(|e| format!("cache segment `{}`: {e}", path.display()))?;
-    let header_frame =
-        read_frame(&mut file).map_err(|e| describe_frame_error(path, 0, None, &e))?;
-    // Byte layout: [u32 len][header doc][u32 len][payload doc].
-    let header_end = 4 + header_frame.len() as u64;
-    let header = parse_header(&header_frame).map_err(|e| describe_wire_error(path, 4, None, &e))?;
-    let fingerprint = Some(header.payload_fingerprint);
-    let wanted =
-        keep.is_none_or(|keep| header.spaces.iter().any(|(space, _)| keep.contains(space)));
-    if !wanted {
-        return Ok(ReadSegment {
-            snapshot: None,
-            bytes_read: header_end,
-        });
-    }
-    let payload = read_frame(&mut file)
-        .map_err(|e| describe_frame_error(path, header_end, fingerprint, &e))?;
-    let payload_start = header_end + 4;
-    if fnv1a64(&payload) != header.payload_fingerprint {
-        return Err(format!(
-            "cache segment `{}` (fingerprint {:016x}): payload fingerprint mismatch (found {:016x})",
-            path.display(),
-            header.payload_fingerprint,
-            fnv1a64(&payload)
-        ));
-    }
-    let snapshot = Snapshot::decode_binary(&payload)
-        .map_err(|e| describe_wire_error(path, payload_start, fingerprint, &e))?;
-    Ok(ReadSegment {
-        snapshot: Some(snapshot),
-        bytes_read: payload_start + payload.len() as u64,
-    })
-}
-
-fn parse_header(bytes: &[u8]) -> Result<SegmentHeader, WireError> {
-    let mut r = Reader::open(bytes)?;
-    let kind = r.take_str()?;
-    if kind != SEGMENT_KIND {
-        return Err(WireError::Malformed(format!(
-            "expected a {SEGMENT_KIND} document, found `{kind}`"
-        )));
-    }
-    let _seq = r.take_u64()?;
-    let payload_fingerprint = r.take_u64()?;
-    let space_count = r.take_u32()? as usize;
-    let mut spaces = Vec::with_capacity(space_count.min(1 << 16));
-    for _ in 0..space_count {
-        let fingerprint = r.take_u64()?;
-        let entries = r.take_u64()?;
-        spaces.push((fingerprint, entries));
-    }
-    Ok(SegmentHeader {
-        payload_fingerprint,
-        spaces,
-    })
-}
-
-fn describe_fingerprint(fingerprint: Option<u64>) -> String {
-    fingerprint.map_or_else(
-        || "header unread".to_owned(),
-        |f| format!("fingerprint {f:016x}"),
-    )
-}
-
-fn describe_frame_error(
-    path: &Path,
-    offset: u64,
-    fingerprint: Option<u64>,
-    e: &FrameError,
-) -> String {
-    let cause = match e {
-        FrameError::Eof => "file ends before the frame".to_owned(),
-        other => other.to_string(),
-    };
-    format!(
-        "cache segment `{}` ({}) at byte offset {offset}: {cause}",
-        path.display(),
-        describe_fingerprint(fingerprint)
-    )
-}
-
-fn describe_wire_error(
-    path: &Path,
-    frame_start: u64,
-    fingerprint: Option<u64>,
-    e: &WireError,
-) -> String {
-    let at = match e {
-        WireError::Truncated { offset } => frame_start + *offset as u64,
-        _ => frame_start,
-    };
-    format!(
-        "cache segment `{}` ({}) at byte offset {at}: {e}",
-        path.display(),
-        describe_fingerprint(fingerprint)
-    )
-}
-
-/// Reads only a segment's header directory — `(space fingerprint,
-/// entry count)` pairs — without touching the payload frame. Used by
-/// tooling and tests; load goes through [`CacheStore::load_filtered`].
-pub fn read_segment_directory(path: &Path) -> Result<Vec<(u64, u64)>, String> {
-    let mut file = std::fs::File::open(path)
-        .map_err(|e| format!("cache segment `{}`: {e}", path.display()))?;
-    let header_frame =
-        read_frame(&mut file).map_err(|e| describe_frame_error(path, 0, None, &e))?;
-    let header = parse_header(&header_frame).map_err(|e| describe_wire_error(path, 4, None, &e))?;
-    Ok(header.spaces)
 }
 
 #[cfg(test)]
@@ -561,8 +100,8 @@ mod tests {
     use super::*;
     use sega_wire::snapshot::{EntryRecord, GeometryRecord, KeyRecord, SpaceRecord};
 
-    fn key(wstore: u64) -> KeyRecord {
-        KeyRecord {
+    fn snapshot(wstore: u64, range: std::ops::Range<u32>) -> Snapshot {
+        let key = KeyRecord {
             tech_name: "tsmc28-calibrated".to_owned(),
             node_bits: 28.0f64.to_bits(),
             gate_area_bits: 0.18f64.to_bits(),
@@ -574,13 +113,10 @@ mod tests {
             activity_bits: 0.1f64.to_bits(),
             precision: "INT8".to_owned(),
             wstore,
-        }
-    }
-
-    fn snapshot(wstore: u64, range: std::ops::Range<u32>) -> Snapshot {
+        };
         let mut s = Snapshot {
             spaces: vec![SpaceRecord {
-                key: key(wstore),
+                key,
                 entries: range
                     .map(|i| EntryRecord {
                         geometry: GeometryRecord {
@@ -615,12 +151,13 @@ mod tests {
         let dir = tempdir("file");
         let path = dir.join("warm.bin");
         let mut store = CacheStore::file(&path);
-        assert!(store.load().unwrap().snapshot.is_empty());
+        assert!(store.load().unwrap().is_empty());
         let s = snapshot(8192, 0..10);
         store.save(&s).unwrap();
         let mut again = CacheStore::file(&path);
-        assert_eq!(again.load().unwrap().snapshot, s);
-        assert_eq!(again.stats().segments, 1);
+        assert_eq!(again.load().unwrap(), s);
+        assert_eq!(again.stats().entries_loaded, 10);
+        assert!(again.stats().bytes_read > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -635,107 +172,6 @@ mod tests {
         assert!(err.contains("warm.bin"), "{err}");
         assert!(err.contains("fingerprint"), "{err}");
         assert!(err.contains("offset"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dir_store_appends_deltas_and_loads_their_union() {
-        let dir = tempdir("dir");
-        let mut store = CacheStore::dir(&dir, 8).unwrap();
-        assert!(store.load().unwrap().snapshot.is_empty());
-        let first = snapshot(8192, 0..5);
-        store.save(&first).unwrap();
-        let mut grown = first.clone();
-        grown.merge(&snapshot(8192, 5..9));
-        store.save(&grown).unwrap();
-        // Saving the same snapshot again appends nothing.
-        store.save(&grown).unwrap();
-        assert_eq!(store.stats().segments_appended, 2);
-        assert_eq!(store.stats().segments, 2);
-        let mut again = CacheStore::dir(&dir, 8).unwrap();
-        assert_eq!(again.load().unwrap().snapshot, grown);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dir_store_compacts_past_its_budget() {
-        let dir = tempdir("compact");
-        let mut store = CacheStore::dir(&dir, 2).unwrap();
-        store.load().unwrap();
-        let mut acc = Snapshot::default();
-        for i in 0..4u32 {
-            acc.merge(&snapshot(8192, i * 3..i * 3 + 3));
-            store.save(&acc).unwrap();
-        }
-        assert!(store.stats().compactions >= 1, "{:?}", store.stats());
-        assert!(
-            store.stats().segments <= 2,
-            "budget must bound growth: {:?}",
-            store.stats()
-        );
-        let mut again = CacheStore::dir(&dir, 2).unwrap();
-        let loaded = again.load().unwrap();
-        assert_eq!(loaded.snapshot, acc);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_trailing_segment_is_skipped_with_a_warning() {
-        let dir = tempdir("torn");
-        let mut store = CacheStore::dir(&dir, 8).unwrap();
-        store.load().unwrap();
-        let first = snapshot(8192, 0..5);
-        store.save(&first).unwrap();
-        let mut grown = first.clone();
-        grown.merge(&snapshot(8192, 5..9));
-        store.save(&grown).unwrap();
-        // Tear the trailing segment mid-payload.
-        let tail = dir.join("seg-00000001.seg");
-        let bytes = std::fs::read(&tail).unwrap();
-        std::fs::write(&tail, &bytes[..bytes.len() - 9]).unwrap();
-        let mut again = CacheStore::dir(&dir, 8).unwrap();
-        let outcome = again.load().unwrap();
-        assert_eq!(outcome.snapshot, first, "prefix survives the torn tail");
-        assert_eq!(outcome.warnings.len(), 1);
-        let warning = &outcome.warnings[0];
-        assert!(warning.contains("seg-00000001.seg"), "{warning}");
-        assert!(warning.contains("offset"), "{warning}");
-        // A corrupt *non*-trailing segment is a hard, descriptive error.
-        let mut more = grown.clone();
-        more.merge(&snapshot(8192, 9..12));
-        again.save(&more).unwrap();
-        let err = CacheStore::dir(&dir, 8).unwrap().load().unwrap_err();
-        assert!(err.contains("seg-00000001.seg"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn partial_load_skips_unwanted_segments_without_their_payload() {
-        let dir = tempdir("filter");
-        let mut store = CacheStore::dir(&dir, 8).unwrap();
-        store.load().unwrap();
-        store.save(&snapshot(8192, 0..5)).unwrap();
-        let mut both = snapshot(8192, 0..5);
-        both.merge(&snapshot(16384, 0..4));
-        // Separate segment holding only the 16384 space.
-        store.save(&both).unwrap();
-        let want: HashSet<u64> = [key(16384).fingerprint()].into_iter().collect();
-        let mut filtered = CacheStore::dir(&dir, 8).unwrap();
-        let outcome = filtered.load_filtered(Some(&want)).unwrap();
-        assert_eq!(outcome.snapshot, snapshot(16384, 0..4));
-        assert_eq!(filtered.stats().segments_filtered, 1);
-        assert_eq!(filtered.stats().segments_loaded, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn segment_directory_reads_without_payload() {
-        let dir = tempdir("directory");
-        let mut store = CacheStore::dir(&dir, 8).unwrap();
-        store.load().unwrap();
-        store.save(&snapshot(8192, 0..5)).unwrap();
-        let spaces = read_segment_directory(&dir.join("seg-00000000.seg")).unwrap();
-        assert_eq!(spaces, vec![(key(8192).fingerprint(), 5)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

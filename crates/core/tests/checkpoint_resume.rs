@@ -152,92 +152,70 @@ fn torn_journal_tail_re_executes_only_the_lost_job() {
 /// A run abandoned *inside* a job — right after its Nth mid-job
 /// progress record — must resume at that generation boundary and still
 /// finish with a report byte-identical to an uninterrupted run with the
-/// same journaling cadence. Exercised both synchronously and with the
-/// speculative loop (whose ledger lands in the report and must survive
-/// the driver-state round trip through the journal).
+/// same journaling cadence.
 #[test]
 fn mid_job_progress_resume_reproduces_the_uninterrupted_report() {
-    for speculate in [false, true] {
-        let jobs = jobs();
-        let make_pipeline = || {
-            let mut p = pipeline();
-            p.speculate = speculate;
-            p
-        };
-        let name = format!("progress-{speculate}");
-        let reference_path = scratch(&format!("{name}-ref"));
-        // The reference also journals every 2 generations: checkpoint
-        // boundaries stay synchronous (the driver must pass through the
-        // exportable Breed state), so the speculation ledger depends on
-        // the journaling cadence and must match between the runs.
-        let reference = run_batch_with(
-            &jobs,
-            &tech(),
-            &conditions(),
-            make_pipeline(),
-            &BatchControl {
-                checkpoint: Some(CheckpointConfig::fresh(&reference_path)),
-                checkpoint_generations: 2,
-                ..Default::default()
-            },
-        )
-        .expect("reference run");
-        assert!(reference.complete);
+    let jobs = jobs();
+    let reference_path = scratch("progress-ref");
+    let reference = run_batch_with(
+        &jobs,
+        &tech(),
+        &conditions(),
+        pipeline(),
+        &BatchControl {
+            checkpoint: Some(CheckpointConfig::fresh(&reference_path)),
+            checkpoint_generations: 2,
+            ..Default::default()
+        },
+    )
+    .expect("reference run");
+    assert!(reference.complete);
 
-        let path = scratch(&name);
-        let stopped = run_batch_with(
-            &jobs,
-            &tech(),
-            &conditions(),
-            make_pipeline(),
-            &BatchControl {
-                checkpoint: Some(CheckpointConfig::fresh(&path)),
-                checkpoint_generations: 2,
-                stop_after_progress: Some(2),
-                ..Default::default()
-            },
-        )
-        .expect("stopped run");
-        assert!(!stopped.complete, "the run must abandon mid-job");
-        assert_eq!(
-            stopped.outcomes.len(),
-            0,
-            "the interrupted job must not report an outcome"
-        );
+    let path = scratch("progress");
+    let stopped = run_batch_with(
+        &jobs,
+        &tech(),
+        &conditions(),
+        pipeline(),
+        &BatchControl {
+            checkpoint: Some(CheckpointConfig::fresh(&path)),
+            checkpoint_generations: 2,
+            stop_after_progress: Some(2),
+            ..Default::default()
+        },
+    )
+    .expect("stopped run");
+    assert!(!stopped.complete, "the run must abandon mid-job");
+    assert_eq!(
+        stopped.outcomes.len(),
+        0,
+        "the interrupted job must not report an outcome"
+    );
 
-        let resumed = run_batch_with(
-            &jobs,
-            &tech(),
-            &conditions(),
-            make_pipeline(),
-            &BatchControl {
-                checkpoint: Some(CheckpointConfig::resume(&path)),
-                checkpoint_generations: 2,
-                ..Default::default()
-            },
-        )
-        .expect("resumed run");
-        assert!(resumed.complete);
-        assert_eq!(
-            resumed.resumed_jobs, 0,
-            "no job had finished; the interrupted one resumes mid-flight"
-        );
-        if speculate {
-            assert!(
-                resumed.speculation.speculated > 0,
-                "the speculative loop must have run: {:?}",
-                resumed.speculation
-            );
-        }
-        assert_eq!(
-            resumed.to_json().to_string(),
-            reference.to_json().to_string(),
-            "mid-job resume must reproduce the uninterrupted report \
-             (speculate: {speculate})"
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&reference_path);
-    }
+    let resumed = run_batch_with(
+        &jobs,
+        &tech(),
+        &conditions(),
+        pipeline(),
+        &BatchControl {
+            checkpoint: Some(CheckpointConfig::resume(&path)),
+            checkpoint_generations: 2,
+            ..Default::default()
+        },
+    )
+    .expect("resumed run");
+    assert!(resumed.complete);
+    assert_eq!(
+        resumed.resumed_jobs, 0,
+        "no job had finished; the interrupted one resumes mid-flight"
+    );
+    assert_eq!(
+        resumed.to_json().to_string(),
+        reference.to_json().to_string(),
+        "mid-job resume must reproduce the uninterrupted report"
+    );
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&reference_path);
 }
 
 #[test]

@@ -325,12 +325,11 @@ proptest! {
     }
 
     /// The persistent cache tier joins the matrix: a shared cache
-    /// warmed through a segment-store round-trip (forced compaction
-    /// included) and one warmed by digest sync both reproduce the
-    /// serial front bit-identically — with **zero** distinct
-    /// evaluations, since the donor run computed everything.
+    /// warmed through a `--cache-file` round-trip (binary and JSON)
+    /// reproduces the serial front bit-identically — with **zero**
+    /// distinct evaluations, since the donor run computed everything.
     #[test]
-    fn store_and_sync_warmed_caches_reproduce_the_serial_front(
+    fn cache_file_warmed_caches_reproduce_the_serial_front(
         precision_idx in 0usize..8,
         seed in 0u64..1000,
     ) {
@@ -348,39 +347,23 @@ proptest! {
         .with_shared_cache(Arc::clone(cache));
         explore(&spec, seed, pipeline(&donor));
 
-        // Arm 1: the donor's snapshot through a segment store with a
-        // budget of one, so the round-trip includes a compaction.
-        let dir = std::env::temp_dir().join(format!(
-            "sega-pipeline-store-{}-{seed}-{precision_idx}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = sega_dcim::CacheStore::dir(&dir, 1).unwrap();
-        store.load().unwrap();
-        store.save(&donor.snapshot()).unwrap();
-        let loaded = sega_dcim::CacheStore::dir(&dir, 1)
-            .unwrap()
-            .load()
-            .unwrap()
-            .snapshot;
-        let via_store = Arc::new(SharedEvalCache::new());
-        via_store.load(&loaded).unwrap();
-        let run = explore(&spec, seed, pipeline(&via_store));
-        prop_assert_eq!(run.objective_matrix(), baseline.objective_matrix());
-        prop_assert_eq!(run.distinct_evaluations, 0, "store-warmed run must be estimator-free");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Arm 2: the donor's entries over the anti-entropy planner, as
-        // a rejoining peer would receive them.
-        let via_sync = Arc::new(SharedEvalCache::new());
-        let plan = sega_wire::sync::plan_delta(
-            &donor.snapshot(),
-            &sega_wire::sync::CacheDigest::of(&via_sync.snapshot()),
-        );
-        via_sync.load(&plan.delta).unwrap();
-        let run = explore(&spec, seed, pipeline(&via_sync));
-        prop_assert_eq!(run.objective_matrix(), baseline.objective_matrix());
-        prop_assert_eq!(run.distinct_evaluations, 0, "sync-warmed run must be estimator-free");
+        for extension in ["bin", "json"] {
+            let path = std::env::temp_dir().join(format!(
+                "sega-pipeline-store-{}-{seed}-{precision_idx}.{extension}",
+                std::process::id()
+            ));
+            sega_dcim::CacheStore::file(&path).save(&donor.snapshot()).unwrap();
+            let loaded = sega_dcim::CacheStore::file(&path).load().unwrap();
+            let _ = std::fs::remove_file(&path);
+            let via_file = Arc::new(SharedEvalCache::new());
+            via_file.load(&loaded).unwrap();
+            let run = explore(&spec, seed, pipeline(&via_file));
+            prop_assert_eq!(run.objective_matrix(), baseline.objective_matrix());
+            prop_assert_eq!(
+                run.distinct_evaluations, 0,
+                "file-warmed run must be estimator-free ({})", extension
+            );
+        }
     }
 
     /// The mixed-precision fan-out is bit-identical between its serial
@@ -464,21 +447,19 @@ fn cached_exploration_reaches_5x_fewer_estimates_at_default_budget() {
 }
 
 // ---------------------------------------------------------------------------
-// The speculative loop: breeding generation g+1 while generation g's
-// cohort is still in flight must be invisible in every committed number
-// — fronts AND accounting bit-identical to the synchronous loop, on
-// every backend, even with workers dying or hanging mid-run — and the
-// speculation ledger must partition exactly.
+// The remote fleet: where a cohort is evaluated must be invisible in
+// every committed number — fronts AND accounting bit-identical to the
+// in-process loop, for every fleet size, even with workers dying or
+// hanging mid-run.
 // ---------------------------------------------------------------------------
 
 fn program() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_sega-dcim"))
 }
 
-/// A budget that actually converges: the low mutation rate lets late
-/// cohorts consist entirely of already-cached genomes, which is the
-/// only way a speculation can confirm (a predicted `+∞` miss row never
-/// matches a real estimate).
+/// A small budget whose low mutation rate lets late cohorts consist
+/// entirely of already-cached genomes, so fleets see both empty and
+/// non-empty miss lists.
 fn small_cfg(seed: u64) -> Nsga2Config {
     Nsga2Config {
         population: 10,
@@ -492,14 +473,12 @@ fn small_cfg(seed: u64) -> Nsga2Config {
 fn run_small(
     spec: &UserSpec,
     seed: u64,
-    speculate: bool,
     backend: Option<Arc<dyn EvalBackend>>,
 ) -> ExplorationResult {
     let pipeline = PipelineOptions {
         threads: 1,
         cache: true,
         min_batch_per_worker: 1,
-        speculate,
         backend,
         ..Default::default()
     };
@@ -512,13 +491,13 @@ fn run_small(
     )
 }
 
-/// Everything the synchronous loop commits, compared field by field:
-/// the front and the full evaluation accounting.
+/// Everything the loop commits, compared field by field: the front and
+/// the full evaluation accounting.
 fn assert_committed_identical(run: &ExplorationResult, baseline: &ExplorationResult, label: &str) {
     assert_eq!(
         run.objective_matrix(),
         baseline.objective_matrix(),
-        "{label}: front diverged from the synchronous loop"
+        "{label}: front diverged from the in-process loop"
     );
     assert_eq!(run.evaluations, baseline.evaluations, "{label}");
     assert_eq!(
@@ -529,41 +508,11 @@ fn assert_committed_identical(run: &ExplorationResult, baseline: &ExplorationRes
     assert_eq!(run.interned, baseline.interned, "{label}");
 }
 
-/// The speculation ledger law: every speculated cohort either stood or
-/// was re-bred, nothing else.
-fn assert_speculation_ledger(run: &ExplorationResult, label: &str) {
-    assert_eq!(
-        run.speculation.speculated,
-        run.speculation.confirmed + run.speculation.rebred,
-        "{label}: ledger must partition ({:?})",
-        run.speculation
-    );
-}
-
 #[test]
-fn speculative_loop_is_bit_identical_across_backends_and_faults() {
+fn synchronous_loop_is_bit_identical_across_remote_fleets_and_faults() {
     let spec = UserSpec::new(8192, Precision::Int8).unwrap();
     let seed = 41;
-    let baseline = run_small(&spec, seed, false, None);
-    assert_eq!(
-        baseline.speculation.speculated, 0,
-        "sync loop never speculates"
-    );
-
-    // The macro backend first: one speculation per non-final cohort.
-    let run = run_small(&spec, seed, true, None);
-    assert_committed_identical(&run, &baseline, "speculative macro");
-    assert_speculation_ledger(&run, "speculative macro");
-    assert_eq!(
-        run.speculation.speculated,
-        small_cfg(seed).generations as u64,
-        "every cohort but the final one is bred ahead"
-    );
-    assert!(
-        run.speculation.confirmed > 0,
-        "a converged fault-free run must confirm fully-cached cohorts: {:?}",
-        run.speculation
-    );
+    let baseline = run_small(&spec, seed, None);
 
     // Remote fleets: every size, healthy and sabotaged. Respawning is
     // off and the deadline short, as in the remote acceptance suite.
@@ -579,118 +528,106 @@ fn speculative_loop_is_bit_identical_across_backends_and_faults() {
             }
             let backend = Arc::new(RemoteBackend::spawn(options).expect("spawn fleet"))
                 as Arc<dyn EvalBackend>;
-            let label = format!("speculative remote x{fleet_size} fault {fault:?}");
-            let run = run_small(&spec, seed, true, Some(backend));
+            let label = format!("remote x{fleet_size} fault {fault:?}");
+            let run = run_small(&spec, seed, Some(backend));
             assert_committed_identical(&run, &baseline, &label);
-            assert_speculation_ledger(&run, &label);
-            if fault.is_none() {
-                assert!(
-                    run.speculation.confirmed > 0,
-                    "{label}: fault-free remote arm must confirm: {:?}",
-                    run.speculation
-                );
-            }
         }
     }
 }
 
 /// Stopping an exploration at a journaled generation boundary and
 /// resuming from the exported driver state reproduces the uninterrupted
-/// run's front and accounting — with and without speculation. The
-/// shared cache plays the role of the batch journal's snapshot delta.
+/// run's front and accounting. The shared cache plays the role of the
+/// batch journal's snapshot delta.
 #[test]
 fn mid_exploration_checkpoint_resume_matches_the_uninterrupted_run() {
     let spec = UserSpec::new(16384, Precision::Int8).unwrap();
     let tech = Technology::tsmc28();
     let conditions = OperatingConditions::paper_default();
     let config = small_cfg(43);
-    for speculate in [false, true] {
-        let pipeline = |cache: &Arc<SharedEvalCache>| {
-            PipelineOptions {
-                threads: 1,
-                cache: true,
-                min_batch_per_worker: 1,
-                speculate,
-                ..Default::default()
+    let pipeline = |cache: &Arc<SharedEvalCache>| {
+        PipelineOptions {
+            threads: 1,
+            cache: true,
+            min_batch_per_worker: 1,
+            ..Default::default()
+        }
+        .with_shared_cache(Arc::clone(cache))
+    };
+
+    let reference_cache = Arc::new(SharedEvalCache::new());
+    let reference = explore_pareto_resumable(
+        &spec,
+        &tech,
+        &conditions,
+        &config,
+        pipeline(&reference_cache),
+        None,
+        2,
+        &mut |_| true,
+    )
+    .expect("uninterrupted run");
+
+    // The "killed" run: capture the second checkpoint, then refuse
+    // to continue — exactly what `--stop-after-progress 2` does.
+    let cache = Arc::new(SharedEvalCache::new());
+    let mut captured: Option<ExploreResume> = None;
+    let mut checkpoints = 0usize;
+    let interrupted = explore_pareto_resumable(
+        &spec,
+        &tech,
+        &conditions,
+        &config,
+        pipeline(&cache),
+        None,
+        2,
+        &mut |state| {
+            checkpoints += 1;
+            if checkpoints == 2 {
+                captured = Some(state.clone());
+                false
+            } else {
+                true
             }
-            .with_shared_cache(Arc::clone(cache))
-        };
+        },
+    );
+    assert!(interrupted.is_none(), "the run must report the abandon");
+    let resume = captured.expect("two generation boundaries must pass");
 
-        let reference_cache = Arc::new(SharedEvalCache::new());
-        let reference = explore_pareto_resumable(
-            &spec,
-            &tech,
-            &conditions,
-            &config,
-            pipeline(&reference_cache),
-            None,
-            2,
-            &mut |_| true,
-        )
-        .expect("uninterrupted run");
-
-        // The "killed" run: capture the second checkpoint, then refuse
-        // to continue — exactly what `--stop-after-progress 2` does.
-        let cache = Arc::new(SharedEvalCache::new());
-        let mut captured: Option<ExploreResume> = None;
-        let mut checkpoints = 0usize;
-        let interrupted = explore_pareto_resumable(
-            &spec,
-            &tech,
-            &conditions,
-            &config,
-            pipeline(&cache),
-            None,
-            2,
-            &mut |state| {
-                checkpoints += 1;
-                if checkpoints == 2 {
-                    captured = Some(state.clone());
-                    false
-                } else {
-                    true
-                }
-            },
-        );
-        assert!(interrupted.is_none(), "the run must report the abandon");
-        let resume = captured.expect("two generation boundaries must pass");
-
-        let resumed = explore_pareto_resumable(
-            &spec,
-            &tech,
-            &conditions,
-            &config,
-            pipeline(&cache),
-            Some(resume),
-            2,
-            &mut |_| true,
-        )
-        .expect("resumed run");
-        let label = format!("resume (speculate: {speculate})");
-        assert_committed_identical(&resumed, &reference, &label);
-        // Scratch-allocation counters (dominance and estimator) depend
-        // on process-local buffer warmth and are exempt from the resume
-        // contract; the work counters and the speculation ledger are not.
-        assert_eq!(
-            resumed.dominance.comparisons, reference.dominance.comparisons,
-            "{label}"
-        );
-        assert_eq!(
-            resumed.dominance.word_ops, reference.dominance.word_ops,
-            "{label}"
-        );
-        assert_eq!(
-            resumed.estimator.designs, reference.estimator.designs,
-            "{label}"
-        );
-        assert_eq!(
-            resumed.estimator.batched, reference.estimator.batched,
-            "{label}"
-        );
-        assert_eq!(
-            resumed.estimator.scalar_fallbacks, reference.estimator.scalar_fallbacks,
-            "{label}"
-        );
-        assert_eq!(resumed.speculation, reference.speculation, "{label}");
-    }
+    let resumed = explore_pareto_resumable(
+        &spec,
+        &tech,
+        &conditions,
+        &config,
+        pipeline(&cache),
+        Some(resume),
+        2,
+        &mut |_| true,
+    )
+    .expect("resumed run");
+    let label = "resume";
+    assert_committed_identical(&resumed, &reference, label);
+    // Scratch-allocation counters (dominance and estimator) depend
+    // on process-local buffer warmth and are exempt from the resume
+    // contract; the work counters are not.
+    assert_eq!(
+        resumed.dominance.comparisons, reference.dominance.comparisons,
+        "{label}"
+    );
+    assert_eq!(
+        resumed.dominance.word_ops, reference.dominance.word_ops,
+        "{label}"
+    );
+    assert_eq!(
+        resumed.estimator.designs, reference.estimator.designs,
+        "{label}"
+    );
+    assert_eq!(
+        resumed.estimator.batched, reference.estimator.batched,
+        "{label}"
+    );
+    assert_eq!(
+        resumed.estimator.scalar_fallbacks, reference.estimator.scalar_fallbacks,
+        "{label}"
+    );
 }

@@ -73,7 +73,6 @@ pub use baselines::{exhaustive_front, random_search, weighted_sum_ga, WeightedSu
 pub use matrix::ObjectiveMatrix;
 pub use nsga2::{
     DriverPhase, DriverState, Individual, Nsga2, Nsga2Config, Nsga2Driver, Nsga2Result,
-    SpeculationStats,
 };
 pub use pareto::DominanceStats;
 pub use problem::Problem;

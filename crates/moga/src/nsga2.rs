@@ -2,8 +2,8 @@ use std::collections::HashMap;
 
 use crate::matrix::ObjectiveMatrix;
 use crate::pareto::{
-    crowding_distances_matrix_into, non_dominated_sort_matrix_into, CrowdingScratch,
-    DominanceStats, SortScratch,
+    crowding_distances_matrix_into, nan_last_cmp, nan_last_cmp_rows,
+    non_dominated_sort_matrix_into, CrowdingScratch, DominanceStats, SortScratch,
 };
 use crate::Problem;
 use rand::rngs::StdRng;
@@ -65,23 +65,6 @@ pub struct Individual<G> {
     pub crowding: f64,
 }
 
-/// The speculation ledger of one run: how often the driver bred a
-/// generation against predicted objective rows before the true rows had
-/// landed, and how each bet settled. The ledger law
-/// `speculated == confirmed + rebred` holds whenever no speculation is
-/// still outstanding.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpeculationStats {
-    /// Generations bred speculatively (one per [`Nsga2Driver::speculate`]).
-    pub speculated: u64,
-    /// Speculations whose predicted rows matched the true rows
-    /// bit-for-bit — the speculative breeding stood.
-    pub confirmed: u64,
-    /// Speculations rolled back and re-bred because the true rows
-    /// differed from the prediction.
-    pub rebred: u64,
-}
-
 /// The outcome of an NSGA-II run.
 #[derive(Debug, Clone)]
 pub struct Nsga2Result<G> {
@@ -100,11 +83,8 @@ pub struct Nsga2Result<G> {
     /// [`Nsga2Config::intern`] is off.
     pub interned: usize,
     /// Dominance-kernel work counters accumulated across every
-    /// non-dominated sort of the run (honest totals: mispredicted
-    /// speculations keep the sorting work they discarded).
+    /// non-dominated sort of the run.
     pub dominance: DominanceStats,
-    /// The speculation ledger — all zero for a plain synchronous run.
-    pub speculation: SpeculationStats,
 }
 
 /// The NSGA-II algorithm (elitist fast-non-dominated-sorting GA with
@@ -121,7 +101,6 @@ pub struct Nsga2 {
 /// generation's selection machinery walks contiguous memory and never
 /// allocates per individual. [`Individual`]s are materialized only at
 /// the result boundary.
-#[derive(Clone)]
 struct Pop<G> {
     genomes: Vec<G>,
     objs: ObjectiveMatrix,
@@ -196,14 +175,13 @@ impl Nsga2 {
 /// The cycle is `Breed → Submitted → Reconcile → Select → Breed …`,
 /// ending in `Done` after the final cohort's selection. Every transition
 /// is an explicit method call, so a caller can interleave arbitrary work
-/// — remote evaluation, checkpointing, speculation — between steps.
+/// — remote evaluation, checkpointing — between steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverPhase {
     /// Ready to breed the next cohort ([`Nsga2Driver::breed`]).
     Breed,
     /// A cohort is bred and awaiting objective rows
-    /// ([`Nsga2Driver::pending`] → [`Nsga2Driver::provide_rows`], or
-    /// [`Nsga2Driver::speculate`]).
+    /// ([`Nsga2Driver::pending`] → [`Nsga2Driver::provide_rows`]).
     Submitted,
     /// Rows are staged and ready to install ([`Nsga2Driver::reconcile`]).
     Reconcile,
@@ -214,10 +192,7 @@ pub enum DriverPhase {
     Done,
 }
 
-/// One bred-but-unevaluated cohort, owned by the driver (not the shared
-/// scratch) so a speculative breed of generation g+1 cannot clobber the
-/// interning products of the still-outstanding generation g.
-#[derive(Clone)]
+/// One bred-but-unevaluated cohort and its interning products.
 struct PendingBatch<G> {
     /// The full bred cohort, duplicates included (appended to the
     /// population at reconcile).
@@ -240,27 +215,13 @@ impl<G> Default for PendingBatch<G> {
     }
 }
 
-/// Everything [`Nsga2Driver::resolve`] needs to rewind a mispredicted
-/// speculation: the pre-speculation RNG stream, population, pending
-/// cohort and counters, plus the predicted rows the bet was placed on.
-struct SpecSnapshot<G> {
-    rng: StdRng,
-    pop: Pop<G>,
-    pending: PendingBatch<G>,
-    bred: usize,
-    evaluations: usize,
-    interned: usize,
-    predicted: ObjectiveMatrix,
-}
-
 /// Exported driver state — everything needed to resume an NSGA-II run
 /// exactly where it stopped, in plain-old-data form so the wire layer
 /// can serialize it without reaching into the driver's internals.
 ///
-/// Only capturable between generations ([`DriverPhase::Breed`] with no
-/// speculation outstanding — see [`Nsga2Driver::export_state`]); a
-/// driver rebuilt by [`Nsga2Driver::from_state`] continues the run
-/// bit-identically.
+/// Only capturable between generations ([`DriverPhase::Breed`] — see
+/// [`Nsga2Driver::export_state`]); a driver rebuilt by
+/// [`Nsga2Driver::from_state`] continues the run bit-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriverState<G> {
     /// The run configuration (seed included — the RNG stream position
@@ -287,8 +248,6 @@ pub struct DriverState<G> {
     /// exactly; `allocations` additionally counts post-resume scratch
     /// re-warming (buffers the uninterrupted run had already grown).
     pub dominance: DominanceStats,
-    /// The speculation ledger so far.
-    pub speculation: SpeculationStats,
 }
 
 /// `Nsga2::run` unrolled into an explicitly resumable state machine.
@@ -297,18 +256,11 @@ pub struct DriverState<G> {
 /// [`ObjectiveMatrix`], rank/crowding vectors, RNG stream, counters —
 /// and exposes the evolution loop as discrete steps (see
 /// [`DriverPhase`]). The synchronous [`Nsga2::run`] is a thin loop over
-/// these steps; callers that evaluate asynchronously instead hold the
-/// driver in `Submitted` while the cohort is in flight, and may:
-///
-/// * **speculate** ([`Self::speculate`]): breed generation g+1 against
-///   predicted rows while g is still outstanding, then settle the bet
-///   with [`Self::resolve`] when the true rows land — a bit-for-bit
-///   match keeps the speculative work, a mismatch rewinds and re-breeds
-///   from the true rows, so the committed trajectory is always
-///   bit-identical to the synchronous loop by construction;
-/// * **checkpoint** ([`Self::export_state`] / [`Self::from_state`]):
-///   serialize the run between generations and resume it elsewhere,
-///   continuing the exact RNG stream and counters.
+/// these steps; callers that evaluate elsewhere instead hold the driver
+/// in `Submitted` while the cohort is in flight. Between generations
+/// the run can be **checkpointed** ([`Self::export_state`] /
+/// [`Self::from_state`]): serialized and resumed elsewhere, continuing
+/// the exact RNG stream and counters.
 pub struct Nsga2Driver<G> {
     config: Nsga2Config,
     objectives: usize,
@@ -325,8 +277,6 @@ pub struct Nsga2Driver<G> {
     /// Dominance counters carried in from an imported [`DriverState`]
     /// (the live counters accumulate in `scratch.sort`).
     dominance_base: DominanceStats,
-    speculation: SpeculationStats,
-    snapshot: Option<SpecSnapshot<G>>,
 }
 
 impl<G: Clone + PartialEq> Nsga2Driver<G> {
@@ -358,8 +308,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
             bred: 0,
             evaluations: 0,
             dominance_base: DominanceStats::default(),
-            speculation: SpeculationStats::default(),
-            snapshot: None,
             objectives,
             config,
         }
@@ -373,18 +321,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
     /// The run configuration.
     pub fn config(&self) -> &Nsga2Config {
         &self.config
-    }
-
-    /// True when the outstanding cohort is the run's last — selection
-    /// after it completes the run, so there is no next generation to
-    /// speculate on.
-    pub fn is_final_cohort(&self) -> bool {
-        self.phase == DriverPhase::Submitted && self.bred == self.config.generations + 1
-    }
-
-    /// The speculation ledger so far.
-    pub fn speculation_stats(&self) -> SpeculationStats {
-        self.speculation
     }
 
     /// Cohorts bred so far (1 = the initial population; the driver is
@@ -560,92 +496,18 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
         };
     }
 
-    /// Places a speculative bet on the outstanding cohort: installs
-    /// `predicted` rows (same shape [`Self::provide_rows`] expects),
-    /// selects, and breeds the next generation — all before the true
-    /// rows have landed. The pre-bet state is snapshotted; settle with
-    /// [`Self::resolve`] once the true rows arrive.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no cohort is outstanding or a speculation is already
-    /// unsettled.
-    pub fn speculate<P: Problem<Genome = G>>(&mut self, problem: &P, predicted: &ObjectiveMatrix) {
-        assert_eq!(self.phase, DriverPhase::Submitted, "speculate out of phase");
-        assert!(self.snapshot.is_none(), "speculation already outstanding");
-        self.snapshot = Some(SpecSnapshot {
-            rng: self.rng.clone(),
-            pop: self.pop.clone(),
-            pending: self.pending.clone(),
-            bred: self.bred,
-            evaluations: self.evaluations,
-            interned: self.scratch.interned,
-            predicted: predicted.clone(),
-        });
-        self.speculation.speculated += 1;
-        self.provide_rows(predicted);
-        self.reconcile();
-        self.select();
-        if self.phase == DriverPhase::Breed {
-            self.breed(problem);
-        }
-    }
-
-    /// Settles the outstanding speculation against the true rows.
-    ///
-    /// A bit-for-bit match confirms the bet — the speculatively bred
-    /// generation stands, and the driver is already `Submitted` on it
-    /// (counted in [`SpeculationStats::confirmed`]; returns `true`).
-    /// A mismatch rewinds to the snapshot and replays the install /
-    /// select / breed sequence from the true rows — exactly what the
-    /// synchronous loop would have computed (counted in
-    /// [`SpeculationStats::rebred`]; returns `false`). Dominance
-    /// counters are **not** rewound: discarded speculative sorting work
-    /// is reported honestly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no speculation is outstanding.
-    pub fn resolve<P: Problem<Genome = G>>(
-        &mut self,
-        problem: &P,
-        actual: &ObjectiveMatrix,
-    ) -> bool {
-        let snap = self.snapshot.take().expect("no speculation outstanding");
-        if bits_equal(&snap.predicted, actual) {
-            self.speculation.confirmed += 1;
-            return true;
-        }
-        self.speculation.rebred += 1;
-        self.rng = snap.rng;
-        self.pop = snap.pop;
-        self.pending = snap.pending;
-        self.bred = snap.bred;
-        self.evaluations = snap.evaluations;
-        self.scratch.interned = snap.interned;
-        self.phase = DriverPhase::Submitted;
-        self.provide_rows(actual);
-        self.reconcile();
-        self.select();
-        if self.phase == DriverPhase::Breed {
-            self.breed(problem);
-        }
-        false
-    }
-
     /// Exports the run state between generations, for serialization.
     ///
     /// # Panics
     ///
     /// Panics unless the driver is at [`DriverPhase::Breed`] (a
-    /// generation boundary) with no speculation outstanding.
+    /// generation boundary).
     pub fn export_state(&self) -> DriverState<G> {
         assert_eq!(
             self.phase,
             DriverPhase::Breed,
             "export only at a generation boundary"
         );
-        assert!(self.snapshot.is_none(), "speculation outstanding");
         let mut dominance = self.dominance_base;
         dominance.merge(self.scratch.sort.stats());
         DriverState {
@@ -659,7 +521,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
             evaluations: self.evaluations,
             interned: self.scratch.interned,
             dominance,
-            speculation: self.speculation,
         }
     }
 
@@ -692,8 +553,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
             bred: state.bred,
             evaluations: state.evaluations,
             dominance_base: state.dominance,
-            speculation: state.speculation,
-            snapshot: None,
             objectives,
             config: state.config,
         }
@@ -716,7 +575,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
             generations: self.config.generations,
             interned: self.scratch.interned,
             dominance,
-            speculation: self.speculation,
         }
     }
 
@@ -734,19 +592,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
         }
         self.into_result()
     }
-}
-
-/// `true` when the two matrices hold bit-identical rows — the
-/// speculation confirmation predicate (IEEE `==` would treat `-0.0` and
-/// `0.0` as equal and `NaN` as unequal to itself; bits are what the
-/// committed-trajectory guarantee is stated in).
-fn bits_equal(a: &ObjectiveMatrix, b: &ObjectiveMatrix) -> bool {
-    a.len() == b.len()
-        && a.width() == b.width()
-        && a.as_flat()
-            .iter()
-            .zip(b.as_flat())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Interns a bred cohort: `slots[i]` = index of `cohort[i]` in
@@ -843,8 +688,7 @@ fn rank_population<G>(pop: &mut Pop<G>, scratch: &mut EvolutionScratch<G>) {
 /// survivor plan, the sort/crowding buffers, the interning hash tables,
 /// and the SoA staging area. One instance serves a whole run. (The
 /// per-cohort interning *products* — distinct list and slot map — live
-/// in the driver's [`PendingBatch`] instead, because a speculative breed
-/// must not clobber the outstanding cohort's.)
+/// in the driver's [`PendingBatch`].)
 struct EvolutionScratch<G> {
     sort: SortScratch,
     crowd: CrowdingScratch,
@@ -920,9 +764,7 @@ fn select_survivors<G>(pop: &mut Pop<G>, target: usize, scratch: &mut EvolutionS
             scratch
                 .by_crowding
                 .extend(front.iter().copied().zip(scratch.dist.iter().copied()));
-            scratch
-                .by_crowding
-                .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            scratch.by_crowding.sort_by(|a, b| nan_last_cmp(b.1, a.1));
             scratch.by_crowding.truncate(target - scratch.plan.len());
             // …then recompute crowding among the kept subset, matching
             // what a full re-rank of the survivor set would produce.
@@ -979,11 +821,7 @@ fn extract_front<G: Clone>(pop: &Pop<G>) -> Vec<Individual<G>> {
             crowding: pop.crowding[i],
         })
         .collect();
-    front.sort_by(|a, b| {
-        a.objectives
-            .partial_cmp(&b.objectives)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    front.sort_by(|a, b| nan_last_cmp_rows(&a.objectives, &b.objectives));
     front.dedup_by(|a, b| a.objectives == b.objectives);
     front
 }
@@ -1237,6 +1075,60 @@ mod tests {
         );
     }
 
+    /// A problem whose every third genome evaluates to a NaN objective.
+    struct NanRows;
+    impl Problem for NanRows {
+        type Genome = i64;
+        fn objectives(&self) -> usize {
+            2
+        }
+        fn random_genome(&self, rng: &mut dyn RngCore) -> i64 {
+            (rng.next_u32() % 1000) as i64
+        }
+        fn evaluate(&self, x: &i64) -> Vec<f64> {
+            let y = if x % 3 == 0 {
+                f64::NAN
+            } else {
+                (1000 - x) as f64
+            };
+            vec![*x as f64, y]
+        }
+        fn crossover(&self, a: &i64, b: &i64, _: &mut dyn RngCore) -> i64 {
+            (a + b) / 2
+        }
+        fn mutate(&self, x: &mut i64, rng: &mut dyn RngCore) {
+            *x = (*x + (rng.next_u32() % 21) as i64 - 10).clamp(0, 999);
+        }
+    }
+
+    #[test]
+    fn nan_rows_run_to_completion() {
+        let cfg = Nsga2Config {
+            population: 48,
+            generations: 8,
+            seed: 21,
+            ..Default::default()
+        };
+        let a = Nsga2::new(cfg.clone()).run(&NanRows);
+        let b = Nsga2::new(cfg).run(&NanRows);
+        assert_eq!(a.population.len(), 48);
+        assert!(!a.front.is_empty());
+        let bits = |r: &Nsga2Result<i64>| -> Vec<Vec<u64>> {
+            r.front
+                .iter()
+                .map(|i| i.objectives.iter().map(|o| o.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        // The front is sorted with NaN after every number.
+        for w in a.front.windows(2) {
+            assert_ne!(
+                nan_last_cmp_rows(&w[0].objectives, &w[1].objectives),
+                std::cmp::Ordering::Greater
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "population must be at least 2")]
     fn tiny_population_rejected() {
@@ -1310,7 +1202,6 @@ mod tests {
                 let stepped = step_driver(cfg);
                 assert_results_identical(&reference, &stepped);
                 assert_eq!(reference.dominance, stepped.dominance, "dominance differs");
-                assert_eq!(stepped.speculation, SpeculationStats::default());
             }
         }
     }
@@ -1363,88 +1254,5 @@ mod tests {
             // The exported state itself round-trips structurally.
             assert_eq!(state, Nsga2Driver::from_state(state.clone()).export_state());
         }
-    }
-
-    #[test]
-    fn speculation_with_exact_predictions_confirms() {
-        let cfg = Nsga2Config {
-            population: 16,
-            generations: 10,
-            seed: 13,
-            ..Default::default()
-        };
-        let reference = Nsga2::new(cfg.clone()).run(&Sch);
-        let mut driver: Nsga2Driver<f64> = Nsga2Driver::new(cfg, Sch.objectives());
-        let mut rows = ObjectiveMatrix::new(2);
-        loop {
-            match driver.phase() {
-                DriverPhase::Breed => driver.breed(&Sch),
-                DriverPhase::Submitted => {
-                    rows.clear();
-                    Sch.evaluate_batch_into(driver.pending(), &mut rows);
-                    if driver.is_final_cohort() {
-                        driver.provide_rows(&rows);
-                    } else {
-                        // A perfect oracle: predict exactly the true rows.
-                        driver.speculate(&Sch, &rows);
-                        assert!(driver.resolve(&Sch, &rows), "exact prediction must confirm");
-                    }
-                }
-                DriverPhase::Reconcile => driver.reconcile(),
-                DriverPhase::Select => driver.select(),
-                DriverPhase::Done => break,
-            }
-        }
-        let result = driver.into_result();
-        assert_results_identical(&reference, &result);
-        let s = result.speculation;
-        assert!(s.speculated > 0 && s.confirmed == s.speculated && s.rebred == 0);
-        assert_eq!(s.speculated, s.confirmed + s.rebred, "ledger law");
-    }
-
-    #[test]
-    fn speculation_with_wrong_predictions_rebreeds_bit_identically() {
-        let cfg = Nsga2Config {
-            population: 16,
-            generations: 10,
-            seed: 17,
-            ..Default::default()
-        };
-        let reference = Nsga2::new(cfg.clone()).run(&Sch);
-        let mut driver: Nsga2Driver<f64> = Nsga2Driver::new(cfg, Sch.objectives());
-        let mut rows = ObjectiveMatrix::new(2);
-        let mut wrong = ObjectiveMatrix::new(2);
-        loop {
-            match driver.phase() {
-                DriverPhase::Breed => driver.breed(&Sch),
-                DriverPhase::Submitted => {
-                    rows.clear();
-                    Sch.evaluate_batch_into(driver.pending(), &mut rows);
-                    if driver.is_final_cohort() {
-                        driver.provide_rows(&rows);
-                    } else {
-                        // A hopeless oracle: predict +∞ everywhere.
-                        wrong.clear();
-                        for _ in 0..rows.len() {
-                            wrong.push_row(&[f64::INFINITY, f64::INFINITY]);
-                        }
-                        driver.speculate(&Sch, &wrong);
-                        assert!(
-                            !driver.resolve(&Sch, &rows),
-                            "wrong prediction must rebreed"
-                        );
-                    }
-                }
-                DriverPhase::Reconcile => driver.reconcile(),
-                DriverPhase::Select => driver.select(),
-                DriverPhase::Done => break,
-            }
-        }
-        let result = driver.into_result();
-        // The committed trajectory is the synchronous one, bit for bit.
-        assert_results_identical(&reference, &result);
-        let s = result.speculation;
-        assert!(s.speculated > 0 && s.rebred == s.speculated && s.confirmed == 0);
-        assert_eq!(s.speculated, s.confirmed + s.rebred, "ledger law");
     }
 }

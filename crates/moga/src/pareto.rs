@@ -894,7 +894,8 @@ pub fn crowding_distances_slices(points: &[&[f64]], front: &[usize]) -> Vec<f64>
 }
 
 /// Reusable working memory for the crowding-distance computations: a
-/// contiguous `(objective value, front position)` key buffer, seeded with
+/// contiguous `(objective key, front position)` buffer (the key is
+/// [`nan_last_key`] of the objective value), seeded with
 /// the front order once per front; each objective gathers its values into
 /// the keys and stable-sorts them **in place** (so ties in one objective
 /// keep the previous objective's order — exactly the seed engine's tie
@@ -903,7 +904,7 @@ pub fn crowding_distances_slices(points: &[&[f64]], front: &[usize]) -> Vec<f64>
 /// generation, so steady-state crowding computes without allocating.
 #[derive(Debug, Default)]
 pub struct CrowdingScratch {
-    keys: Vec<(f64, usize)>,
+    keys: Vec<(u64, usize)>,
 }
 
 /// [`crowding_distances_slices`] writing into caller-owned buffers
@@ -961,23 +962,66 @@ fn crowding_into(
     dist.resize(n, 0.0);
     let keys = &mut scratch.keys;
     keys.clear();
-    keys.extend((0..n).map(|pos| (0.0, pos)));
+    keys.extend((0..n).map(|pos| (0, pos)));
+    // Sorting integer keys is the cheapest stable sort in `nan_last_cmp`
+    // order. Decoding a key loses only a zero's sign and a NaN's
+    // payload, and neither changes a distance: a NaN extreme makes the
+    // span non-finite, and adding `±0.0` to a non-negative sum is exact.
     for obj in 0..m {
         for key in keys.iter_mut() {
-            key.0 = objective(front[key.1], obj);
+            key.0 = nan_last_key(objective(front[key.1], obj));
         }
-        keys.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        keys.sort_by_key(|key| key.0);
         let (lo, hi) = (keys[0], keys[n - 1]);
         dist[lo.1] = f64::INFINITY;
         dist[hi.1] = f64::INFINITY;
-        let span = hi.0 - lo.0;
+        let span = value_of_key(hi.0) - value_of_key(lo.0);
         if span <= 0.0 || !span.is_finite() {
             continue;
         }
         for w in keys.windows(3) {
-            dist[w[1].1] += (w[2].0 - w[0].0) / span;
+            dist[w[1].1] += (value_of_key(w[2].0) - value_of_key(w[0].0)) / span;
         }
     }
+}
+
+/// An integer image of `x` whose order is [`nan_last_cmp`]'s: `-0.0`
+/// maps to `0.0`'s key and every NaN to `u64::MAX`.
+#[inline]
+fn nan_last_key(x: f64) -> u64 {
+    if x.is_nan() {
+        return u64::MAX;
+    }
+    let bits = (x + 0.0).to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// The value behind a [`nan_last_key`] (a NaN for `u64::MAX`).
+#[inline]
+fn value_of_key(key: u64) -> f64 {
+    f64::from_bits(key ^ (((!key as i64) >> 63) as u64 | (1 << 63)))
+}
+
+/// The order every sort over objective values uses: `partial_cmp` order
+/// for numbers (so `-0.0` and `0.0` tie and keep their stable order),
+/// with NaN after every number and equal to NaN. Unlike a bare
+/// `partial_cmp(..).unwrap_or(Equal)` this is a total preorder, so the
+/// standard sorts never detect an inconsistent comparator on NaN rows.
+#[inline]
+pub(crate) fn nan_last_cmp(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// [`nan_last_cmp`] extended lexicographically to objective rows (a
+/// shorter row that is a prefix of a longer one sorts first).
+#[inline]
+pub(crate) fn nan_last_cmp_rows(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| nan_last_cmp(x, y))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
 }
 
 /// Hypervolume (S-metric) of a point set against a reference point that
@@ -1324,6 +1368,39 @@ mod tests {
     /// The closure-based crowding kernel the keyed one replaced, kept as
     /// the bit-identity reference: every comparison of the per-objective
     /// index sort re-reads the row through `front[order[k]]`.
+    #[test]
+    fn nan_last_keys_order_like_the_comparator_and_decode_back() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.5,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(
+                    nan_last_key(a).cmp(&nan_last_key(b)),
+                    nan_last_cmp(a, b),
+                    "{a} vs {b}"
+                );
+            }
+            let back = value_of_key(nan_last_key(a));
+            if a.is_nan() {
+                assert!(back.is_nan());
+            } else {
+                assert_eq!(back, a, "{a}");
+            }
+        }
+    }
+
     fn crowding_reference(
         objective: impl Fn(usize, usize) -> f64,
         m: usize,
@@ -1336,11 +1413,8 @@ mod tests {
         let mut dist = vec![0.0; n];
         let mut order: Vec<usize> = (0..n).collect();
         for obj in 0..m {
-            order.sort_by(|&a, &b| {
-                objective(front[a], obj)
-                    .partial_cmp(&objective(front[b], obj))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            order
+                .sort_by(|&a, &b| nan_last_cmp(objective(front[a], obj), objective(front[b], obj)));
             let lo = objective(front[order[0]], obj);
             let hi = objective(front[order[n - 1]], obj);
             dist[order[0]] = f64::INFINITY;
@@ -1362,10 +1436,8 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs a crowding kernel, mapping a panic to `None`: the shared
-    /// comparator is no total order once NaN entries appear, and the
-    /// standard stable sort may detect that on fronts past its
-    /// insertion-sort cutoff. Both kernels must then fail alike.
+    /// Runs a crowding kernel, mapping a panic to `None`, so a kernel
+    /// that panics where the other does not shows up as a mismatch.
     fn outcome(kernel: impl FnOnce() -> Vec<f64>) -> Option<Vec<u64>> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel))
             .ok()
@@ -1417,6 +1489,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nan_heavy_fronts_crowd_without_panicking() {
+        // Past the stable sort's insertion-sort cutoff (20), an
+        // inconsistent NaN comparator is detected and panics.
+        for n in [21usize, 40, 257] {
+            let pts: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let x = i as f64;
+                    let y = if i % 3 == 0 { f64::NAN } else { -x };
+                    vec![x, y, if i % 2 == 0 { -0.0 } else { 0.0 }]
+                })
+                .collect();
+            let front: Vec<usize> = (0..n).rev().collect();
+            let dist = crowding_distances(&pts, &front);
+            assert_eq!(dist.len(), n);
+            assert!(dist.iter().all(|d| !d.is_nan()), "n={n}");
+            // NaN sorts after every number, so the last NaN row in front
+            // order is the objective-1 boundary.
+            let last_nan = front.iter().rposition(|&i| i % 3 == 0).unwrap();
+            assert_eq!(dist[last_nan], f64::INFINITY);
+            let reference = crowding_reference(|i, obj| pts[i][obj], 3, &front);
+            assert_eq!(bits(&dist), bits(&reference), "n={n}");
+        }
+        use std::cmp::Ordering::*;
+        assert_eq!(nan_last_cmp(f64::NAN, f64::INFINITY), Greater);
+        assert_eq!(nan_last_cmp(1.0, f64::NAN), Less);
+        assert_eq!(nan_last_cmp(f64::NAN, f64::NAN), Equal);
+        assert_eq!(nan_last_cmp(-0.0, 0.0), Equal);
+        assert_eq!(nan_last_cmp_rows(&[1.0, f64::NAN], &[1.0, 2.0]), Greater);
+        assert_eq!(nan_last_cmp_rows(&[1.0], &[1.0, 2.0]), Less);
     }
 
     #[test]

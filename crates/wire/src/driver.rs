@@ -3,6 +3,11 @@
 //! process — RNG state words, the population (genomes + objective rows +
 //! rank/crowding), and the run's counters.
 //!
+//! The kind tag carries a layout generation: `-v2` dropped three retired
+//! ledger words that used to follow the dominance counters, so a record
+//! in the older layout fails with a typed kind mismatch instead of being
+//! misread.
+//!
 //! Like every format in this crate the record is **dependency-free
 //! plain data**: the GA crate's `DriverState` converts to and from
 //! [`DriverStateRecord`] on the core side. Floats travel as raw
@@ -13,7 +18,7 @@ use crate::binary::{Reader, WireError, Writer};
 use crate::snapshot::GeometryRecord;
 
 /// Document kind tag of a driver-state record.
-const DRIVER_KIND: &str = "nsga2-driver-state";
+const DRIVER_KIND: &str = "nsga2-driver-state-v2";
 
 /// A serialized NSGA-II driver at a `Breed`-phase generation boundary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -51,8 +56,6 @@ pub struct DriverStateRecord {
     pub interned: u64,
     /// Dominance-kernel counters `[comparisons, word_ops, allocations]`.
     pub dominance: [u64; 3],
-    /// Speculation ledger `[speculated, confirmed, rebred]`.
-    pub speculation: [u64; 3],
 }
 
 impl DriverStateRecord {
@@ -92,9 +95,6 @@ impl DriverStateRecord {
         w.put_u64(self.evaluations);
         w.put_u64(self.interned);
         for v in self.dominance {
-            w.put_u64(v);
-        }
-        for v in self.speculation {
             w.put_u64(v);
         }
         w.finish()
@@ -156,10 +156,6 @@ impl DriverStateRecord {
         for v in &mut dominance {
             *v = r.take_u64()?;
         }
-        let mut speculation = [0u64; 3];
-        for v in &mut speculation {
-            *v = r.take_u64()?;
-        }
         let record = DriverStateRecord {
             population,
             generations,
@@ -177,7 +173,6 @@ impl DriverStateRecord {
             evaluations,
             interned,
             dominance,
-            speculation,
         };
         let n = record.genomes.len();
         if record.rank.len() != n
@@ -235,7 +230,6 @@ mod tests {
             evaluations: 64,
             interned: 7,
             dominance: [123, 45, 6],
-            speculation: [3, 2, 1],
         }
     }
 
@@ -248,12 +242,14 @@ mod tests {
 
     #[test]
     fn wrong_kind_and_mismatched_lengths_are_rejected() {
-        let mut w = Writer::with_header();
-        w.put_str("not-a-driver-state");
-        assert!(matches!(
-            DriverStateRecord::decode(&w.finish()),
-            Err(WireError::Malformed(_))
-        ));
+        for kind in ["not-a-driver-state", "nsga2-driver-state"] {
+            let mut w = Writer::with_header();
+            w.put_str(kind);
+            assert!(matches!(
+                DriverStateRecord::decode(&w.finish()),
+                Err(WireError::Malformed(_))
+            ));
+        }
         let mut torn = sample();
         torn.rank.pop();
         assert!(matches!(

@@ -29,11 +29,6 @@
 //! * [`Message::JobRequest`] / [`Message::JobResponse`] — the daemon
 //!   vocabulary: a whole exploration job shipped to a `sega-dcim serve`
 //!   instance, answered with the front and its accounting.
-//! * [`Message::SyncRequest`] / [`Message::SyncResponse`] /
-//!   [`Message::SyncEntries`] — the anti-entropy vocabulary
-//!   ([`crate::sync`]): a peer describes its cache with prefix digests,
-//!   the responder answers with a plan summary and then only the
-//!   entries the digests prove missing — never a whole snapshot.
 //! * [`Message::Shutdown`] — orderly teardown; to a daemon it requests a
 //!   graceful drain.
 //!
@@ -46,7 +41,6 @@ use std::io::{Read, Write};
 
 use crate::binary::{Reader, WireError, Writer};
 use crate::snapshot::{GeometryRecord, KeyRecord, Snapshot};
-use crate::sync::CacheDigest;
 
 /// The remote-evaluation protocol generation, carried in every
 /// [`Message::Hello`]. Bumped independently of [`crate::FORMAT_VERSION`]
@@ -54,10 +48,10 @@ use crate::sync::CacheDigest;
 ///
 /// Version 2 extended the hello with capability negotiation (role, peer
 /// id, capacity weight, advertised faults) and added the heartbeat and
-/// daemon job frames. Version 3 added the anti-entropy sync frames
-/// (digest request / digest response / entries); the hello payload
-/// itself is unchanged from v2.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// daemon job frames. A version 3 once added cache-sync frames; they were
+/// withdrawn, and version 2 is again the exact vocabulary, so a v3 peer
+/// fails the hello check instead of sending frames nobody decodes.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a single frame's payload, guarding the receiver
 /// against a corrupted length prefix committing it to a gigabyte read.
@@ -341,48 +335,6 @@ pub struct JobResponse {
     pub front: Vec<GeometryRecord>,
 }
 
-/// The anti-entropy opener: "here is a digest of everything I hold —
-/// send me what I'm missing." Sent by a rejoining worker's supervisor or
-/// a daemon client holding a local store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncRequest {
-    /// Correlation id; echoed in the matching [`SyncResponse`].
-    pub id: u64,
-    /// Prefix digests over the requester's canonical cache
-    /// ([`CacheDigest::of`]).
-    pub digest: CacheDigest,
-}
-
-/// The responder's plan summary, sent before the [`SyncEntries`] frame
-/// so the requester can account bytes-synced against what a full
-/// snapshot would have cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncResponse {
-    /// The request's correlation id.
-    pub id: u64,
-    /// Entries the digests proved both sides already share (skipped).
-    pub matched_entries: u64,
-    /// Entries about to ship in the entries frame.
-    pub delta_entries: u64,
-    /// Encoded size of the delta snapshot about to ship.
-    pub delta_bytes: u64,
-    /// Encoded size the responder's **full** snapshot would have been —
-    /// the bytes anti-entropy saved, made visible.
-    pub full_bytes: u64,
-}
-
-/// The entries themselves: only what the requester's digest proved
-/// missing, as a canonical mergeable snapshot. Merging is union,
-/// idempotent and order-independent, so duplication and redial are
-/// harmless.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyncEntries {
-    /// The request's correlation id.
-    pub id: u64,
-    /// The missing entries.
-    pub delta: Snapshot,
-}
-
 /// One protocol message. See the module docs for the choreography.
 #[derive(Debug)]
 pub enum Message {
@@ -399,12 +351,6 @@ pub enum Message {
     JobRequest(JobRequest),
     /// Daemon → client: the job's front + accounting.
     JobResponse(JobResponse),
-    /// Requester → holder: digest of the requester's cache.
-    SyncRequest(SyncRequest),
-    /// Holder → requester: the sync plan's accounting summary.
-    SyncResponse(SyncResponse),
-    /// Holder → requester: the missing entries themselves.
-    SyncEntries(SyncEntries),
     /// Coordinator → worker: exit cleanly. Client → daemon: drain.
     Shutdown,
 }
@@ -415,9 +361,6 @@ const KIND_RESPONSE: &str = "eval-response";
 const KIND_HEARTBEAT: &str = "heartbeat";
 const KIND_JOB_REQUEST: &str = "job-request";
 const KIND_JOB_RESPONSE: &str = "job-response";
-const KIND_SYNC_REQUEST: &str = "sync-digest-request";
-const KIND_SYNC_RESPONSE: &str = "sync-digest-response";
-const KIND_SYNC_ENTRIES: &str = "sync-entries";
 const KIND_SHUTDOWN: &str = "shutdown";
 
 impl Message {
@@ -486,26 +429,6 @@ impl Message {
                     w.put_u32(g.log_l);
                     w.put_u32(g.k);
                 }
-            }
-            Message::SyncRequest(req) => {
-                w.put_str(KIND_SYNC_REQUEST);
-                w.put_u64(req.id);
-                req.digest.encode_into(&mut w);
-            }
-            Message::SyncResponse(resp) => {
-                w.put_str(KIND_SYNC_RESPONSE);
-                w.put_u64(resp.id);
-                w.put_u64(resp.matched_entries);
-                w.put_u64(resp.delta_entries);
-                w.put_u64(resp.delta_bytes);
-                w.put_u64(resp.full_bytes);
-            }
-            Message::SyncEntries(entries) => {
-                w.put_str(KIND_SYNC_ENTRIES);
-                w.put_u64(entries.id);
-                let delta = entries.delta.encode_binary();
-                w.put_u32(delta.len() as u32);
-                w.put_bytes(&delta);
             }
             Message::Shutdown => {
                 w.put_str(KIND_SHUTDOWN);
@@ -617,24 +540,6 @@ impl Message {
                     cache_hits,
                     front,
                 })
-            }
-            KIND_SYNC_REQUEST => {
-                let id = r.take_u64()?;
-                let digest = CacheDigest::decode_from(&mut r)?;
-                Message::SyncRequest(SyncRequest { id, digest })
-            }
-            KIND_SYNC_RESPONSE => Message::SyncResponse(SyncResponse {
-                id: r.take_u64()?,
-                matched_entries: r.take_u64()?,
-                delta_entries: r.take_u64()?,
-                delta_bytes: r.take_u64()?,
-                full_bytes: r.take_u64()?,
-            }),
-            KIND_SYNC_ENTRIES => {
-                let id = r.take_u64()?;
-                let delta_len = r.take_u32()? as usize;
-                let delta = Snapshot::decode_binary(r.take_bytes(delta_len)?)?;
-                Message::SyncEntries(SyncEntries { id, delta })
             }
             KIND_SHUTDOWN => Message::Shutdown,
             other => {
@@ -782,40 +687,6 @@ mod tests {
                     k: 8,
                 },
             ],
-        }
-    }
-
-    fn sample_sync_request() -> SyncRequest {
-        SyncRequest {
-            id: 7,
-            digest: crate::sync::CacheDigest::of(&sample_response().delta),
-        }
-    }
-
-    #[test]
-    fn sync_frames_round_trip() {
-        match round_trip(&Message::SyncRequest(sample_sync_request())) {
-            Message::SyncRequest(req) => assert_eq!(req, sample_sync_request()),
-            other => panic!("wrong kind: {other:?}"),
-        }
-        let summary = SyncResponse {
-            id: 7,
-            matched_entries: 3,
-            delta_entries: 2,
-            delta_bytes: 180,
-            full_bytes: 4096,
-        };
-        match round_trip(&Message::SyncResponse(summary)) {
-            Message::SyncResponse(resp) => assert_eq!(resp, summary),
-            other => panic!("wrong kind: {other:?}"),
-        }
-        let entries = SyncEntries {
-            id: 7,
-            delta: sample_response().delta,
-        };
-        match round_trip(&Message::SyncEntries(entries.clone())) {
-            Message::SyncEntries(back) => assert_eq!(back, entries),
-            other => panic!("wrong kind: {other:?}"),
         }
     }
 

@@ -25,12 +25,8 @@
 //!   JSON and a compact binary codec.
 //! * [`frame`] — the length-prefixed framed transport and the typed
 //!   request/response vocabulary of the remote evaluation protocol
-//!   (worker hello/eval-request/eval-response/shutdown, daemon jobs,
-//!   anti-entropy sync), built on the same header and the snapshot
-//!   records.
-//! * [`sync`] — fingerprint-keyed anti-entropy: prefix digests over the
-//!   canonical entry ordering and the delta planner, so peers exchange
-//!   only missing entries instead of whole snapshots.
+//!   (worker hello/eval-request/eval-response/shutdown, daemon jobs),
+//!   built on the same header and the snapshot records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,14 +37,12 @@ pub mod frame;
 pub mod json;
 pub mod report;
 pub mod snapshot;
-pub mod sync;
 
 pub use binary::{Reader, WireError, Writer};
 pub use driver::DriverStateRecord;
 pub use frame::{EvalRequest, EvalResponse, FrameError, Message, PROTOCOL_VERSION};
 pub use json::{Json, JsonError};
 pub use snapshot::{EntryRecord, GeometryRecord, KeyRecord, Snapshot, SpaceRecord};
-pub use sync::{plan_delta, CacheDigest, SyncPlan};
 
 /// The wire-format generation shared by every codec in this crate.
 /// Bumped when any encoding changes incompatibly; decoders reject

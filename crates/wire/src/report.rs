@@ -33,72 +33,8 @@ pub struct ConfigRecord {
     pub distinct_evaluations: usize,
     /// Evaluations served from memory (cache or intra-batch dedup).
     pub cache_hits: usize,
-    /// Speculative-loop ledger; `None` for synchronous arms.
-    pub speculation: Option<SpeculationRecord>,
     /// Remote-backend traffic counters; `None` for in-process arms.
     pub remote: Option<RemoteTrafficRecord>,
-    /// Persistent cache-store traffic; `None` for arms without a store.
-    pub cache: Option<CacheTrafficRecord>,
-}
-
-/// One arm's persistent cache-store bill: what the segment store read,
-/// wrote and compacted, and what the warm start bought. `hit_rate` is
-/// `cache_hits / evaluations` (0 when nothing was evaluated), so the
-/// warm-rerun arm can be CI-guarded at exactly 1.0.
-#[derive(Debug, Clone)]
-pub struct CacheTrafficRecord {
-    /// Fraction of evaluations answered from memory.
-    pub hit_rate: f64,
-    /// Entries the store supplied before the first evaluation.
-    pub preloaded_entries: usize,
-    /// Live segments after the run (1 for a single-file store).
-    pub segments: usize,
-    /// Delta segments the run's saves appended.
-    pub segments_appended: usize,
-    /// Compactions the run's saves performed.
-    pub compactions: usize,
-    /// Bytes the store read off disk.
-    pub bytes_read: u64,
-    /// Bytes the store wrote to disk.
-    pub bytes_written: u64,
-}
-
-impl CacheTrafficRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("hit_rate", Json::from(self.hit_rate)),
-            ("preloaded_entries", Json::from(self.preloaded_entries)),
-            ("segments", Json::from(self.segments)),
-            ("segments_appended", Json::from(self.segments_appended)),
-            ("compactions", Json::from(self.compactions)),
-            ("bytes_read", Json::from(self.bytes_read)),
-            ("bytes_written", Json::from(self.bytes_written)),
-        ])
-    }
-}
-
-/// The speculative loop's ledger: what breeding ahead of the in-flight
-/// cohort cost and bought. Counter-based — `speculated` partitions
-/// exactly into `confirmed + rebred`, so CI can guard the confirm rate
-/// without touching wall-clock.
-#[derive(Debug, Clone)]
-pub struct SpeculationRecord {
-    /// Cohorts bred ahead of their predecessor's results.
-    pub speculated: u64,
-    /// Speculated cohorts whose predicted rows matched the real ones.
-    pub confirmed: u64,
-    /// Speculated cohorts rewound and re-bred after a misprediction.
-    pub rebred: u64,
-}
-
-impl SpeculationRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("speculated", Json::from(self.speculated)),
-            ("confirmed", Json::from(self.confirmed)),
-            ("rebred", Json::from(self.rebred)),
-        ])
-    }
 }
 
 /// The remote arm's transport accounting: what one exploration cost in
@@ -162,14 +98,8 @@ impl ConfigRecord {
             ),
             ("cache_hits", Json::from(self.cache_hits)),
         ];
-        if let Some(speculation) = &self.speculation {
-            fields.push(("speculation", speculation.to_json()));
-        }
         if let Some(remote) = &self.remote {
             fields.push(("remote", remote.to_json()));
-        }
-        if let Some(cache) = &self.cache {
-            fields.push(("cache", cache.to_json()));
         }
         Json::obj(fields)
     }
@@ -433,9 +363,7 @@ mod tests {
                     evaluations: 12100,
                     distinct_evaluations: 12100,
                     cache_hits: 0,
-                    speculation: None,
                     remote: None,
-                    cache: None,
                 },
                 ConfigRecord {
                     name: "remote_w3".to_owned(),
@@ -443,11 +371,6 @@ mod tests {
                     evaluations: 12100,
                     distinct_evaluations: 600,
                     cache_hits: 11500,
-                    speculation: Some(SpeculationRecord {
-                        speculated: 12,
-                        confirmed: 2,
-                        rebred: 10,
-                    }),
                     remote: Some(RemoteTrafficRecord {
                         workers: 3,
                         transport: "unix-socket".to_owned(),
@@ -459,15 +382,6 @@ mod tests {
                         workers_alive: 3,
                         workers_spawned: 3,
                         capacities: vec![1, 2, 1],
-                    }),
-                    cache: Some(CacheTrafficRecord {
-                        hit_rate: 0.95,
-                        preloaded_entries: 600,
-                        segments: 2,
-                        segments_appended: 1,
-                        compactions: 0,
-                        bytes_read: 2048,
-                        bytes_written: 512,
                     }),
                 },
             ],
@@ -483,18 +397,6 @@ mod tests {
         // (alive == spawned − deaths + respawns + rejoins).
         assert!(text.contains(
             r#""remote":{"workers":3,"transport":"unix-socket","round_trips":363,"requeues":0,"worker_deaths":1,"respawns":0,"rejoins":1,"workers_alive":3,"workers_spawned":3,"capacities":[1,2,1]}"#
-        ));
-        // Synchronous arms carry no speculation block; speculative arms
-        // carry the ledger ahead of the remote accounting.
-        assert!(!text.contains(r#""name":"serial_uncached","wall_s":0.25,"speculation""#));
-        assert!(
-            text.contains(r#""speculation":{"speculated":12,"confirmed":2,"rebred":10},"remote""#)
-        );
-        // Arms without a persistent store carry no cache block; arms
-        // with one carry the store bill after the remote accounting.
-        assert!(!text.contains(r#""cache_hits":0,"cache""#));
-        assert!(text.contains(
-            r#""cache":{"hit_rate":0.95,"preloaded_entries":600,"segments":2,"segments_appended":1,"compactions":0,"bytes_read":2048,"bytes_written":512}"#
         ));
         // The report is valid JSON by our own parser.
         Json::parse(&text).unwrap();

@@ -178,23 +178,6 @@ impl EntryRecord {
     pub fn objective_bits(&self) -> [u64; 4] {
         self.objectives.map(f64::to_bits)
     }
-
-    /// The entry's canonical wire image (geometry coordinates then
-    /// objective bit patterns, little-endian) — exactly the bytes
-    /// [`Snapshot::encode_binary`] emits for it. This is the unit the
-    /// anti-entropy prefix digests ([`crate::sync`]) hash over, so two
-    /// peers that hold bit-identical entries in canonical order compute
-    /// identical digests.
-    pub fn canonical_bytes(&self) -> [u8; 44] {
-        let mut out = [0u8; 44];
-        out[0..4].copy_from_slice(&self.geometry.log_h.to_le_bytes());
-        out[4..8].copy_from_slice(&self.geometry.log_l.to_le_bytes());
-        out[8..12].copy_from_slice(&self.geometry.k.to_le_bytes());
-        for (i, bits) in self.objective_bits().iter().enumerate() {
-            out[12 + 8 * i..20 + 8 * i].copy_from_slice(&bits.to_le_bytes());
-        }
-        out
-    }
 }
 
 impl PartialEq for EntryRecord {
@@ -545,17 +528,11 @@ impl Snapshot {
 }
 
 /// FNV-1a (64-bit) over a byte slice — the fingerprint hash used for
-/// key-space fingerprints, segment payloads and the anti-entropy prefix
-/// digests. Chosen for being trivially reimplementable in any language a
-/// future remote worker might be written in.
+/// key-space fingerprints and cache-file error messages. Chosen for
+/// being trivially reimplementable in any language a future remote
+/// worker might be written in.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a hash over more bytes — the streaming form the
-/// prefix-digest ladder uses: the digest at prefix length `i+1` is
-/// `fnv1a64_continue(digest_at_i, entry_bytes)`.
-pub fn fnv1a64_continue(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

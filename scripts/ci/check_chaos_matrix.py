@@ -8,17 +8,12 @@ REFERENCE is the fault-free in-process batch report; RESUMED is the
 report file produced by `--resume` after a run was stopped mid-batch
 (`--stop-after-jobs`, the deterministic stand-in for `kill -9`); each
 ARM=REPORT names a fault-injected remote run, ARM one of kill, corrupt,
-hang, stall, truncate, spec-stall (the `--speculate` loop under a
-stalled worker), drop-conn (the link dies with the process, socket
+hang, stall, truncate, drop-conn (the link dies with the process, socket
 transport) or reconnect (the link dies but the process redials and
 rejoins). Asserts the supervision acceptance criteria:
 
 * every fault arm's fronts are **byte-identical** to the reference (the
-  reports carry exact objective bit patterns, so `==` is bitwise) —
-  including the speculative arm, whose committed trajectory must match
-  the synchronous reference regardless of mispredictions;
-* the speculative arm's ledger partitions exactly
-  (`speculated == confirmed + rebred`) and actually speculated;
+  reports carry exact objective bit patterns, so `==` is bitwise);
 * the resumed report is byte-identical to the reference *as a file* —
   checkpoint replay reconstructs the uninterrupted run exactly;
 * each arm's `remote` stats ledger adds up exactly:
@@ -33,8 +28,7 @@ rejoins). Asserts the supervision acceptance criteria:
 import json
 import sys
 
-TIMEOUT_ARMS = {"hang", "stall", "spec-stall"}
-SPECULATIVE_ARMS = {"spec-stall"}
+TIMEOUT_ARMS = {"hang", "stall"}
 REJOIN_ARMS = {"reconnect"}
 KNOWN_ARMS = {
     "kill",
@@ -42,7 +36,6 @@ KNOWN_ARMS = {
     "hang",
     "stall",
     "truncate",
-    "spec-stall",
     "drop-conn",
     "reconnect",
 }
@@ -124,19 +117,6 @@ def main() -> None:
         assert remote["fallback_geometries"] == 0, (
             f"{path}: the healthy workers should have absorbed the load: {remote}"
         )
-        if arm in SPECULATIVE_ARMS:
-            spec = doc.get("speculation")
-            assert spec, f"{path}: the speculative arm reported no ledger"
-            assert spec["speculated"] == spec["confirmed"] + spec["rebred"], (
-                f"{path}: speculation ledger does not partition: {spec}"
-            )
-            assert spec["speculated"] > 0, (
-                f"{path}: the speculative loop never bred ahead: {spec}"
-            )
-        else:
-            assert "speculation" not in doc, (
-                f"{path}: a synchronous arm must not speculate"
-            )
         print(
             f"chaos arm {arm} [{remote['transport']}]: front OK, ledger OK "
             f"({remote['worker_deaths']} deaths, {remote['timeouts']} timeouts, "
