@@ -4,9 +4,14 @@
 //! DEF, the gate audit and the hierarchy report are pinned by length and
 //! FNV-1a digest. Any change to the netlist IR, the generators or the
 //! emitters that moves a single output byte fails here.
+//!
+//! `verilog` pins the design with every generate loop expanded
+//! (`Design::flattened`): one instance line per column and fusion unit, so
+//! it proves the loops hold exactly the flat netlist.
 
 use sega_dcim::estimator::{DcimDesign, Precision};
 use sega_dcim::netlist::hierarchy::hierarchy_report;
+use sega_dcim::netlist::verilog;
 use sega_dcim::Compiler;
 
 /// 64-bit FNV-1a over bytes.
@@ -27,6 +32,7 @@ struct Golden {
     precision: Precision,
     /// `(n, h, l, k)`.
     geometry: (u32, u32, u32, u32),
+    /// Emission of the flattened design.
     verilog: Pin,
     def: Pin,
     hierarchy: Pin,
@@ -180,9 +186,10 @@ fn observe(precision: Precision, (n, h, l, k): (u32, u32, u32, u32)) -> String {
         .collect();
     counts.sort_unstable();
     let hierarchy = hierarchy_report(&compiled.netlist).expect("hierarchy report");
+    let flat = verilog::emit(&compiled.netlist.flattened()).expect("flattened design emits");
     format!(
         "    Golden {{\n        precision: Precision::{precision:?},\n        geometry: ({n}, {h}, {l}, {k}),\n        verilog: {:?},\n        def: {:?},\n        hierarchy: {:?},\n        counts: &{counts:?},\n    }},\n",
-        pin(&compiled.verilog),
+        pin(&flat),
         pin(&compiled.def),
         pin(&hierarchy),
     )

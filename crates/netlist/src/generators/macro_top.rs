@@ -7,8 +7,9 @@ use super::datapath::{
 };
 use super::fp::{ensure_int_to_fp, ensure_pre_alignment};
 use super::GenResult;
+use crate::ir::LoopSignal::Broadcast;
 use crate::ir::Signal::{Bit, Net};
-use crate::ir::{Design, Module, ModuleId, NetId, NetlistError, Signal};
+use crate::ir::{Design, GenerateLoop, LoopSignal, Module, ModuleId, NetId, NetlistError, Signal};
 use sega_cells::{ceil_log2, StandardCell};
 use sega_estimator::{DcimDesign, FpParams, IntParams};
 
@@ -108,31 +109,39 @@ pub fn generate_macro(design_point: &DcimDesign) -> Result<Design, NetlistError>
     Ok(d)
 }
 
-/// The `n` column instances `col{c}`, each driving its `qw`-bit slice of
-/// `colq`, shared by both macro kinds.
-fn add_columns(
-    m: &mut Module,
+/// `net[i·width +: width]` for copy `i`.
+fn stride(net: NetId, width: u32) -> LoopSignal {
+    LoopSignal::Strided {
+        net,
+        base: 0,
+        width,
+    }
+}
+
+/// The `n` columns as the loop `cols[c].col`, copy `c` driving its
+/// `qw`-bit slice of `colq`, shared by both macro kinds.
+fn column_loop(
     d: &Design,
     col: ModuleId,
     n: u32,
     qw: u32,
     [xb, wsel, clk, wdata, wl, colq]: [NetId; 6],
-) {
-    for c in 0..n {
-        m.add_instance(
-            d,
-            format_args!("col{c}"),
-            col,
-            &[
-                ("xb", Net(xb)),
-                ("wsel", Net(wsel)),
-                ("clk", Net(clk)),
-                ("wdata", Net(wdata)),
-                ("wl", Net(wl)),
-                ("q", Signal::slice(colq, (c + 1) * qw - 1, c * qw)),
-            ],
-        );
-    }
+) -> GenerateLoop {
+    let mut cols = GenerateLoop::new("cols", n);
+    cols.add_member(
+        d,
+        "col",
+        col,
+        &[
+            ("xb", Broadcast(Net(xb))),
+            ("wsel", Broadcast(Net(wsel))),
+            ("clk", Broadcast(Net(clk))),
+            ("wdata", Broadcast(Net(wdata))),
+            ("wl", Broadcast(Net(wl))),
+            ("q", stride(colq, qw)),
+        ],
+    );
+    cols
 }
 
 fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
@@ -174,18 +183,15 @@ fn generate_int_macro(d: &mut Design, p: &IntParams) -> GenResult {
             ("q", Net(xb)),
         ],
     );
-    add_columns(&mut m, d, col, n, qw, [xb, wsel, clk, wdata, wl, colq]);
-    for g in 0..groups {
-        m.add_instance(
-            d,
-            format_args!("fuse{g}"),
-            fuse,
-            &[
-                ("d", Signal::slice(colq, (g + 1) * bw * qw - 1, g * bw * qw)),
-                ("y", Signal::slice(y, (g + 1) * wf - 1, g * wf)),
-            ],
-        );
-    }
+    m.add_loop(column_loop(d, col, n, qw, [xb, wsel, clk, wdata, wl, colq]));
+    let mut fusion = GenerateLoop::new("groups", groups);
+    fusion.add_member(
+        d,
+        "fuse",
+        fuse,
+        &[("d", stride(colq, bw * qw)), ("y", stride(y, wf))],
+    );
+    m.add_loop(fusion);
     d.add_module(m)
 }
 
@@ -247,33 +253,27 @@ fn generate_fp_macro(d: &mut Design, p: &FpParams) -> GenResult {
             ("q", Net(xb)),
         ],
     );
-    add_columns(&mut m, d, col, n, qw, [xb, wsel, clk, wdata, wl, colq]);
-    for g in 0..groups {
-        let group = Signal::slice(fused, (g + 1) * br - 1, g * br);
-        m.add_instance(
+    m.add_loop(column_loop(d, col, n, qw, [xb, wsel, clk, wdata, wl, colq]));
+    let mut fusion = GenerateLoop::new("groups", groups);
+    fusion
+        .add_member(
             d,
-            format_args!("fuse{g}"),
+            "fuse",
             fuse,
-            &[
-                ("d", Signal::slice(colq, (g + 1) * bm * qw - 1, g * bm * qw)),
-                ("y", group),
-            ],
-        );
-        m.add_instance(
+            &[("d", stride(colq, bm * qw)), ("y", stride(fused, br))],
+        )
+        .add_member(
             d,
-            format_args!("i2f{g}"),
+            "i2f",
             i2f,
             &[
-                ("d", group),
-                ("ebase", Net(ebase)),
-                ("ym", Signal::slice(ym, (g + 1) * br - 1, g * br)),
-                (
-                    "ye",
-                    Signal::slice(ye, (g + 1) * (be + 2) - 1, g * (be + 2)),
-                ),
+                ("d", stride(fused, br)),
+                ("ebase", Broadcast(Net(ebase))),
+                ("ym", stride(ym, br)),
+                ("ye", stride(ye, be + 2)),
             ],
         );
-    }
+    m.add_loop(fusion);
     d.add_module(m)
 }
 

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ir::{Design, NetlistError};
+use crate::ir::{Design, InstanceTarget, NetlistError};
 use crate::stats::Census;
 
 /// Statistics of one module definition within a design.
@@ -12,7 +12,8 @@ use crate::stats::Census;
 pub struct ModuleStats {
     /// Module name.
     pub name: String,
-    /// Direct child-module instances.
+    /// Direct child-module instances (a generate loop member counts once
+    /// per copy).
     pub child_instances: usize,
     /// Direct leaf-cell instances.
     pub cell_instances: usize,
@@ -51,7 +52,11 @@ pub fn hierarchy_stats(design: &Design) -> Result<Vec<ModuleStats>, NetlistError
             ModuleStats {
                 name: m.name.clone(),
                 child_instances: child_instances as usize,
-                cell_instances: m.instance_count() - child_instances as usize,
+                cell_instances: m
+                    .targets()
+                    .iter()
+                    .filter(|t| matches!(t, InstanceTarget::Cell(_)))
+                    .count(),
                 total_cells: census.tally[id.index()].iter().sum(),
                 instantiation_count: multiplicity[id.index()],
             }

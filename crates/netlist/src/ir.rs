@@ -8,6 +8,13 @@
 //! `Copy` and refers to nets by id, so building a macro allocates per
 //! table, not per instance or connection.
 //!
+//! A row of identical child instances is one [`GenerateLoop`]: a block
+//! name, a copy count and the members instantiated per copy, each wired
+//! by [`LoopSignal`]s that either reach every copy unchanged or step
+//! through a bus by a fixed stride. A loop costs the same to build,
+//! validate and emit whatever its count; [`Design::flattened`] expands it
+//! into ordinary instances.
+//!
 //! A module can only instantiate modules already in the design, so child
 //! ids are always lower than their parent's id and every traversal is a
 //! walk over a DAG. Widths and ports are checked by one index-based pass,
@@ -62,8 +69,9 @@ impl std::error::Error for NetlistError {}
 pub struct Violation {
     /// Containing module.
     pub module: String,
-    /// Instance name, `assign #i` for the `i`-th continuous assignment, or
-    /// empty for a module-level fault.
+    /// Instance name, `assign #i` for the `i`-th continuous assignment,
+    /// a loop's block name, `block.member` for a loop member, or empty for
+    /// a module-level fault.
     pub instance: String,
     /// Port name, or empty where no port is involved.
     pub port: String,
@@ -124,6 +132,11 @@ pub enum Fault {
         /// Actual (signal / right-hand side) width.
         actual: u32,
     },
+    /// A generate loop with no copies.
+    EmptyLoop,
+    /// A loop's block or genvar name is already a net, instance or loop
+    /// name of the module, or a loop names two members alike.
+    DuplicateName(String),
 }
 
 impl fmt::Display for Fault {
@@ -143,6 +156,8 @@ impl fmt::Display for Fault {
             Fault::WidthMismatch { expected, actual } => {
                 write!(f, "expected width {expected}, got {actual}")
             }
+            Fault::EmptyLoop => write!(f, "generate loop has a count of 0"),
+            Fault::DuplicateName(name) => write!(f, "name `{name}` is declared twice"),
         }
     }
 }
@@ -290,8 +305,153 @@ impl Names {
     }
 }
 
-/// A netlist module: ports, internal wires, instances and continuous
-/// assignments.
+/// How a [`GenerateLoop`] member's port is wired in copy `i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoopSignal {
+    /// The same signal in every copy.
+    Broadcast(Signal),
+    /// Copy `i` gets `net[base + i·width +: width]`.
+    Strided {
+        /// Net id.
+        net: NetId,
+        /// Lowest bit of copy 0's slice.
+        base: u32,
+        /// Bits per copy (the port's width).
+        width: u32,
+    },
+}
+
+impl LoopSignal {
+    /// The signal copy `i` receives.
+    pub fn at(self, i: u32) -> Signal {
+        match self {
+            LoopSignal::Broadcast(signal) => signal,
+            LoopSignal::Strided { net, base, width } => {
+                Signal::slice(net, base + (i + 1) * width - 1, base + i * width)
+            }
+        }
+    }
+}
+
+/// One instance per copy of a [`GenerateLoop`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Member {
+    /// Instance name inside the loop's block (unique within the loop).
+    pub name: String,
+    /// The instantiated child module.
+    pub child: ModuleId,
+    /// `(port index, wiring)` pairs; the index is into the child's
+    /// [`Module::ports`].
+    pub connections: Vec<(u32, LoopSignal)>,
+    /// `(connection index, port name)` for names that matched no port.
+    unresolved: Vec<(u32, String)>,
+}
+
+/// A Verilog `generate for` loop: `count` copies of its members, copy `i`
+/// living at `block[i].member`. Members are instantiated member by member
+/// within a copy, copy after copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GenerateLoop {
+    block: String,
+    count: u32,
+    members: Vec<Member>,
+}
+
+impl GenerateLoop {
+    /// An empty loop of `count` copies named `block`.
+    pub fn new(block: impl Into<String>, count: u32) -> GenerateLoop {
+        GenerateLoop {
+            block: block.into(),
+            count,
+            members: Vec::new(),
+        }
+    }
+
+    /// Adds a member instantiating `child`, a module of `design`, in every
+    /// copy with named connections.
+    pub fn add_member(
+        &mut self,
+        design: &Design,
+        name: impl Into<String>,
+        child: ModuleId,
+        connections: &[(&str, LoopSignal)],
+    ) -> &mut GenerateLoop {
+        let mut member = Member {
+            name: name.into(),
+            child,
+            connections: Vec::with_capacity(connections.len()),
+            unresolved: Vec::new(),
+        };
+        resolve_ports(
+            connections,
+            design.module_port_names(child),
+            &mut member.connections,
+            &mut member.unresolved,
+        );
+        self.members.push(member);
+        self
+    }
+
+    /// The block name.
+    pub fn block(&self) -> &str {
+        &self.block
+    }
+
+    /// The loop variable's name: `{block}_i`.
+    pub fn genvar(&self) -> String {
+        format!("{}_i", self.block)
+    }
+
+    /// Number of copies.
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Members, in instantiation order within a copy.
+    pub fn members(&self) -> &[Member] {
+        &self.members
+    }
+}
+
+/// Appends `connections` to `out` with each port name resolved through
+/// `port_name`, which names the target's port `i` (`None` past the last);
+/// a name matching nothing is recorded in `unresolved` at its index in
+/// `out`.
+fn resolve_ports<'p, S: Copy>(
+    connections: &[(&str, S)],
+    port_name: impl Fn(usize) -> Option<&'p str>,
+    out: &mut Vec<(u32, S)>,
+    unresolved: &mut Vec<(u32, String)>,
+) {
+    for (k, &(port, signal)) in connections.iter().enumerate() {
+        // Connections usually follow the port order: try position k first.
+        let found = if port_name(k) == Some(port) {
+            Some(k)
+        } else {
+            (0..).map_while(&port_name).position(|n| n == port)
+        };
+        let index = match found {
+            Some(i) => i as u32,
+            None => {
+                let at = u32::try_from(out.len()).expect("fewer than 2^32 connections");
+                unresolved.push((at, port.to_owned()));
+                UNRESOLVED
+            }
+        };
+        out.push((index, signal));
+    }
+}
+
+/// The name recorded for an unresolved connection `conn`, or `#port`.
+fn unresolved_name(unresolved: &[(u32, String)], conn: usize, port: u32) -> String {
+    unresolved
+        .iter()
+        .find(|(c, _)| *c as usize == conn)
+        .map_or_else(|| format!("#{port}"), |(_, n)| n.clone())
+}
+
+/// A netlist module: ports, internal wires, instances, generate loops and
+/// continuous assignments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Module name (unique within a [`Design`]).
@@ -308,6 +468,7 @@ pub struct Module {
     parts: Vec<Signal>,
     /// `(connection index, port name)` for names that matched no port.
     unresolved: Vec<(u32, String)>,
+    loops: Vec<GenerateLoop>,
 }
 
 impl Module {
@@ -326,6 +487,7 @@ impl Module {
             assigns: Vec::new(),
             parts: Vec::new(),
             unresolved: Vec::new(),
+            loops: Vec::new(),
         }
     }
 
@@ -374,6 +536,12 @@ impl Module {
         })
     }
 
+    /// Adds a generate loop. Loops follow the module's flat instances, in
+    /// the order they were added.
+    pub fn add_loop(&mut self, generate: GenerateLoop) {
+        self.loops.push(generate);
+    }
+
     /// Instantiates `child`, a module of `design`, with named connections.
     pub fn add_instance(
         &mut self,
@@ -382,11 +550,8 @@ impl Module {
         child: ModuleId,
         connections: &[(&str, Signal)],
     ) -> InstId {
-        let module = design.modules.get(child.index());
-        self.push_instance(name, InstanceTarget::Module(child), connections, |i| {
-            let m = module?;
-            Some(m.net_name(m.ports.get(i)?.net))
-        })
+        let port_names = design.module_port_names(child);
+        self.push_instance(name, InstanceTarget::Module(child), connections, port_names)
     }
 
     /// Appends an instance, resolving each connection's port name through
@@ -398,27 +563,47 @@ impl Module {
         connections: &[(&str, Signal)],
         port_name: impl Fn(usize) -> Option<&'p str>,
     ) -> InstId {
-        let start = u32::try_from(self.conns.len()).expect("fewer than 2^32 connections");
-        for (k, &(port, signal)) in connections.iter().enumerate() {
-            // Connections usually follow the port order: try position k first.
-            let found = if port_name(k) == Some(port) {
-                Some(k)
-            } else {
-                (0..).map_while(&port_name).position(|n| n == port)
-            };
-            let index = match found {
-                Some(i) => i as u32,
-                None => {
-                    self.unresolved.push((start + k as u32, port.to_owned()));
-                    UNRESOLVED
-                }
-            };
-            self.conns.push((index, signal));
-        }
+        resolve_ports(
+            connections,
+            port_name,
+            &mut self.conns,
+            &mut self.unresolved,
+        );
+        self.end_instance(name, target)
+    }
+
+    /// Closes the instance whose connections end the connection vector.
+    fn end_instance(&mut self, name: impl fmt::Display, target: InstanceTarget) -> InstId {
         let end = u32::try_from(self.conns.len()).expect("fewer than 2^32 connections");
         self.conn_ends.push(end);
         self.targets.push(target);
         InstId(self.inst_names.push(name))
+    }
+
+    /// Replaces every generate loop by its copies' instances, named
+    /// `{member}{i}`, after the flat instances.
+    fn expand_loops(&mut self) {
+        for generate in std::mem::take(&mut self.loops) {
+            for i in 0..generate.count {
+                for member in &generate.members {
+                    let start = self.conns.len() as u32;
+                    self.conns.extend(
+                        member
+                            .connections
+                            .iter()
+                            .map(|&(port, wiring)| (port, wiring.at(i))),
+                    );
+                    self.unresolved.extend(
+                        member
+                            .unresolved
+                            .iter()
+                            .map(|(k, name)| (start + k, name.clone())),
+                    );
+                    let name = format_args!("{}{i}", member.name);
+                    self.end_instance(name, InstanceTarget::Module(member.child));
+                }
+            }
+        }
     }
 
     /// Adds a continuous assignment `lhs = rhs`.
@@ -450,6 +635,25 @@ impl Module {
     /// Continuous assignments `(lhs, rhs)`.
     pub fn assigns(&self) -> &[(Signal, Signal)] {
         &self.assigns
+    }
+
+    /// Generate loops, in the order they were added.
+    pub fn loops(&self) -> &[GenerateLoop] {
+        &self.loops
+    }
+
+    /// Every child module this module instantiates, once per flat
+    /// instance and once per loop member, with the number of copies.
+    pub fn child_uses(&self) -> impl Iterator<Item = (ModuleId, u32)> + '_ {
+        let flat = self.targets.iter().filter_map(|&t| match t {
+            InstanceTarget::Module(child) => Some((child, 1)),
+            InstanceTarget::Cell(_) => None,
+        });
+        let looped = self
+            .loops
+            .iter()
+            .flat_map(|g| g.members.iter().map(move |m| (m.child, g.count)));
+        flat.chain(looped)
     }
 
     /// Name of a net of this module.
@@ -598,11 +802,7 @@ impl Module {
             for (k, &(port, signal)) in inst.connections.iter().enumerate() {
                 let Some(expected) = design.port_width(inst.target, port) else {
                     let conn = self.conn_index(inst.id) + k;
-                    let name = self
-                        .unresolved
-                        .iter()
-                        .find(|(c, _)| *c as usize == conn)
-                        .map_or_else(|| format!("#{port}"), |(_, n)| n.clone());
+                    let name = unresolved_name(&self.unresolved, conn, port);
                     let target = design.target_name(inst.target).to_owned();
                     out.push(violation(inst.name, &name, Fault::UnknownPort { target }));
                     continue;
@@ -624,6 +824,103 @@ impl Module {
             };
             out.push(violation(&format!("assign #{i}"), "", fault));
         }
+        if !self.loops.is_empty() {
+            let mut names: HashSet<String> = seen.into_iter().map(str::to_owned).collect();
+            names.extend(self.inst_names.iter().map(str::to_owned));
+            for generate in &self.loops {
+                self.check_loop(design, generate, &mut names, out);
+            }
+        }
+    }
+
+    /// Appends the violations of one generate loop to `out`, checking each
+    /// member once for all copies. `names` holds the module's net,
+    /// instance and earlier loop names; the loop adds its own.
+    fn check_loop(
+        &self,
+        design: &Design,
+        generate: &GenerateLoop,
+        names: &mut HashSet<String>,
+        out: &mut Vec<Violation>,
+    ) {
+        let violation = |instance: &str, port: &str, fault: Fault| Violation {
+            module: self.name.clone(),
+            instance: instance.to_owned(),
+            port: port.to_owned(),
+            fault,
+        };
+        let block = generate.block.as_str();
+        if generate.count == 0 {
+            out.push(violation(block, "", Fault::EmptyLoop));
+        }
+        for name in [block.to_owned(), generate.genvar()] {
+            if names.contains(&name) {
+                out.push(violation(block, "", Fault::DuplicateName(name)));
+            } else {
+                names.insert(name);
+            }
+        }
+        let mut members = HashSet::with_capacity(generate.members.len());
+        for member in &generate.members {
+            let site = format!("{block}.{}", member.name);
+            if !members.insert(member.name.as_str()) {
+                out.push(violation(
+                    &site,
+                    "",
+                    Fault::DuplicateName(member.name.clone()),
+                ));
+            }
+            let target = InstanceTarget::Module(member.child);
+            for (k, &(port, wiring)) in member.connections.iter().enumerate() {
+                let Some(expected) = design.port_width(target, port) else {
+                    let name = unresolved_name(&member.unresolved, k, port);
+                    let target = design.target_name(target).to_owned();
+                    out.push(violation(&site, &name, Fault::UnknownPort { target }));
+                    continue;
+                };
+                let fault = match wiring {
+                    LoopSignal::Broadcast(signal) => match self.signal_width(signal) {
+                        Ok(actual) if actual == expected => continue,
+                        Ok(actual) => Fault::WidthMismatch { expected, actual },
+                        Err(fault) => fault,
+                    },
+                    LoopSignal::Strided { net, base, width } => {
+                        match self.strided_fault(net, base, width, generate.count, expected) {
+                            Some(fault) => fault,
+                            None => continue,
+                        }
+                    }
+                };
+                let port_name = design.port_name(target, port).unwrap_or_default();
+                out.push(violation(&site, port_name, fault));
+            }
+        }
+    }
+
+    /// What is wrong with a strided connection of `count` copies into a
+    /// `port_width`-bit port, if anything.
+    fn strided_fault(
+        &self,
+        net: NetId,
+        base: u32,
+        width: u32,
+        count: u32,
+        port_width: u32,
+    ) -> Option<Fault> {
+        let Some(&net_width) = self.net_widths.get(net.0 as usize) else {
+            return Some(Fault::UnknownNet(net.0));
+        };
+        if width != port_width {
+            return Some(Fault::WidthMismatch {
+                expected: port_width,
+                actual: width,
+            });
+        }
+        let end = u64::from(base) + u64::from(count) * u64::from(width);
+        (end > u64::from(net_width)).then(|| {
+            let last = u32::try_from(end - 1).unwrap_or(u32::MAX);
+            self.out_of_range(net, last, net_width)
+        })
     }
 
     /// Index in `conns` of the first connection of `id`.
@@ -663,11 +960,7 @@ impl Design {
             return Err(NetlistError::DuplicateModule(module.name));
         }
         let id = ModuleId(self.modules.len() as u32);
-        if let Some(&InstanceTarget::Module(child)) = module
-            .targets
-            .iter()
-            .find(|t| matches!(t, InstanceTarget::Module(c) if *c >= id))
-        {
+        if let Some((child, _)) = module.child_uses().find(|&(c, _)| c >= id) {
             return Err(NetlistError::UnknownModule(format!(
                 "#{} (instantiated by {})",
                 child.0, module.name
@@ -741,6 +1034,16 @@ impl Design {
         }
     }
 
+    /// Names port `i` of module `child` (`None` past the last, or for an
+    /// id that is not in this design).
+    fn module_port_names<'a>(&'a self, child: ModuleId) -> impl Fn(usize) -> Option<&'a str> {
+        let module = self.modules.get(child.index());
+        move |i| {
+            let m = module?;
+            Some(m.net_name(m.ports.get(i)?.net))
+        }
+    }
+
     /// Name of port `index` of `target`, if it has one.
     pub fn port_name(&self, target: InstanceTarget, index: u32) -> Option<&str> {
         match target {
@@ -770,10 +1073,8 @@ impl Design {
             if std::mem::replace(&mut seen[id.index()], true) {
                 return;
             }
-            for &target in &design[id].targets {
-                if let InstanceTarget::Module(child) = target {
-                    visit(design, child, seen, order);
-                }
+            for (child, _) in design[id].child_uses() {
+                visit(design, child, seen, order);
             }
             order.push(id);
         }
@@ -783,10 +1084,32 @@ impl Design {
         order
     }
 
+    /// This design with every generate loop expanded into ordinary
+    /// instances: copy `i` of member `m` becomes instance `{m}{i}`, placed
+    /// after the module's flat instances, copy by copy and member by member
+    /// within a copy. A strided connection becomes the copy's slice.
+    pub fn flattened(&self) -> Design {
+        let mut flat = Design {
+            modules: self.modules.clone(),
+            index: self.index.clone(),
+            top: self.top,
+            checked: OnceLock::new(),
+        };
+        for module in &mut flat.modules {
+            module.expand_loops();
+        }
+        flat
+    }
+
     /// Structurally validates the whole design: a top is set, every
     /// connection names a real port, every signal refers to real nets and
     /// bits, every connected signal's width matches its port, both sides
     /// of every assignment agree, and no module declares a net twice.
+    /// Each generate loop is checked once for all its copies: it has at
+    /// least one copy, its block and genvar names are new to the module,
+    /// its member names are distinct, a broadcast signal's width matches
+    /// its port, and a strided connection's width matches its port with
+    /// every copy's slice inside the net.
     ///
     /// The check runs once per design; later calls return the kept result
     /// until the design is modified.

@@ -7,8 +7,9 @@
 //!
 //! * a hierarchical structural **netlist IR** ([`Design`], [`Module`],
 //!   [`Instance`], [`Signal`]) addressed by [`ModuleId`] / [`NetId`] /
-//!   [`InstId`] indices, with one validation pass that reports every
-//!   located width or port violation,
+//!   [`InstId`] indices, rows of identical children held once as a
+//!   [`GenerateLoop`], with one validation pass that reports every located
+//!   width or port violation,
 //! * **template generators** for every DCIM block of paper Fig. 3
 //!   ([`generators`]) — compute unit, adder tree, shift accumulator, result
 //!   fusion, FP pre-alignment, INT-to-FP converter, input buffer, SRAM
@@ -47,6 +48,6 @@ pub mod stats;
 pub mod verilog;
 
 pub use ir::{
-    Concat, Design, Dir, Fault, InstId, Instance, InstanceTarget, Module, ModuleId, NetId,
-    NetlistError, Port, Signal, Violation,
+    Concat, Design, Dir, Fault, GenerateLoop, InstId, Instance, InstanceTarget, LoopSignal, Member,
+    Module, ModuleId, NetId, NetlistError, Port, Signal, Violation,
 };

@@ -3,7 +3,8 @@
 //! [`cell_counts`] counts every Table III standard cell under a module of
 //! a hierarchical [`Design`] in one bottom-up pass: each module's direct
 //! cells plus, per distinct child, the child's total times its instance
-//! count — work proportional to the instances, not to the flattened cells.
+//! count — work proportional to the instances and loop members, not to
+//! the flattened cells.
 //! [`audit`] then cross-checks the generated hardware against a
 //! [`MacroEstimate`]: the paper's whole flow rests on the estimator
 //! predicting what the generator builds, and here that property is
@@ -22,7 +23,8 @@ pub(crate) type Tally = [u64; ALL_CELLS.len()];
 /// children always precede their parents.
 pub(crate) struct Census {
     /// Per module: its distinct child modules in first-use order, each
-    /// with its instance count.
+    /// with its instance count (a generate loop member counts once per
+    /// copy).
     pub(crate) uses: Vec<Vec<(ModuleId, u64)>>,
     /// Per module: its recursive cell tally.
     pub(crate) tally: Vec<Tally>,
@@ -35,16 +37,16 @@ impl Census {
         let mut tally: Vec<Tally> = Vec::with_capacity(modules.len());
         for module in modules {
             let mut own: Tally = [0; ALL_CELLS.len()];
-            let mut children: Vec<(ModuleId, u64)> = Vec::new();
             for &target in module.targets() {
-                match target {
-                    InstanceTarget::Cell(cell) => own[cell as usize] += 1,
-                    InstanceTarget::Module(child) => {
-                        match children.iter_mut().find(|(c, _)| *c == child) {
-                            Some((_, n)) => *n += 1,
-                            None => children.push((child, 1)),
-                        }
-                    }
+                if let InstanceTarget::Cell(cell) = target {
+                    own[cell as usize] += 1;
+                }
+            }
+            let mut children: Vec<(ModuleId, u64)> = Vec::new();
+            for (child, copies) in module.child_uses() {
+                match children.iter_mut().find(|(c, _)| *c == child) {
+                    Some((_, n)) => *n += u64::from(copies),
+                    None => children.push((child, u64::from(copies))),
                 }
             }
             for &(child, n) in &children {

@@ -3,12 +3,16 @@
 //! [`emit`] renders a whole [`Design`] as a single self-contained `.v`
 //! file: behavioral primitives for every Table III cell actually used,
 //! followed by the module definitions in dependency order (children before
-//! parents), ending with the top module. This is the artifact the paper
+//! parents), ending with the top module. Each [`GenerateLoop`] becomes one
+//! `genvar` and one Verilog-2001 `generate for` block, so a row of copies
+//! costs the same text as one copy. This is the artifact the paper
 //! hands to the commercial synthesis/P&R flow; `sega-layout` consumes the
 //! same [`Design`] directly.
 
 use crate::cells::cell_verilog;
-use crate::ir::{Design, Dir, InstanceTarget, Module, NetlistError, Signal};
+use crate::ir::{
+    Design, Dir, GenerateLoop, InstanceTarget, LoopSignal, Module, NetlistError, Signal,
+};
 use sega_cells::{StandardCell, ALL_CELLS};
 
 /// Emits the whole design as self-contained structural Verilog.
@@ -65,8 +69,9 @@ fn used_cells(design: &Design) -> Vec<StandardCell> {
         .collect()
 }
 
-/// A slight over-estimate of `m`'s emitted size: per instance its target
-/// and name, per connection a port, a net name and a bus index.
+/// A slight over-estimate of `m`'s emitted size: per instance or loop
+/// member its target and name, per connection a port, a net name and a
+/// bus index (plus the genvar for a loop), per loop its header.
 fn size_hint(design: &Design, m: &Module) -> usize {
     let nets = m.ports().len() + m.wires().len();
     let instances: usize = m
@@ -74,7 +79,25 @@ fn size_hint(design: &Design, m: &Module) -> usize {
         .iter()
         .map(|&t| design.target_name(t).len() + 24)
         .sum();
-    64 + 32 * nets + 48 * m.assigns().len() + instances + 32 * m.connection_count()
+    let loops: usize = m
+        .loops()
+        .iter()
+        .map(|g| {
+            let genvar = g.block().len() + 2;
+            let members: usize = g
+                .members()
+                .iter()
+                .map(|mem| {
+                    design.target_name(InstanceTarget::Module(mem.child)).len()
+                        + mem.name.len()
+                        + 16
+                        + (40 + genvar) * mem.connections.len()
+                })
+                .sum();
+            96 + 6 * genvar + members
+        })
+        .sum();
+    64 + 32 * nets + 48 * m.assigns().len() + instances + 32 * m.connection_count() + loops
 }
 
 fn push_num(out: &mut String, mut value: u64) {
@@ -149,20 +172,89 @@ fn emit_module(out: &mut String, design: &Design, m: &Module) {
         out.push_str(target_name);
         out.push(' ');
         out.push_str(inst.name);
-        out.push_str(" (");
-        for (i, &(port, signal)) in inst.connections.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('.');
-            out.push_str(port_names[port as usize]);
-            out.push('(');
+        push_connections(out, &port_names, inst.connections, |out, signal| {
             render(out, m, signal);
-            out.push(')');
-        }
-        out.push_str(");\n");
+        });
+    }
+    for generate in m.loops() {
+        emit_loop(out, design, m, generate);
     }
     out.push_str("endmodule\n\n");
+}
+
+/// Appends ` (.port(signal), …);` and a newline, each signal written by
+/// `render_one`.
+fn push_connections<S: Copy>(
+    out: &mut String,
+    port_names: &[&str],
+    connections: &[(u32, S)],
+    mut render_one: impl FnMut(&mut String, S),
+) {
+    out.push_str(" (");
+    for (i, &(port, signal)) in connections.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push('.');
+        out.push_str(port_names[port as usize]);
+        out.push('(');
+        render_one(out, signal);
+        out.push(')');
+    }
+    out.push_str(");\n");
+}
+
+/// Appends one generate loop: its `genvar`, then a `generate for` block
+/// instantiating every member once, a strided connection as the indexed
+/// part-select `net[base + i*width +: width]`.
+fn emit_loop(out: &mut String, design: &Design, m: &Module, generate: &GenerateLoop) {
+    let genvar = generate.genvar();
+    out.push_str("  genvar ");
+    out.push_str(&genvar);
+    out.push_str(";\n  generate\n    for (");
+    out.push_str(&genvar);
+    out.push_str(" = 0; ");
+    out.push_str(&genvar);
+    out.push_str(" < ");
+    push_num(out, u64::from(generate.count()));
+    out.push_str("; ");
+    out.push_str(&genvar);
+    out.push_str(" = ");
+    out.push_str(&genvar);
+    out.push_str(" + 1) begin : ");
+    out.push_str(generate.block());
+    out.push('\n');
+    for member in generate.members() {
+        let target = InstanceTarget::Module(member.child);
+        let port_names: Vec<&str> = (0..).map_while(|i| design.port_name(target, i)).collect();
+        out.push_str("      ");
+        out.push_str(design.target_name(target));
+        out.push(' ');
+        out.push_str(&member.name);
+        push_connections(
+            out,
+            &port_names,
+            &member.connections,
+            |out, wiring| match wiring {
+                LoopSignal::Broadcast(signal) => render(out, m, signal),
+                LoopSignal::Strided { net, base, width } => {
+                    out.push_str(m.net_name(net));
+                    out.push('[');
+                    if base != 0 {
+                        push_num(out, u64::from(base));
+                        out.push_str(" + ");
+                    }
+                    out.push_str(&genvar);
+                    out.push('*');
+                    push_num(out, u64::from(width));
+                    out.push_str(" +: ");
+                    push_num(out, u64::from(width));
+                    out.push(']');
+                }
+            },
+        );
+    }
+    out.push_str("    end\n  endgenerate\n");
 }
 
 /// Appends a signal expression as Verilog.
