@@ -323,7 +323,11 @@ pub enum LoopSignal {
 
 impl LoopSignal {
     /// The signal copy `i` receives.
-    pub fn at(self, i: u32) -> Signal {
+    ///
+    /// # Panics
+    ///
+    /// A strided width of 0 has no slice; debug builds panic on it.
+    pub(crate) fn at(self, i: u32) -> Signal {
         match self {
             LoopSignal::Broadcast(signal) => signal,
             LoopSignal::Strided { net, base, width } => {
@@ -398,7 +402,7 @@ impl GenerateLoop {
     }
 
     /// The loop variable's name: `{block}_i`.
-    pub fn genvar(&self) -> String {
+    pub(crate) fn genvar(&self) -> String {
         format!("{}_i", self.block)
     }
 
@@ -644,7 +648,7 @@ impl Module {
 
     /// Every child module this module instantiates, once per flat
     /// instance and once per loop member, with the number of copies.
-    pub fn child_uses(&self) -> impl Iterator<Item = (ModuleId, u32)> + '_ {
+    pub(crate) fn child_uses(&self) -> impl Iterator<Item = (ModuleId, u32)> + '_ {
         let flat = self.targets.iter().filter_map(|&t| match t {
             InstanceTarget::Module(child) => Some((child, 1)),
             InstanceTarget::Cell(_) => None,
@@ -681,11 +685,6 @@ impl Module {
     /// Panics if `c` was built by another module and is out of range here.
     pub fn concat_parts(&self, c: Concat) -> &[Signal] {
         &self.parts[c.start as usize..(c.start + c.len) as usize]
-    }
-
-    /// Number of instances.
-    pub fn instance_count(&self) -> usize {
-        self.targets.len()
     }
 
     /// Number of connections over all instances.
@@ -784,18 +783,21 @@ impl Module {
         }
     }
 
-    /// Appends every violation of this module to `out`.
-    fn check(&self, design: &Design, out: &mut Vec<Violation>) {
-        let violation = |instance: &str, port: &str, fault: Fault| Violation {
+    fn violation(&self, instance: &str, port: &str, fault: Fault) -> Violation {
+        Violation {
             module: self.name.clone(),
             instance: instance.to_owned(),
             port: port.to_owned(),
             fault,
-        };
+        }
+    }
+
+    /// Appends every violation of this module to `out`.
+    fn check(&self, design: &Design, out: &mut Vec<Violation>) {
         let mut seen = HashSet::with_capacity(self.net_widths.len());
         for name in self.net_names.iter() {
             if !seen.insert(name) {
-                out.push(violation("", "", Fault::DuplicateNet(name.to_owned())));
+                out.push(self.violation("", "", Fault::DuplicateNet(name.to_owned())));
             }
         }
         for inst in self.instances() {
@@ -804,7 +806,7 @@ impl Module {
                     let conn = self.conn_index(inst.id) + k;
                     let name = unresolved_name(&self.unresolved, conn, port);
                     let target = design.target_name(inst.target).to_owned();
-                    out.push(violation(inst.name, &name, Fault::UnknownPort { target }));
+                    out.push(self.violation(inst.name, &name, Fault::UnknownPort { target }));
                     continue;
                 };
                 let fault = match self.signal_width(signal) {
@@ -813,7 +815,7 @@ impl Module {
                     Err(fault) => fault,
                 };
                 let port_name = design.port_name(inst.target, port).unwrap_or_default();
-                out.push(violation(inst.name, port_name, fault));
+                out.push(self.violation(inst.name, port_name, fault));
             }
         }
         for (i, &(lhs, rhs)) in self.assigns.iter().enumerate() {
@@ -822,7 +824,7 @@ impl Module {
                 (Ok(expected), Ok(actual)) => Fault::WidthMismatch { expected, actual },
                 (Err(fault), _) | (_, Err(fault)) => fault,
             };
-            out.push(violation(&format!("assign #{i}"), "", fault));
+            out.push(self.violation(&format!("assign #{i}"), "", fault));
         }
         if !self.loops.is_empty() {
             let mut names: HashSet<String> = seen.into_iter().map(str::to_owned).collect();
@@ -843,19 +845,13 @@ impl Module {
         names: &mut HashSet<String>,
         out: &mut Vec<Violation>,
     ) {
-        let violation = |instance: &str, port: &str, fault: Fault| Violation {
-            module: self.name.clone(),
-            instance: instance.to_owned(),
-            port: port.to_owned(),
-            fault,
-        };
         let block = generate.block.as_str();
         if generate.count == 0 {
-            out.push(violation(block, "", Fault::EmptyLoop));
+            out.push(self.violation(block, "", Fault::EmptyLoop));
         }
         for name in [block.to_owned(), generate.genvar()] {
             if names.contains(&name) {
-                out.push(violation(block, "", Fault::DuplicateName(name)));
+                out.push(self.violation(block, "", Fault::DuplicateName(name)));
             } else {
                 names.insert(name);
             }
@@ -864,18 +860,14 @@ impl Module {
         for member in &generate.members {
             let site = format!("{block}.{}", member.name);
             if !members.insert(member.name.as_str()) {
-                out.push(violation(
-                    &site,
-                    "",
-                    Fault::DuplicateName(member.name.clone()),
-                ));
+                out.push(self.violation(&site, "", Fault::DuplicateName(member.name.clone())));
             }
             let target = InstanceTarget::Module(member.child);
             for (k, &(port, wiring)) in member.connections.iter().enumerate() {
                 let Some(expected) = design.port_width(target, port) else {
                     let name = unresolved_name(&member.unresolved, k, port);
                     let target = design.target_name(target).to_owned();
-                    out.push(violation(&site, &name, Fault::UnknownPort { target }));
+                    out.push(self.violation(&site, &name, Fault::UnknownPort { target }));
                     continue;
                 };
                 let fault = match wiring {
@@ -892,7 +884,7 @@ impl Module {
                     }
                 };
                 let port_name = design.port_name(target, port).unwrap_or_default();
-                out.push(violation(&site, port_name, fault));
+                out.push(self.violation(&site, port_name, fault));
             }
         }
     }
@@ -1088,6 +1080,11 @@ impl Design {
     /// instances: copy `i` of member `m` becomes instance `{m}{i}`, placed
     /// after the module's flat instances, copy by copy and member by member
     /// within a copy. A strided connection becomes the copy's slice.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic on a strided connection of width 0, which does
+    /// not validate.
     pub fn flattened(&self) -> Design {
         let mut flat = Design {
             modules: self.modules.clone(),
@@ -1464,6 +1461,230 @@ mod tests {
         let top = d.add_module(top).unwrap();
         d.add_module(Module::new("unused")).unwrap();
         assert_eq!(d.children_first(top), [leaf, mid, top]);
+    }
+
+    /// A design holding `leaf(x[3:0] -> z)`, and its id.
+    fn with_leaf() -> (Design, ModuleId) {
+        let mut d = Design::new();
+        let mut leaf = Module::new("leaf");
+        let x = leaf.add_input("x", 4);
+        let z = leaf.add_output("z", 1);
+        leaf.add_cell(
+            "n0",
+            StandardCell::Nor,
+            &[
+                ("a", Signal::Bit(x, 0)),
+                ("b", Signal::Bit(x, 1)),
+                ("y", Signal::Net(z)),
+            ],
+        );
+        let id = d.add_module(leaf).unwrap();
+        (d, id)
+    }
+
+    #[test]
+    fn loop_validates_and_flattens_copy_by_copy() {
+        let (mut d, leaf) = with_leaf();
+        let mut top = Module::new("top");
+        let a = top.add_input("a", 14);
+        let y = top.add_output("y", 3);
+        let mut rows = GenerateLoop::new("rows", 3);
+        rows.add_member(
+            &d,
+            "u",
+            leaf,
+            &[
+                (
+                    "x",
+                    LoopSignal::Strided {
+                        net: a,
+                        base: 2,
+                        width: 4,
+                    },
+                ),
+                (
+                    "z",
+                    LoopSignal::Strided {
+                        net: y,
+                        base: 0,
+                        width: 1,
+                    },
+                ),
+            ],
+        )
+        .add_member(
+            &d,
+            "v",
+            leaf,
+            &[
+                ("x", LoopSignal::Broadcast(Signal::slice(a, 3, 0))),
+                ("q", LoopSignal::Broadcast(Signal::Bit(y, 0))),
+            ],
+        );
+        top.add_loop(rows);
+        let top = d.add_module(top).unwrap();
+        d.set_top_id(top);
+
+        // Only the unknown port `q` is at fault, once for all three copies.
+        let v = violations(&d);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(
+            (v[0].instance.as_str(), v[0].port.as_str()),
+            ("rows.v", "q")
+        );
+
+        let flat = d.flattened();
+        assert!(flat[top].loops().is_empty());
+        let names: Vec<&str> = flat[top].instances().map(|i| i.name).collect();
+        assert_eq!(names, ["u0", "v0", "u1", "v1", "u2", "v2"]);
+        let u2 = flat[top].instances().nth(4).unwrap();
+        assert_eq!(
+            u2.connections,
+            [(0, Signal::slice(a, 13, 10)), (1, Signal::slice(y, 2, 2))]
+        );
+        // The flat form keeps the unresolved name at its new position.
+        let flat_v = violations(&flat);
+        assert_eq!(flat_v.len(), 3);
+        assert!(flat_v
+            .iter()
+            .all(|v| v.port == "q" && v.instance.starts_with('v')));
+        assert_eq!(d.children_first(top), [leaf, top]);
+    }
+
+    #[test]
+    fn validate_reports_every_located_loop_fault() {
+        let (mut d, leaf) = with_leaf();
+        let mut top = Module::new("top");
+        let a = top.add_input("a", 12);
+        let y = top.add_output("y", 3);
+        top.add_cell(
+            "u0",
+            StandardCell::Nor,
+            &[
+                ("a", Signal::Bit(a, 0)),
+                ("b", Signal::Bit(a, 1)),
+                ("y", Signal::Bit(y, 0)),
+            ],
+        );
+        let mut rows = GenerateLoop::new("rows", 3);
+        rows.add_member(
+            &d,
+            "u",
+            leaf,
+            // Fault 1: copy 2 reaches a[15] of a 12-bit net.
+            &[
+                (
+                    "x",
+                    LoopSignal::Strided {
+                        net: a,
+                        base: 4,
+                        width: 4,
+                    },
+                ),
+                (
+                    "z",
+                    LoopSignal::Strided {
+                        net: y,
+                        base: 0,
+                        width: 1,
+                    },
+                ),
+            ],
+        )
+        // Fault 2: a second member `u`.
+        .add_member(
+            &d,
+            "u",
+            leaf,
+            &[
+                // Fault 3: a 2-bit stride into the 4-bit port.
+                (
+                    "x",
+                    LoopSignal::Strided {
+                        net: a,
+                        base: 0,
+                        width: 2,
+                    },
+                ),
+                // Fault 4: the 3-bit bus broadcast into the 1-bit port.
+                ("z", LoopSignal::Broadcast(Signal::Net(y))),
+            ],
+        );
+        top.add_loop(rows);
+        // Faults 5 and 6: no copies, and a block named like the net `a`.
+        top.add_loop(GenerateLoop::new("a", 0));
+        // Fault 7: a block named like the flat instance `u0`.
+        top.add_loop(GenerateLoop::new("u0", 1));
+        // Fault 8: the genvar `rows_i` of a second `rows` block, and
+        // fault 9 the block name itself.
+        top.add_loop(GenerateLoop::new("rows", 1));
+        let top = d.add_module(top).unwrap();
+        d.set_top_id(top);
+
+        let v = violations(&d);
+        let located: Vec<(&str, &str, &Fault)> = v
+            .iter()
+            .map(|v| (v.instance.as_str(), v.port.as_str(), &v.fault))
+            .collect();
+        let out_of_range = Fault::IndexOutOfRange {
+            net: "a".into(),
+            index: 15,
+            width: 12,
+        };
+        let narrow = Fault::WidthMismatch {
+            expected: 4,
+            actual: 2,
+        };
+        let wide = Fault::WidthMismatch {
+            expected: 1,
+            actual: 3,
+        };
+        let dup = |name: &str| Fault::DuplicateName(name.into());
+        assert_eq!(
+            located,
+            [
+                ("rows.u", "x", &out_of_range),
+                ("rows.u", "", &dup("u")),
+                ("rows.u", "x", &narrow),
+                ("rows.u", "z", &wide),
+                ("a", "", &Fault::EmptyLoop),
+                ("a", "", &dup("a")),
+                ("u0", "", &dup("u0")),
+                ("rows", "", &dup("rows")),
+                ("rows", "", &dup("rows_i")),
+            ]
+        );
+        assert!(v.iter().all(|v| v.module == "top"));
+
+        let message = d.validate().unwrap_err().to_string();
+        assert!(
+            message.starts_with("netlist has 9 violation(s):"),
+            "{message}"
+        );
+        assert!(
+            message.contains(
+                "module `top`, instance `rows.u`, port `x`: index 15 out of range for net `a` of width 12"
+            ),
+            "{message}"
+        );
+        assert!(message.contains("instance `a`: generate loop has a count of 0"));
+        assert!(message.contains("instance `u0`: name `u0` is declared twice"));
+    }
+
+    #[test]
+    fn loop_children_must_already_be_in_the_design() {
+        let (d, _) = with_leaf();
+        let mut other = d.clone();
+        let late = other.add_module(Module::new("late")).unwrap();
+        let mut top = Module::new("top");
+        let mut rows = GenerateLoop::new("rows", 2);
+        rows.add_member(&other, "l", late, &[]);
+        top.add_loop(rows);
+        let mut d = d;
+        assert!(matches!(
+            d.add_module(top),
+            Err(NetlistError::UnknownModule(_))
+        ));
     }
 
     #[test]

@@ -329,10 +329,14 @@ mod tests {
 
     #[test]
     fn module_and_endmodule_counts_balance() {
-        let v = emit(&small_int()).unwrap();
-        let modules = v.matches("\nmodule ").count() + usize::from(v.starts_with("module "));
-        let ends = v.matches("endmodule").count();
-        assert_eq!(modules, ends);
+        for d in [small_int(), lanes()] {
+            let v = emit(&d).unwrap();
+            let modules = v.lines().filter(|l| l.starts_with("module ")).count();
+            let ends = v.lines().filter(|l| *l == "endmodule").count();
+            assert!(modules > 0);
+            assert_eq!(modules, ends);
+            assert!(v.trim_end().ends_with("endmodule"));
+        }
     }
 
     #[test]
@@ -364,19 +368,107 @@ mod tests {
         }
     }
 
+    /// `row`: a loop `lanes` of 3 copies of two `stage` members, `a` fed
+    /// from `din` at bit 2 onward and `b` chained behind it through `w`.
+    fn lanes() -> Design {
+        let mut d = Design::new();
+        let mut stage = Module::new("stage");
+        stage.add_input("s", 1);
+        stage.add_input("d", 2);
+        stage.add_output("q", 2);
+        let stage = d.add_module(stage).unwrap();
+        let mut row = Module::new("row");
+        let sel = row.add_input("sel", 1);
+        let din = row.add_input("din", 8);
+        let dout = row.add_output("dout", 6);
+        let w = row.add_wire("w", 6);
+        let lane = |net, base| LoopSignal::Strided {
+            net,
+            base,
+            width: 2,
+        };
+        let mut lanes = GenerateLoop::new("lanes", 3);
+        lanes
+            .add_member(
+                &d,
+                "a",
+                stage,
+                &[
+                    ("s", LoopSignal::Broadcast(Signal::Net(sel))),
+                    ("d", lane(din, 2)),
+                    ("q", lane(w, 0)),
+                ],
+            )
+            .add_member(
+                &d,
+                "b",
+                stage,
+                &[
+                    ("s", LoopSignal::Broadcast(Signal::Bit(din, 0))),
+                    ("d", lane(w, 0)),
+                    ("q", lane(dout, 0)),
+                ],
+            );
+        row.add_loop(lanes);
+        let row = d.add_module(row).unwrap();
+        d.set_top_id(row);
+        d
+    }
+
+    #[test]
+    fn loops_emit_as_generate_blocks() {
+        let v = emit(&lanes()).unwrap();
+        assert_eq!(
+            v,
+            "// Generated by sega-netlist (SEGA-DCIM template-based generator)
+// Top module: row
+
+module stage(s, d, q);
+  input s;
+  input [1:0] d;
+  output [1:0] q;
+endmodule
+
+module row(sel, din, dout);
+  input sel;
+  input [7:0] din;
+  output [5:0] dout;
+  wire [5:0] w;
+  genvar lanes_i;
+  generate
+    for (lanes_i = 0; lanes_i < 3; lanes_i = lanes_i + 1) begin : lanes
+      stage a (.s(sel), .d(din[2 + lanes_i*2 +: 2]), .q(w[lanes_i*2 +: 2]));
+      stage b (.s(din[0]), .d(w[lanes_i*2 +: 2]), .q(dout[lanes_i*2 +: 2]));
+    end
+  endgenerate
+endmodule
+
+"
+        );
+        let flat = emit(&lanes().flattened()).unwrap();
+        assert!(flat.contains(
+            "  stage a1 (.s(sel), .d(din[5:4]), .q(w[3:2]));\n  stage b1 (.s(din[0]), .d(w[3:2]), .q(dout[3:2]));\n"
+        ));
+    }
+
     #[test]
     fn size_hint_covers_the_output() {
+        let mut designs = Vec::new();
         for (p, n, h, l, k) in [
             (Precision::Int4, 8, 4, 2, 1),
             (Precision::Bf16, 16, 7, 3, 3),
             (Precision::Fp32, 48, 5, 1, 24),
         ] {
             let d = generate_macro(&DcimDesign::for_precision(p, n, h, l, k).unwrap()).unwrap();
+            designs.push((format!("{p:?}"), d));
+        }
+        designs.push(("lanes".to_owned(), lanes()));
+        for (name, d) in designs {
             let v = emit(&d).unwrap();
             let hint: usize = d.modules().iter().map(|m| size_hint(&d, m)).sum();
             assert!(
                 hint >= v.len() && hint < 3 * v.len(),
-                "{p:?}: {hint} vs {}",
+                "{name}: {hint} vs {}",
                 v.len()
             );
         }
