@@ -948,10 +948,11 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Bridges SIGTERM to the process-wide drain flag: the daemon's accept
-/// loop polls [`sega_dcim::drain_flag`] and begins its graceful drain
-/// (stop accepting, finish in-flight, flush, exit) when the flag flips.
-/// The handler body is a single atomic store — async-signal-safe.
+/// Bridges SIGTERM to the process-wide drain flag: the daemon's drain
+/// watcher polls [`sega_dcim::drain_flag`] and, when the flag flips,
+/// wakes the blocking accept with a self-connect and begins the graceful
+/// drain (stop accepting, finish in-flight jobs, flush, exit). The
+/// handler body is a single atomic store — async-signal-safe.
 fn install_sigterm_drain() {
     extern "C" fn on_sigterm(_signum: i32) {
         sega_dcim::drain_flag().store(true, std::sync::atomic::Ordering::SeqCst);

@@ -1339,8 +1339,9 @@ fn validate_shape(
 /// several precisions over one shared backend) may dispatch meanwhile;
 /// responses landing in between wait in the worker channels (or the
 /// other exploration's collect parks them in the per-worker stash).
-/// Batch jobs never interleave here: `run_batch_with` runs them one
-/// after another and the daemon serializes them under its job lock.
+/// The serve daemon interleaves here too: jobs from different client
+/// connections run concurrently on its one backend. (`run_batch_with`
+/// still runs a batch's jobs one after another.)
 #[derive(Debug)]
 struct InflightCohort {
     cohort: Vec<Geometry>,

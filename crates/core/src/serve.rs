@@ -13,35 +13,42 @@
 //! Connecting → Hello → Serving → Draining → Gone
 //! ```
 //!
-//! *Connecting* is the raw TCP/Unix accept. *Hello* is the versioned
-//! capability exchange ([`sega_wire::frame::Hello`]), bounded by a hello
-//! deadline — a peer that connects and never identifies itself is
-//! dropped and counted, never awaited indefinitely. *Serving* answers
-//! framed requests under an idle timeout; [`Message::Heartbeat`] frames
-//! keep a quiet connection alive. *Draining* begins on SIGTERM (the CLI
-//! routes the signal through [`drain_flag`]) or a [`Message::Shutdown`]
-//! frame from any client: the daemon stops accepting, lets in-flight
-//! jobs finish under a bounded grace, flushes the cache snapshot to
-//! `--cache-file`, and only then exits. *Gone* closes the connection and
-//! reclaims its thread.
+//! *Connecting* is the raw TCP/Unix accept: the accept loop blocks in
+//! `accept` and hands each connection its own thread. *Hello* is the
+//! versioned capability exchange ([`sega_wire::frame::Hello`]), bounded
+//! by a hello deadline — a peer that connects and never identifies
+//! itself is dropped and counted, never awaited indefinitely. *Serving*
+//! answers framed requests under an idle timeout; [`Message::Heartbeat`]
+//! frames keep a quiet connection alive. *Draining* begins on SIGTERM
+//! (the CLI routes the signal through [`drain_flag`], which a watcher
+//! thread polls) or a [`Message::Shutdown`] frame from any client: the
+//! daemon connects to its own listen address once to wake the blocked
+//! `accept`, stops accepting, lets in-flight jobs finish under a bounded
+//! grace, flushes the cache snapshot to `--cache-file`, and only then
+//! exits. *Gone* closes the connection and reclaims its thread.
 //!
-//! # Determinism
+//! # Concurrency and determinism
 //!
-//! A job executes through the exact same [`explore_pareto_with`]
-//! pipeline a local batch run uses, so the front the daemon ships back
-//! is **bit-identical** to an in-process run of the same job — and
-//! because every connection shares one [`SharedEvalCache`], a second
-//! client repeating a batch against a warm daemon reports **0 distinct
-//! evaluations**. A client that disconnects mid-job changes nothing: the
-//! job runs to completion on the daemon and its estimates stay in the
-//! cache; only the response write is skipped.
+//! Jobs from different connections run at the same time on the one
+//! [`SharedEvalCache`] and backend. A job executes through the exact
+//! same [`explore_pareto_with`] pipeline a local batch run uses, and the
+//! cache memoizes a pure function, so the front the daemon ships back is
+//! **bit-identical** to an in-process run of the same job whatever else
+//! runs beside it. A job's `distinct_evaluations` and `cache_hits`
+//! describe that job's own cache lookups, and `evaluations ==
+//! distinct_evaluations + cache_hits` holds exactly. A second client
+//! repeating a batch against a warm daemon reports **0 distinct
+//! evaluations**; two jobs that run at the same time and both miss on
+//! one geometry each count it as distinct. A client that disconnects
+//! mid-job changes nothing: the job runs to completion on the daemon and
+//! its estimates stay in the cache; only the response write is skipped.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sega_cells::Technology;
@@ -219,8 +226,8 @@ impl Listener {
         }
     }
 
-    /// Switches the listener to non-blocking accepts (the accept loops
-    /// poll a drain flag between attempts).
+    /// Switches the listener to non-blocking accepts (the fleet hub's
+    /// accept loop polls a stop flag between attempts).
     pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
         match self {
             Listener::Unix(l, _) => l.set_nonblocking(true),
@@ -228,7 +235,7 @@ impl Listener {
         }
     }
 
-    /// Accepts one connection (non-blocking once
+    /// Accepts one connection (blocking unless
     /// [`set_nonblocking`](Self::set_nonblocking) ran).
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
@@ -276,8 +283,9 @@ fn is_read_timeout(e: &FrameError) -> bool {
 }
 
 /// The process-wide drain request flag: the CLI's SIGTERM handler sets
-/// it, every running [`serve`] loop polls it. (A [`Message::Shutdown`]
-/// frame drains only its own daemon; the signal drains all of them.)
+/// it, and a watcher thread of every running [`serve`] turns it into
+/// that daemon's drain. (A [`Message::Shutdown`] frame drains only its
+/// own daemon; the signal drains all of them.)
 pub fn drain_flag() -> &'static AtomicBool {
     static FLAG: AtomicBool = AtomicBool::new(false);
     &FLAG
@@ -334,7 +342,8 @@ impl ServeOptions {
 /// What one daemon lifetime served, returned by [`serve`] after drain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeReport {
-    /// Connections accepted.
+    /// Client connections accepted (a drain's own wake-up connection is
+    /// not one).
     pub connections: u64,
     /// Jobs executed to completion.
     pub jobs: u64,
@@ -351,7 +360,10 @@ pub struct ServeReport {
 
 /// Shared state of one daemon: the cache and backend every connection's
 /// jobs run through, the drain/activity flags the accept loop and the
-/// connection threads coordinate on, and the served counters.
+/// connection threads coordinate on, and the served counters. Jobs from
+/// different connections run concurrently: the cache is sharded and
+/// memoizes a pure function, and the backend and the worker pool accept
+/// several submitters at once.
 #[derive(Debug)]
 struct DaemonShared {
     cache: Arc<SharedEvalCache>,
@@ -360,20 +372,33 @@ struct DaemonShared {
     hello_deadline: Duration,
     idle_timeout: Duration,
     log: bool,
+    /// The resolved listen address a drain connects to once, to wake
+    /// the accept loop out of its blocking `accept`.
+    listen: ListenAddr,
     draining: AtomicBool,
-    active: AtomicUsize,
+    active: Arc<AtomicUsize>,
     jobs: AtomicU64,
     hello_timeouts: AtomicU64,
     idle_closed: AtomicU64,
-    /// Jobs execute one at a time: every connection shares one cache and
-    /// one backend, and serialized execution keeps the daemon's answer
-    /// for any job history deterministic.
-    job_lock: Mutex<()>,
 }
 
 impl DaemonShared {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst) || drain_flag().load(Ordering::SeqCst)
+    }
+
+    /// Starts this daemon's drain and wakes the accept loop with one
+    /// self-connect; later calls do nothing.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Err(e) = Stream::connect(&self.listen) {
+            self.log(&format!(
+                "cannot wake the accept loop on {}: {e}",
+                self.listen
+            ));
+        }
     }
 
     fn log(&self, text: &str) {
@@ -383,6 +408,52 @@ impl DaemonShared {
     }
 }
 
+/// One live connection counted in the daemon's `active` gauge, released
+/// on drop — so a connection thread that panics still lets the drain
+/// finish clean.
+struct ActiveConnection(Arc<AtomicUsize>);
+
+impl ActiveConnection {
+    fn enter(active: &Arc<AtomicUsize>) -> ActiveConnection {
+        active.fetch_add(1, Ordering::SeqCst);
+        ActiveConnection(Arc::clone(active))
+    }
+}
+
+impl Drop for ActiveConnection {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What the accept loop does after `accept` failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// A client reset before the accept, or a signal interrupted it:
+    /// accept again.
+    Retry,
+    /// The process or system is out of file descriptors: back off
+    /// briefly, then accept again.
+    Backoff,
+    /// The listener itself is broken: stop serving.
+    Fatal,
+}
+
+/// Classifies an `accept` error so that nothing a client does can end
+/// the daemon.
+fn classify_accept_error(e: &io::Error) -> AcceptFailure {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    match (e.kind(), e.raw_os_error()) {
+        (io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted, _) => AcceptFailure::Retry,
+        (_, Some(ENFILE | EMFILE)) => AcceptFailure::Backoff,
+        _ => AcceptFailure::Fatal,
+    }
+}
+
+/// How often the watcher thread checks [`drain_flag`].
+const DRAIN_POLL: Duration = Duration::from_millis(20);
+
 /// Runs the daemon until a drain request (SIGTERM via [`drain_flag`], or
 /// a [`Message::Shutdown`] frame from any client) completes: stop
 /// accepting, finish in-flight connections under
@@ -390,14 +461,11 @@ impl DaemonShared {
 ///
 /// # Errors
 ///
-/// Binding the listen address, loading the cache file, or flushing the
-/// final snapshot.
+/// Binding the listen address, loading the cache file, a broken
+/// listener, or flushing the final snapshot.
 pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
     let (listener, resolved) = Listener::bind(&options.listen)
         .map_err(|e| format!("cannot listen on `{}`: {e}", options.listen))?;
-    listener
-        .set_nonblocking()
-        .map_err(|e| format!("cannot poll `{resolved}`: {e}"))?;
     let cache = options
         .cache
         .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
@@ -418,41 +486,70 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
         hello_deadline: options.hello_deadline,
         idle_timeout: options.idle_timeout,
         log: options.log,
+        listen: resolved.clone(),
         draining: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
+        active: Arc::new(AtomicUsize::new(0)),
         jobs: AtomicU64::new(0),
         hello_timeouts: AtomicU64::new(0),
         idle_closed: AtomicU64::new(0),
-        job_lock: Mutex::new(()),
     });
     shared.log(&format!("listening on {resolved}"));
 
-    let mut connections: u64 = 0;
-    while !shared.draining() {
-        match listener.accept() {
-            Ok(stream) => {
-                connections += 1;
-                let conn = connections;
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("sega-serve-conn-{conn}"))
-                    .spawn(move || {
-                        if let Err(e) = serve_connection(stream, conn, &conn_shared) {
-                            conn_shared.log(&format!("connection {conn}: {e}"));
-                        }
-                        conn_shared.active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    shared.active.fetch_sub(1, Ordering::SeqCst);
+    // glibc restarts `accept` after a signal, so SIGTERM alone cannot
+    // wake the loop: this watcher turns the flag into the self-connect.
+    let watcher_shared = Arc::clone(&shared);
+    let watcher = std::thread::Builder::new()
+        .name("sega-serve-drain".to_owned())
+        .spawn(move || {
+            while !watcher_shared.draining.load(Ordering::SeqCst) {
+                if drain_flag().load(Ordering::SeqCst) {
+                    watcher_shared.begin_drain();
+                    break;
                 }
+                std::thread::sleep(DRAIN_POLL);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(format!("accept on `{resolved}` failed: {e}")),
+        })
+        .map_err(|e| format!("cannot start the drain watcher: {e}"))?;
+
+    let mut connections: u64 = 0;
+    let accepted = loop {
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(e) => match classify_accept_error(&e) {
+                AcceptFailure::Retry => continue,
+                AcceptFailure::Backoff => {
+                    shared.log(&format!("accept on {resolved}: {e}; backing off"));
+                    std::thread::sleep(Duration::from_millis(10));
+                    continue;
+                }
+                AcceptFailure::Fatal => break Err(format!("accept on `{resolved}` failed: {e}")),
+            },
+        };
+        // The drain's own wake-up connection, or a client that raced it:
+        // dropped unserved and uncounted.
+        if shared.draining() {
+            break Ok(());
         }
-    }
+        connections += 1;
+        let conn = connections;
+        let active = ActiveConnection::enter(&shared.active);
+        let conn_shared = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name(format!("sega-serve-conn-{conn}"))
+            .spawn(move || {
+                let _active = active;
+                if let Err(e) = serve_connection(stream, conn, &conn_shared) {
+                    conn_shared.log(&format!("connection {conn}: {e}"));
+                }
+            });
+        if let Err(e) = spawned {
+            shared.log(&format!("connection {conn}: cannot start its thread: {e}"));
+        }
+    };
+    // Stops the watcher without a wake-up if the loop ended any other way.
+    shared.draining.store(true, Ordering::SeqCst);
+    let _ = watcher.join();
+    accepted?;
 
     // Draining: the listener stops accepting (loop exited), in-flight
     // connections get a bounded grace to finish, then the daemon moves
@@ -542,7 +639,7 @@ fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<
             }
             Ok(Message::Shutdown) => {
                 shared.log(&format!("connection {conn}: shutdown frame, draining"));
-                shared.draining.store(true, Ordering::SeqCst);
+                shared.begin_drain();
                 return Ok(());
             }
             Ok(_) => return Err("peer sent a frame the daemon does not serve".to_owned()),
@@ -559,13 +656,13 @@ fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<
 }
 
 /// Executes one job through the standard exploration pipeline on the
-/// daemon's shared cache and backend. Serialized across connections.
+/// daemon's shared cache and backend, concurrently with the jobs of
+/// other connections.
 fn run_job(shared: &DaemonShared, job: &JobRequest) -> Result<JobResponse, String> {
     let precision = Precision::from_name(&job.precision)
         .ok_or_else(|| format!("job {} names unknown precision `{}`", job.id, job.precision))?;
-    // Checked before taking the job lock: NSGA-II asserts on a population
-    // below 2, an oversized budget would try to allocate without bound,
-    // and a panic under the lock would poison it for every later client.
+    // Checked before the job runs: NSGA-II asserts on a population below
+    // 2, and an oversized budget would try to allocate without bound.
     crate::batch::check_budget(
         job.id as usize,
         job.population as usize,
@@ -580,7 +677,6 @@ fn run_job(shared: &DaemonShared, job: &JobRequest) -> Result<JobResponse, Strin
         seed: job.seed,
         ..Default::default()
     };
-    let _serialized = shared.job_lock.lock().map_err(|_| "job lock poisoned")?;
     let pipeline = PipelineOptions {
         threads: shared.threads,
         shared_cache: Some(Arc::clone(&shared.cache)),
@@ -847,6 +943,121 @@ mod tests {
         assert!(report.cache_entries > 0);
     }
 
+    /// Three clients send different jobs at the same moment, so the jobs
+    /// run concurrently on the daemon's one cache: every front is still
+    /// bit-identical to an in-process run and every client's accounting
+    /// partitions exactly.
+    #[test]
+    fn concurrent_clients_get_in_process_fronts() {
+        let addr = scratch_addr("concurrent");
+        let mut options = ServeOptions::new(addr.clone());
+        options.threads = 1;
+        options.grace = Duration::from_secs(10);
+        let daemon = std::thread::spawn(move || serve(options));
+
+        let batches: Vec<Vec<BatchJob>> = [
+            r#"[{"wstore": 8192, "precision": "int8", "population": 10, "generations": 4, "seed": 11}]"#,
+            r#"[{"wstore": 8192, "precision": "int4", "population": 10, "generations": 4, "seed": 12}]"#,
+            r#"[{"wstore": 16384, "precision": "bf16", "population": 10, "generations": 4, "seed": 13}]"#,
+        ]
+        .iter()
+        .map(|text| parse_jobs(text, &Nsga2Config::default()).unwrap())
+        .collect();
+        let start = std::sync::Barrier::new(batches.len());
+        let served: Vec<BatchReport> = std::thread::scope(|s| {
+            let clients: Vec<_> = batches
+                .iter()
+                .map(|jobs| {
+                    let (addr, start) = (&addr, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        run_batch_connected(addr, jobs, false)
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .map(|c| c.join().expect("client thread").expect("client"))
+                .collect()
+        });
+
+        for (report, jobs) in served.iter().zip(&batches) {
+            let local = crate::batch::run_batch(
+                jobs,
+                &Technology::tsmc28(),
+                &OperatingConditions::paper_default(),
+                PipelineOptions::default(),
+            );
+            assert_eq!(
+                report.outcomes[0].result.objective_matrix(),
+                local.outcomes[0].result.objective_matrix(),
+                "a concurrent job's front diverged from the in-process reference"
+            );
+            assert_eq!(report.evaluations, local.evaluations);
+            assert_eq!(
+                report.distinct_evaluations + report.cache_hits,
+                report.evaluations,
+                "accounting must partition exactly"
+            );
+        }
+        run_batch_connected(&addr, &[], true).expect("drain");
+        let report = daemon.join().expect("daemon thread").expect("daemon exit");
+        assert_eq!(report.jobs, 3, "{report:?}");
+        assert_eq!(report.connections, 4, "{report:?}");
+        assert!(report.drained_clean, "{report:?}");
+    }
+
+    /// A shutdown frame wakes a daemon blocked in `accept`: `serve`
+    /// returns promptly instead of waiting for another client.
+    #[test]
+    fn shutdown_frame_wakes_an_idle_daemon() {
+        let addr = scratch_addr("wake");
+        let mut options = ServeOptions::new(addr.clone());
+        options.threads = 1;
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(serve(options)));
+        run_batch_connected(&addr, &[], true).expect("shutdown client");
+        let report = finished
+            .recv_timeout(Duration::from_secs(5))
+            .expect("serve must return after a shutdown frame")
+            .expect("daemon exit");
+        assert_eq!(report.connections, 1, "{report:?}");
+        assert!(report.drained_clean, "{report:?}");
+    }
+
+    #[test]
+    fn accept_errors_a_client_can_cause_never_end_the_daemon() {
+        let kind = |k| classify_accept_error(&io::Error::from(k));
+        assert_eq!(kind(io::ErrorKind::ConnectionAborted), AcceptFailure::Retry);
+        assert_eq!(kind(io::ErrorKind::Interrupted), AcceptFailure::Retry);
+        for out_of_fds in [23, 24] {
+            assert_eq!(
+                classify_accept_error(&io::Error::from_raw_os_error(out_of_fds)),
+                AcceptFailure::Backoff
+            );
+        }
+        // EBADF and EINVAL: the listener itself is gone.
+        for broken in [9, 22] {
+            assert_eq!(
+                classify_accept_error(&io::Error::from_raw_os_error(broken)),
+                AcceptFailure::Fatal
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_connection_still_releases_its_slot() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let guard = ActiveConnection::enter(&active);
+        assert_eq!(active.load(Ordering::SeqCst), 1);
+        let outcome = std::panic::catch_unwind(move || {
+            let _guard = guard;
+            panic!("connection thread panicked");
+        });
+        assert!(outcome.is_err());
+        assert_eq!(active.load(Ordering::SeqCst), 0);
+    }
+
     #[test]
     fn silent_peers_are_dropped_at_the_hello_deadline() {
         let addr = scratch_addr("hello");
@@ -876,8 +1087,8 @@ mod tests {
     }
 
     /// A job NSGA-II cannot run (population 1) or must not run
-    /// (population 100,000,000) is refused before it takes the job lock,
-    /// so the daemon keeps serving: a later well-formed client still gets
+    /// (population 100,000,000) is refused before it runs, so the daemon
+    /// keeps serving: a later well-formed client still gets
     /// its front, bit-identical to an in-process run.
     #[test]
     fn rejected_job_does_not_brick_the_daemon() {

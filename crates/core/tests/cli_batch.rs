@@ -468,3 +468,61 @@ fn remote_batch_matches_macro_and_warm_starts_across_processes() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// SIGTERM drains an idle daemon: the signal wakes the blocking accept
+/// (through the drain watcher's self-connect), and the process exits 0
+/// promptly with the drain logged.
+#[test]
+fn sigterm_drains_an_idle_daemon() {
+    use std::io::Read;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = scratch("sigterm");
+    let socket = dir.join("serve.sock");
+    let mut daemon = Command::new(bin())
+        .args(["serve", "--listen", &format!("unix:{}", socket.display())])
+        .arg("--log")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start the daemon");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "daemon never started listening");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("poll the daemon") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("daemon did not exit within 5 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    daemon
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("draining"), "{stderr}");
+    assert!(
+        !socket.exists(),
+        "the drained daemon must remove its socket"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -27,9 +27,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use sega_cells::Technology;
+use sega_dcim::batch::parse_jobs;
 use sega_dcim::{
-    explore_pareto_with, EvalBackend, ExplorationResult, PipelineOptions, RemoteBackend,
-    RemoteOptions, SharedEvalCache, TransportKind, UserSpec, WorkerCommand,
+    explore_pareto_with, run_batch, run_batch_connected, serve, BatchJob, EvalBackend,
+    ExplorationResult, ListenAddr, PipelineOptions, RemoteBackend, RemoteOptions, ServeOptions,
+    SharedEvalCache, TransportKind, UserSpec, WorkerCommand,
 };
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
@@ -667,4 +669,78 @@ fn worker_logs_land_in_the_log_dir() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon in front of a 2-worker fleet serves two clients at once, so
+/// two batch jobs interleave their cohorts on one fleet (the in-flight
+/// stash path): both clients still get the in-process fronts.
+#[test]
+fn a_daemon_fleet_serves_two_concurrent_clients() {
+    let cache = Arc::new(SharedEvalCache::new());
+    let backend = Arc::new(
+        RemoteBackend::spawn(RemoteOptions::fleet(program(), 2))
+            .expect("spawn fleet")
+            .with_sink(Arc::clone(&cache)),
+    );
+    let pids = backend.worker_pids();
+    let addr = ListenAddr::Unix(
+        std::env::temp_dir().join(format!("sega-daemon-fleet-{}.sock", std::process::id())),
+    );
+    let mut options = ServeOptions::new(addr.clone());
+    options.threads = 1;
+    options.cache = Some(cache);
+    options.backend = Some(Arc::clone(&backend) as _);
+    let daemon = std::thread::spawn(move || serve(options));
+
+    let batches: Vec<Vec<BatchJob>> = [
+        r#"[{"wstore": 8192, "precision": "int8", "population": 16, "generations": 10, "seed": 21}]"#,
+        r#"[{"wstore": 16384, "precision": "fp32", "population": 16, "generations": 10, "seed": 22}]"#,
+    ]
+    .iter()
+    .map(|text| parse_jobs(text, &Nsga2Config::default()).unwrap())
+    .collect();
+    let start = std::sync::Barrier::new(batches.len());
+    let served: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> = batches
+            .iter()
+            .map(|jobs| {
+                let (addr, start) = (&addr, &start);
+                s.spawn(move || {
+                    start.wait();
+                    run_batch_connected(addr, jobs, false)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread").expect("client"))
+            .collect()
+    });
+    for (report, jobs) in served.iter().zip(&batches) {
+        let local = run_batch(
+            jobs,
+            &Technology::tsmc28(),
+            &OperatingConditions::paper_default(),
+            PipelineOptions::default(),
+        );
+        assert_eq!(
+            report.outcomes[0].result.objective_matrix(),
+            local.outcomes[0].result.objective_matrix(),
+            "a fleet-served concurrent job diverged from the in-process front"
+        );
+        assert_eq!(report.evaluations, local.evaluations);
+    }
+    run_batch_connected(&addr, &[], true).expect("drain");
+    let report = daemon.join().expect("daemon thread").expect("daemon exit");
+    assert_eq!(report.jobs, 2, "{report:?}");
+    assert!(report.drained_clean, "{report:?}");
+    let stats = backend.stats();
+    assert_eq!(stats.worker_deaths, 0, "{stats:?}");
+    assert_eq!(stats.fallback_geometries, 0, "{stats:?}");
+    assert!(
+        stats.round_trips > 0,
+        "the fleet served no cohort: {stats:?}"
+    );
+    drop(backend);
+    assert_no_zombies(&pids);
 }

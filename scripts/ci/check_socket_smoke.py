@@ -2,6 +2,7 @@
 """Socket-smoke guard: warm-daemon determinism across clients.
 
 Usage: check_socket_smoke.py REFERENCE_JSON CLIENT1_JSON CLIENT2_JSON
+       check_socket_smoke.py --concurrent REFERENCE_JSON CLIENT_JSON...
 
 REFERENCE is the in-process batch report; CLIENT1 and CLIENT2 are the
 reports of two sequential `batch --connect` clients that ran the same
@@ -18,6 +19,12 @@ acceptance criteria:
 * both clients' accounting partitions exactly
   (`evaluations == distinct_evaluations + cache_hits`) and agrees with
   the reference on the total evaluation count.
+
+With `--concurrent`, the CLIENT reports come from cold clients that were
+started together against one fresh daemon, so their jobs ran at the same
+time. Each must match the reference fronts byte for byte, partition
+exactly and match the reference evaluation count. The 0-distinct rule
+does not apply: two jobs running at once may both miss on a geometry.
 """
 
 import json
@@ -33,13 +40,12 @@ def fronts(doc):
     return [j["front"] for j in doc["jobs"]]
 
 
-def main() -> None:
-    reference_path, client1_path, client2_path = sys.argv[1], sys.argv[2], sys.argv[3]
+def check_clients(reference_path, client_paths):
+    """Fronts, partition and evaluation count of every client report."""
     reference = load(reference_path)
     reference_fronts = fronts(reference)
     reference_totals = reference["totals"]
-
-    for path in (client1_path, client2_path):
+    for path in client_paths:
         doc = load(path)
         assert fronts(doc) == reference_fronts, (
             f"{path}: fronts are not byte-identical to the reference"
@@ -52,6 +58,22 @@ def main() -> None:
             f"{path}: the GA request stream must be transport-invariant: "
             f"{totals['evaluations']} != {reference_totals['evaluations']}"
         )
+
+
+def main() -> None:
+    if sys.argv[1] == "--concurrent":
+        reference_path, client_paths = sys.argv[2], sys.argv[3:]
+        assert client_paths, "--concurrent needs at least one client report"
+        check_clients(reference_path, client_paths)
+        distinct = [load(p)["totals"]["distinct_evaluations"] for p in client_paths]
+        print(
+            f"concurrent socket smoke OK: {len(client_paths)} clients "
+            f"byte-identical to the reference, distinct evaluations {distinct}"
+        )
+        return
+
+    reference_path, client1_path, client2_path = sys.argv[1], sys.argv[2], sys.argv[3]
+    check_clients(reference_path, (client1_path, client2_path))
 
     cold = load(client1_path)["totals"]
     warm = load(client2_path)["totals"]
