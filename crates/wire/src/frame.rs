@@ -880,6 +880,114 @@ mod tests {
         );
     }
 
+    /// Lowercase hex of one framed message (length prefix + payload).
+    fn framed_hex(message: &Message) -> String {
+        let mut stream = Vec::new();
+        send(&mut stream, message).unwrap();
+        stream.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of every protocol-2 message a client or daemon
+    /// sends. Any change here breaks deployed v2 peers: the hello keeps
+    /// its `worker-hello` kind tag and its `peer_id`/`capacity`/`faults`
+    /// layout even though no peer advertises anything in them.
+    #[test]
+    fn protocol_v2_frames_are_pinned_byte_for_byte() {
+        // Every frame: u32 LE length, the `SGWB` magic, u32 format
+        // version 1, then the u32-length-prefixed kind tag and fields.
+        let cases = [
+            (
+                Message::Hello(Hello::client()),
+                concat!(
+                    "36000000",                 // frame length 54
+                    "53475742",                 // magic
+                    "01000000",                 // format version
+                    "0c000000",                 // tag length
+                    "776f726b65722d68656c6c6f", // "worker-hello"
+                    "02000000",                 // protocol 2
+                    "06000000",                 // role length
+                    "636c69656e74",             // "client"
+                    "0000000000000000",         // peer_id 0
+                    "01000000",                 // capacity 1
+                    "00000000",                 // no faults
+                ),
+            ),
+            (
+                Message::Hello(Hello::daemon()),
+                concat!(
+                    "36000000",
+                    "53475742",
+                    "01000000",
+                    "0c000000",
+                    "776f726b65722d68656c6c6f",
+                    "02000000",
+                    "06000000",
+                    "6461656d6f6e", // "daemon"
+                    "0000000000000000",
+                    "01000000",
+                    "00000000",
+                ),
+            ),
+            (
+                Message::JobRequest(sample_job()),
+                concat!(
+                    "3f000000",
+                    "53475742",
+                    "01000000",
+                    "0b000000",
+                    "6a6f622d72657175657374", // "job-request"
+                    "0900000000000000",       // id 9
+                    "0040000000000000",       // wstore 16384
+                    "04000000",
+                    "62663136",         // "bf16"
+                    "10000000",         // population 16
+                    "08000000",         // generations 8
+                    "2a00000000000000", // seed 42
+                ),
+            ),
+            (
+                Message::JobResponse(sample_job_response()),
+                concat!(
+                    "54000000",
+                    "53475742",
+                    "01000000",
+                    "0c000000",
+                    "6a6f622d726573706f6e7365", // "job-response"
+                    "0900000000000000",         // id 9
+                    "9000000000000000",         // evaluations 144
+                    "3900000000000000",         // distinct 57
+                    "5700000000000000",         // cache hits 87
+                    "02000000",                 // two front records
+                    "050000000100000003000000", // log_h 5, log_l 1, k 3
+                    "070000000000000008000000", // log_h 7, log_l 0, k 8
+                ),
+            ),
+            (
+                Message::Heartbeat,
+                concat!(
+                    "15000000",
+                    "53475742",
+                    "01000000",
+                    "09000000",
+                    "686561727462656174", // "heartbeat"
+                ),
+            ),
+            (
+                Message::Shutdown,
+                concat!(
+                    "14000000",
+                    "53475742",
+                    "01000000",
+                    "08000000",
+                    "73687574646f776e", // "shutdown"
+                ),
+            ),
+        ];
+        for (message, expected) in &cases {
+            assert_eq!(&framed_hex(message), expected, "{message:?}");
+        }
+    }
+
     /// A `Read` adapter that fragments the stream the way a socket does:
     /// 1–7 bytes per call (deterministically varied), with an optional
     /// hard EOF injected at byte `eof_at`.
