@@ -22,39 +22,18 @@
 //! set — records everything to `BENCH_pipeline.json` so CI can track the
 //! perf trajectory per PR (see `sega_bench::json`).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sega_bench::json::{pipeline_json_path, ConfigRecord, PipelineReport, RemoteTrafficRecord};
+use sega_bench::json::{pipeline_json_path, ConfigRecord, PipelineReport};
 use sega_bench::{quick_nsga_config, FIG7_PRECISIONS};
 use sega_cells::Technology;
 use sega_dcim::{
-    explore_mixed_with, explore_pareto_with, PipelineOptions, RemoteBackend, RemoteOptions,
-    SharedEvalCache, UserSpec,
+    explore_mixed_with, explore_pareto_with, PipelineOptions, SharedEvalCache, UserSpec,
 };
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
-
-/// The `sega-dcim` binary the remote arm spawns workers from:
-/// `SEGA_DCIM_BIN` when set, else the sibling of this bench executable
-/// (`target/<profile>/sega-dcim`, present whenever the workspace was
-/// built before benching — CI builds release first). `None` skips the
-/// remote arm rather than failing the whole bench.
-fn worker_binary() -> Option<PathBuf> {
-    if let Ok(path) = std::env::var("SEGA_DCIM_BIN") {
-        let path = PathBuf::from(path);
-        if path.is_file() {
-            return Some(path);
-        }
-    }
-    let exe = std::env::current_exe().ok()?;
-    let deps = exe.parent()?;
-    [deps.join("sega-dcim"), deps.parent()?.join("sega-dcim")]
-        .into_iter()
-        .find(|p| p.is_file())
-}
 
 fn pipeline_configs() -> [(&'static str, PipelineOptions); 4] {
     [
@@ -110,59 +89,8 @@ fn bench_pipeline(c: &mut Criterion) {
             evaluations: run.evaluations,
             distinct_evaluations: run.distinct_evaluations,
             cache_hits: run.cache_hits,
-            remote: None,
         });
         fronts.push((name, run));
-    }
-
-    // The remote arms: the same exploration through fleets of 1 and 3
-    // worker processes, counting transport round-trips. The fronts must
-    // stay bit-identical — the backend only moves where estimates are
-    // computed — so this is both a perf receipt and a distributed smoke.
-    match worker_binary() {
-        Some(program) => {
-            for workers in [1usize, 3] {
-                let backend = Arc::new(
-                    RemoteBackend::spawn(RemoteOptions::fleet(&program, workers))
-                        .expect("spawn remote fleet"),
-                );
-                let pipeline = PipelineOptions {
-                    threads: 1,
-                    cache: true,
-                    min_batch_per_worker: 1,
-                    ..Default::default()
-                }
-                .with_backend(Arc::clone(&backend) as _);
-                let started = Instant::now();
-                let run = explore_pareto_with(&spec, &tech, &cond, &default_cfg, pipeline);
-                let stats = backend.stats();
-                assert_eq!(stats.worker_deaths, 0, "healthy fleet expected: {stats:?}");
-                records.push(ConfigRecord {
-                    name: format!("remote_w{workers}"),
-                    wall_s: started.elapsed().as_secs_f64(),
-                    evaluations: run.evaluations,
-                    distinct_evaluations: run.distinct_evaluations,
-                    cache_hits: run.cache_hits,
-                    remote: Some(RemoteTrafficRecord {
-                        workers,
-                        transport: stats.transport.name().to_owned(),
-                        round_trips: stats.round_trips,
-                        requeues: stats.requeues,
-                        worker_deaths: stats.worker_deaths,
-                        respawns: stats.respawns,
-                        rejoins: stats.rejoins,
-                        workers_alive: stats.workers_alive,
-                        workers_spawned: stats.workers_spawned,
-                        capacities: stats.capacities.clone(),
-                    }),
-                });
-                fronts.push(("remote", run));
-            }
-        }
-        None => eprintln!(
-            "remote arm skipped: sega-dcim binary not found (set SEGA_DCIM_BIN or \
-             `cargo build --release` first)"
-        ),
     }
 
     // The shared-cache scenario: a second exploration of the same spec
@@ -184,7 +112,6 @@ fn bench_pipeline(c: &mut Criterion) {
             evaluations: run.evaluations,
             distinct_evaluations: run.distinct_evaluations,
             cache_hits: run.cache_hits,
-            remote: None,
         });
         if run_idx == 2 {
             assert_eq!(

@@ -6,5 +6,5 @@
 pub use sega_wire::json::{Json, JsonError};
 pub use sega_wire::report::{
     estimator_json_path, moga_json_path, pipeline_json_path, ConfigRecord, EstimatorCohortRecord,
-    EstimatorReport, MogaKernelRecord, MogaKernelReport, PipelineReport, RemoteTrafficRecord,
+    EstimatorReport, MogaKernelRecord, MogaKernelReport, PipelineReport,
 };

@@ -13,11 +13,13 @@
 //! * [`InstrumentedBackend`] wraps any backend with cohort/geometry
 //!   counters — the test double proving fronts are backend-invariant,
 //!   and the accounting hook the batch runner reports.
-//! * [`RemoteBackend`](crate::remote::RemoteBackend) ships the same
-//!   cohorts (serialized with `sega_wire`) to a fleet of worker
-//!   processes and merges their results back through the cache's
-//!   snapshot/merge layer — the transport this trait was cut for, and
-//!   the proof no caller had to change when it landed.
+//!
+//! Evaluation happens in-process only. The analytic model costs about
+//! 0.1% of an exploration's wall-clock, so shipping cohorts to worker
+//! processes never paid for its round-trips; a remote worker fleet once
+//! sat behind this seam and was removed for that reason. The seam stays
+//! because the instrumented backend and the benchmark's timing wrapper
+//! use it.
 //!
 //! The contract every backend must honor: **determinism**. For one bound
 //! `(spec, technology, conditions)` the objective vector of a geometry is
@@ -97,7 +99,7 @@ impl GeometryLens {
 ///
 /// Backends are stateless factories (safe to share process-wide); the
 /// per-exploration state — voltage-realized technology, genome lens,
-/// remote session, … — lives in the [`CohortEvaluator`] that
+/// kernel counters — lives in the [`CohortEvaluator`] that
 /// [`EvalBackend::bind`] returns, resolved **once** per problem, never
 /// per genome.
 pub trait EvalBackend: Send + Sync + std::fmt::Debug {
@@ -139,8 +141,7 @@ pub trait CohortEvaluator: Send + Sync + std::fmt::Debug {
     /// Cumulative estimator-kernel counters accumulated by this
     /// evaluator: designs estimated, how many went through the vector
     /// finish vs the scalar block, and scratch growth. Backends without
-    /// an in-process kernel (remote workers account on their own side)
-    /// report the zero default.
+    /// a kernel of their own report the zero default.
     fn estimator_stats(&self) -> EstimatorStats {
         EstimatorStats::default()
     }

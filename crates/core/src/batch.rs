@@ -32,7 +32,6 @@ use crate::checkpoint::{
     resume_of_progress, CheckpointConfig, Header, Journal, ProgressRecord,
 };
 use crate::explore::{explore_pareto_resumable, ExplorationResult, PipelineOptions};
-use crate::remote::RemoteStats;
 use crate::spec::UserSpec;
 
 /// One batch entry: a specification and the exploration budget to spend
@@ -83,10 +82,6 @@ pub struct BatchReport {
     pub cache_entries: usize,
     /// Name of the estimator backend the batch ran on.
     pub backend: &'static str,
-    /// Fleet traffic stats when the batch ran on a remote backend (the
-    /// CLI fills this in after the run); serialized as the `"remote"`
-    /// object only when present, so in-process reports are unchanged.
-    pub remote: Option<RemoteStats>,
     /// Cache-file activity (entries loaded, bytes read and written)
     /// when the run used `--cache-file`; serialized as the `"cache"`
     /// object's nested `"store"` only when present, so storeless reports
@@ -492,7 +487,6 @@ pub fn run_batch_with(
         preloaded_entries,
         cache_entries: cache.len(),
         backend,
-        remote: None,
         store: None,
         complete,
         resumed_jobs,
@@ -506,7 +500,7 @@ impl BatchReport {
     /// patterns (`"bits"`, 16-digit hex), so consumers can both read and
     /// byte-compare fronts.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj([
             ("report", Json::from("sega-dcim-batch")),
             ("version", Json::from(sega_wire::FORMAT_VERSION)),
             ("backend", Json::from(self.backend)),
@@ -534,40 +528,11 @@ impl BatchReport {
                 ]),
             ),
             ("cache", self.cache_json()),
-        ];
-        // The fleet ledger rides along only on remote runs, so
-        // in-process reports stay byte-stable across this addition.
-        if let Some(remote) = &self.remote {
-            fields.push((
-                "remote",
-                Json::obj([
-                    ("transport", Json::from(remote.transport.name())),
-                    ("round_trips", Json::from(remote.round_trips)),
-                    ("requeues", Json::from(remote.requeues)),
-                    ("timeouts", Json::from(remote.timeouts)),
-                    ("worker_deaths", Json::from(remote.worker_deaths)),
-                    ("respawns", Json::from(remote.respawns)),
-                    ("rejoins", Json::from(remote.rejoins)),
-                    (
-                        "fallback_geometries",
-                        Json::from(remote.fallback_geometries),
-                    ),
-                    ("geometries", Json::from(remote.geometries)),
-                    ("merged_entries", Json::from(remote.merged_entries)),
-                    ("workers_alive", Json::from(remote.workers_alive)),
-                    ("workers_spawned", Json::from(remote.workers_spawned)),
-                    (
-                        "capacities",
-                        Json::Arr(remote.capacities.iter().map(|&c| Json::from(c)).collect()),
-                    ),
-                ]),
-            ));
-        }
-        fields.push((
-            "jobs",
-            Json::Arr(self.outcomes.iter().map(outcome_json).collect()),
-        ));
-        Json::obj(fields)
+            (
+                "jobs",
+                Json::Arr(self.outcomes.iter().map(outcome_json).collect()),
+            ),
+        ])
     }
 
     /// The `"cache"` stats object: warm-start and final entry counts,

@@ -8,21 +8,13 @@
 //! sega-dcim estimate --n 32 --h 128 --l 16 --k 4 --precision int8 [--json]
 //! sega-dcim batch   --jobs FILE [--cache-file FILE] [--report FILE]
 //!                   [--population N] [--generations N] [--seed N]
-//!                   [--threads N] [--shards N]
-//!                   [--backend macro|instrumented|remote] [--workers N]
-//!                   [--worker-log-dir DIR] [--worker-deadline-ms N]
-//!                   [--restart-budget N] [--backoff-ms N] [--backoff-seed N]
+//!                   [--threads N] [--shards N] [--backend macro|instrumented]
 //!                   [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
 //!                   [--checkpoint-generations N] [--stop-after-progress N]
+//! sega-dcim batch   --jobs FILE --connect ADDR [--drain] [--report FILE]
 //! sega-dcim serve   --listen ADDR [--cache-file FILE] [--threads N]
-//!                   [--backend macro|remote] [--workers N] [--transport T]
 //!                   [--hello-deadline-ms N] [--idle-timeout-ms N]
 //!                   [--grace-ms N] [--log]
-//! sega-dcim worker  --serve | --connect ADDR [--fail-after N]
-//!                   [--corrupt-after N] [--hang-after N] [--stall-ms N]
-//!                   [--truncate-after N] [--drop-conn-after N]
-//!                   [--reconnect-after N] [--late-hello-ms N]
-//!                   [--capacity N] [--worker-id N] [--log]
 //! ```
 //!
 //! `--threads` bounds the exploration's evaluation pipeline (`0` = all
@@ -42,37 +34,20 @@
 //! loads the cache before the run and saves it after (binary snapshot,
 //! or JSON when the path ends in `.json`), so an identical rerun
 //! warm-starts to **0 distinct evaluations** with bit-identical fronts.
-//! With `--backend remote` the batch dispatches cohorts to `--workers N`
-//! worker **processes** (this same binary, re-invoked as `sega-dcim
-//! worker --serve`) over the framed wire protocol; the fronts are
-//! bit-identical to the in-process run for every worker count, and
-//! remotely computed estimates land in the `--cache-file` like local
-//! ones.
+//! `--backend instrumented` runs the same macro model and also counts
+//! the cohorts and geometries it evaluated.
 //!
-//! The remote fleet is **supervised**: every outstanding request carries
-//! a deadline (`--worker-deadline-ms`), a stalled or dead worker is
-//! buried and its work requeued, and buried workers are respawned under
-//! a per-worker `--restart-budget` with jittered exponential backoff
-//! (`--backoff-ms` base, `--backoff-seed` jitter seed — deterministic
-//! when seeded). `--checkpoint F` journals each completed batch job (and
-//! its cache delta) to `F`; after a crash or an early stop,
-//! `--resume F` skips the finished jobs, warm-starts the cache from the
-//! journal, and produces a report **byte-identical** to an uninterrupted
-//! run. `--stop-after-jobs N` stops after N executed jobs — the
-//! deterministic stand-in for `kill -9` in the CI resume arm.
+//! `--checkpoint F` journals each completed batch job (and its cache
+//! delta) to `F`; after a crash or an early stop, `--resume F` skips the
+//! finished jobs, warm-starts the cache from the journal, and produces a
+//! report **byte-identical** to an uninterrupted run. `--stop-after-jobs
+//! N` stops after N executed jobs — the deterministic stand-in for
+//! `kill -9` in the CI resume arm.
 //! `--checkpoint-generations G` additionally journals the NSGA-II driver
 //! state *inside* each job every G bred generations, so `--resume` picks
 //! an interrupted exploration up at its last generation boundary instead
 //! of re-running it; `--stop-after-progress N` abandons the run right
 //! after the Nth such record — the mid-job kill stand-in.
-//!
-//! `--transport stdio|unix|tcp` picks the fleet's link: stdio pipes
-//! (the default), a Unix domain socket, or TCP on `127.0.0.1` — fronts
-//! and accounting are bit-identical across all three. On the socket
-//! transports a worker whose *connection* drops is buried + requeued
-//! like a dead process, but the process may reconnect and **rejoin**
-//! under the same `--restart-budget` (the ledger gains a `rejoins`
-//! term).
 //!
 //! `serve` runs the long-lived daemon: it listens on `--listen
 //! unix:/path.sock` or `tcp:host:port`, accepts framed batch jobs from
@@ -83,16 +58,6 @@
 //! daemon to flush and exit after the batch); SIGTERM or a client's
 //! `--drain` triggers the graceful drain: stop accepting, finish
 //! in-flight jobs under `--grace-ms`, flush the snapshot, exit.
-//!
-//! `worker` is the serving half of the fleet protocol: it speaks frames
-//! on stdio (`--serve`) or dials a coordinator's hub (`--connect ADDR`)
-//! and is only useful when launched by a coordinator (or a test).
-//! `--fail-after`/`--corrupt-after`/`--hang-after`/`--stall-ms`/
-//! `--truncate-after`/`--drop-conn-after`/`--reconnect-after`/
-//! `--late-hello-ms` are fault-injection knobs for the recovery test
-//! matrix; `--capacity` sets the weight the hello advertises;
-//! `--worker-id`/`--log` give every stderr line a
-//! `[+elapsed-ms wID rREQ]` prefix.
 
 use std::collections::HashMap;
 use std::fs;
@@ -104,7 +69,7 @@ use sega_dcim::batch::{check_budget, parse_jobs, run_batch_with, MIN_POPULATION}
 use sega_dcim::report::{csv_table, markdown_table};
 use sega_dcim::{
     CacheStore, Compiler, DistillStrategy, ExplorationResult, InstrumentedBackend, JobError,
-    PipelineOptions, RemoteBackend, RemoteOptions, SharedEvalCache, UserSpec,
+    PipelineOptions, SharedEvalCache, UserSpec,
 };
 use sega_estimator::{estimate, DcimDesign, MacroEstimate, OperatingConditions, Precision};
 use sega_layout::export::to_ascii;
@@ -131,24 +96,13 @@ const USAGE: &str = "usage:
   sega-dcim estimate --n N --h H --l L --k K --precision P [--json]
   sega-dcim batch    --jobs FILE [--cache-file FILE] [--report FILE]
                      [--population N] [--generations N] [--seed N]
-                     [--threads N] [--shards N]
-                     [--backend macro|instrumented|remote] [--workers N]
-                     [--worker-log-dir DIR] [--worker-deadline-ms N]
-                     [--restart-budget N] [--backoff-ms N] [--backoff-seed N]
-                     [--transport stdio|unix|tcp]
-                     [--inject-fault none|kill-one|corrupt-one|hang-one|stall-one|
-                                     truncate-one|drop-conn-one|reconnect-one]
+                     [--threads N] [--shards N] [--backend macro|instrumented]
                      [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
                      [--checkpoint-generations N] [--stop-after-progress N]
   sega-dcim batch    --jobs FILE --connect ADDR [--drain] [--report FILE]
                      [--population N] [--generations N] [--seed N]
   sega-dcim serve    --listen ADDR [--cache-file FILE] [--threads N]
-                     [--backend macro|remote] [--workers N] [--transport stdio|unix|tcp]
                      [--hello-deadline-ms N] [--idle-timeout-ms N] [--grace-ms N] [--log]
-  sega-dcim worker   --serve | --connect ADDR [--fail-after N] [--corrupt-after N]
-                     [--hang-after N] [--stall-ms N] [--truncate-after N]
-                     [--drop-conn-after N] [--reconnect-after N] [--late-hello-ms N]
-                     [--capacity N] [--worker-id N] [--log]
 precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
 --threads:    evaluation pool width (0 = all hardware threads, 1 = serial;
               batch requires an explicit width >= 1, or omit the flag)
@@ -160,21 +114,7 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
               binary snapshot, or JSON text when the path ends in .json);
               with --connect the daemon owns the cache: use serve --cache-file
 --report:     write the batch results JSON here (default: stdout)
---backend:    estimator backend (default macro; instrumented = macro + counters;
-              remote = a fleet of worker processes over the wire protocol)
---workers:    worker processes for --backend remote (default 2, must be >= 1)
---worker-log-dir: write each remote worker's stderr to DIR/worker-N.log
-              (timestamped, created if missing, appended across respawns)
---worker-deadline-ms: per-request deadline before a worker counts as stalled
-              (default 30000)
---restart-budget: respawn attempts per buried worker (default 2; 0 disables)
---backoff-ms: base of the jittered exponential respawn backoff (default 250)
---backoff-seed: seed of the deterministic backoff jitter (default 0)
---transport:  how the remote fleet links up (stdio pipes, unix socket, or tcp
-              on 127.0.0.1); fronts are bit-identical across all three
---inject-fault: sabotage remote worker 0 (none|kill-one|corrupt-one|hang-one|
-              stall-one|truncate-one|drop-conn-one|reconnect-one) — the CI
-              fault matrix; results must stay bit-identical regardless
+--backend:    estimator backend (default macro; instrumented = macro + counters)
 --checkpoint: journal completed jobs (and cache deltas) to FILE as they finish
 --resume:     skip the jobs FILE already records and warm-start from its deltas;
               the finished report is byte-identical to an uninterrupted run
@@ -185,9 +125,8 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
               exploration at its last journaled generation boundary
 --stop-after-progress: abandon the run after the Nth mid-job progress record
               (requires --checkpoint-generations; the mid-job kill stand-in)
---connect:    batch: run the jobs on a `sega-dcim serve` daemon at ADDR
-              (unix:/path.sock or tcp:host:port) instead of in-process;
-              worker: dial a coordinator's socket hub at ADDR
+--connect:    run the jobs on a `sega-dcim serve` daemon at ADDR
+              (unix:/path.sock or tcp:host:port) instead of in-process
 --drain:      after the last job, ask the connected daemon to flush its cache
               snapshot and exit (requires --connect)
 --listen:     the daemon's accept address (unix:/path.sock or tcp:host:port;
@@ -196,23 +135,41 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
               daemon connection-lifecycle knobs — how long a fresh connection
               may take to say hello, how long a quiet one is kept, and how
               long a drain waits for in-flight work
---capacity:   the weight a worker's hello advertises (>= 1); the coordinator
-              partitions shards proportionally to the fleet's weights
---serve:      speak the framed eval protocol on stdio (workers are spawned by
-              a coordinator, not run by hand)";
+--log:        serve: log each connection's lifecycle on stderr";
+
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
 
 fn run(args: &[String]) -> Result<(), String> {
     let command = args.first().ok_or("missing command")?;
     let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "compile" => compile(&flags),
-        "explore" => explore(&flags),
-        "estimate" => estimate_cmd(&flags),
-        "batch" => batch(&flags),
-        "serve" => serve_cmd(&flags),
-        "worker" => worker(&flags),
-        other => Err(format!("unknown command `{other}`")),
+    let (handler, accepted): (Command, &str) = match command.as_str() {
+        "compile" => (
+            compile,
+            "wstore precision population generations seed threads no-cache strategy out",
+        ),
+        "explore" => (
+            explore,
+            "wstore precision population generations seed threads no-cache csv json",
+        ),
+        "estimate" => (estimate_cmd, "n h l k precision json"),
+        "batch" => (
+            batch,
+            "jobs cache-file report population generations seed threads shards backend \
+             checkpoint resume stop-after-jobs checkpoint-generations stop-after-progress \
+             connect drain",
+        ),
+        "serve" => (
+            serve_cmd,
+            "listen cache-file threads hello-deadline-ms idle-timeout-ms grace-ms log",
+        ),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    // A flag the command never reads would be a silent no-op: refuse it.
+    let known = |flag: &&String| accepted.split_whitespace().any(|a| a == flag.as_str());
+    if let Some(flag) = flags.keys().filter(|f| !known(f)).min() {
+        return Err(format!("`{command}` does not take --{flag}"));
     }
+    handler(&flags)
 }
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -223,13 +180,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             .strip_prefix("--")
             .ok_or_else(|| format!("expected `--flag`, got `{arg}`"))?;
         // Boolean flags take no value.
-        if key == "csv"
-            || key == "no-cache"
-            || key == "json"
-            || key == "serve"
-            || key == "log"
-            || key == "drain"
-        {
+        if key == "csv" || key == "no-cache" || key == "json" || key == "log" || key == "drain" {
             flags.insert(key.to_owned(), "true".to_owned());
             continue;
         }
@@ -548,14 +499,6 @@ fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<()
         "backend",
         "threads",
         "shards",
-        "workers",
-        "worker-log-dir",
-        "worker-deadline-ms",
-        "restart-budget",
-        "backoff-ms",
-        "backoff-seed",
-        "transport",
-        "inject-fault",
         "checkpoint",
         "resume",
         "stop-after-jobs",
@@ -610,8 +553,8 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     if flags.contains_key("drain") {
         return Err("--drain requires --connect (only a daemon can be drained)".to_owned());
     }
-    // Validate every scheduling knob before any file is read or worker
-    // spawned, so a typo fails in microseconds with a precise message.
+    // Validate every scheduling knob before any file is read, so a typo
+    // fails in microseconds with a precise message.
     let threads = get_positive(
         flags,
         "threads",
@@ -619,73 +562,11 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     )?;
     let shards = get_positive(flags, "shards", "the cache needs at least one shard")?
         .unwrap_or(sega_dcim::cache::DEFAULT_SHARDS);
-    let workers =
-        get_positive(flags, "workers", "a remote fleet needs at least one worker")?.unwrap_or(2);
     let backend_name = flags.get("backend").map(String::as_str).unwrap_or("macro");
-    if !matches!(backend_name, "macro" | "instrumented" | "remote") {
+    if !matches!(backend_name, "macro" | "instrumented") {
         return Err(format!(
-            "unknown backend `{backend_name}` (expected macro, instrumented or remote)"
+            "unknown backend `{backend_name}` (expected macro or instrumented)"
         ));
-    }
-    let fault = flags.get("inject-fault").map(String::as_str);
-    if !matches!(
-        fault,
-        None | Some(
-            "none"
-                | "kill-one"
-                | "corrupt-one"
-                | "hang-one"
-                | "stall-one"
-                | "truncate-one"
-                | "drop-conn-one"
-                | "reconnect-one"
-        )
-    ) {
-        return Err(format!(
-            "unknown fault `{}` (expected none, kill-one, corrupt-one, hang-one, \
-             stall-one, truncate-one, drop-conn-one or reconnect-one)",
-            fault.unwrap_or_default()
-        ));
-    }
-    let transport = flags
-        .get("transport")
-        .map(|raw| sega_dcim::TransportKind::parse(raw))
-        .transpose()?
-        .unwrap_or_default();
-    let deadline_ms = get_positive(
-        flags,
-        "worker-deadline-ms",
-        "a zero deadline would bury every worker instantly",
-    )?;
-    let parse_u64 = |key: &str| -> Result<Option<u64>, String> {
-        flags
-            .get(key)
-            .map(|v| v.parse().map_err(|e| format!("--{key}: {e} (got `{v}`)")))
-            .transpose()
-    };
-    let restart_budget = parse_u64("restart-budget")?; // 0 is valid: no respawns
-    let backoff_ms = parse_u64("backoff-ms")?; // 0 is valid: immediate respawn
-    let backoff_seed = parse_u64("backoff-seed")?;
-    // Fleet-only flags on a non-remote backend would be silently inert —
-    // which, for a fault-matrix run, means believing a fault path was
-    // exercised when nothing was. Refuse instead.
-    if backend_name != "remote" {
-        for flag in [
-            "workers",
-            "worker-log-dir",
-            "worker-deadline-ms",
-            "restart-budget",
-            "backoff-ms",
-            "backoff-seed",
-            "transport",
-        ] {
-            if flags.contains_key(flag) {
-                return Err(format!("--{flag} requires --backend remote"));
-            }
-        }
-        if !matches!(fault, None | Some("none")) {
-            return Err("--inject-fault requires --backend remote".to_owned());
-        }
     }
     // Checkpoint plumbing: --checkpoint starts a fresh journal, --resume
     // continues one; they cannot both apply to one run.
@@ -793,60 +674,11 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         pipeline.threads = t;
     }
     let mut instrumented: Option<Arc<InstrumentedBackend>> = None;
-    let mut remote: Option<Arc<RemoteBackend>> = None;
-    match backend_name {
-        "instrumented" => {
-            let backend = Arc::new(InstrumentedBackend::macro_model());
-            pipeline.backend = Some(Arc::clone(&backend) as _);
-            instrumented = Some(backend);
-        }
-        "remote" => {
-            let program = std::env::current_exe()
-                .map_err(|e| format!("cannot locate the worker binary: {e}"))?;
-            let mut options = RemoteOptions::fleet(program, workers).with_transport(transport);
-            if let Some(ms) = deadline_ms {
-                options = options.with_deadline(std::time::Duration::from_millis(ms as u64));
-            }
-            if let Some(budget) = restart_budget {
-                options = options.with_restart_budget(budget as u32);
-            }
-            if backoff_ms.is_some() || backoff_seed.is_some() {
-                let base = std::time::Duration::from_millis(
-                    backoff_ms.unwrap_or(options.backoff_base.as_millis() as u64),
-                );
-                options = options.with_backoff(base, backoff_seed.unwrap_or(0));
-            }
-            // The CI fault matrix: sabotage worker 0 and demand the run
-            // still complete with bit-identical fronts. (The value was
-            // validated up front.) The stall is sized past the deadline
-            // so the slow responder reliably counts as stalled.
-            let stall_ms = 2 * options.deadline.as_millis().max(1);
-            let sabotage = match fault {
-                Some("kill-one") => Some(("--fail-after", "1".to_owned())),
-                Some("corrupt-one") => Some(("--corrupt-after", "1".to_owned())),
-                Some("hang-one") => Some(("--hang-after", "1".to_owned())),
-                Some("stall-one") => Some(("--stall-ms", stall_ms.to_string())),
-                Some("truncate-one") => Some(("--truncate-after", "1".to_owned())),
-                Some("drop-conn-one") => Some(("--drop-conn-after", "1".to_owned())),
-                Some("reconnect-one") => Some(("--reconnect-after", "1".to_owned())),
-                _ => None,
-            };
-            if let Some((knob, value)) = sabotage {
-                options.workers[0] = options.workers[0]
-                    .clone()
-                    .with_args([knob.to_owned(), value]);
-            }
-            if let Some(dir) = flags.get("worker-log-dir") {
-                options = options.with_log_dir(dir);
-            }
-            // Worker snapshot deltas land in the batch cache, so the
-            // saved --cache-file carries remotely computed estimates.
-            let backend = Arc::new(RemoteBackend::spawn(options)?.with_sink(Arc::clone(&cache)));
-            pipeline.backend = Some(Arc::clone(&backend) as _);
-            remote = Some(backend);
-        }
-        _ => {}
-    };
+    if backend_name == "instrumented" {
+        let backend = Arc::new(InstrumentedBackend::macro_model());
+        pipeline.backend = Some(Arc::clone(&backend) as _);
+        instrumented = Some(backend);
+    }
 
     let control = sega_dcim::BatchControl {
         checkpoint,
@@ -861,9 +693,6 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         pipeline,
         &control,
     )?;
-    if let Some(backend) = &remote {
-        report.remote = Some(backend.stats());
-    }
     // Persist before emitting the report so its "cache" object carries
     // the save's byte count too.
     if let Some(store) = &mut store {
@@ -898,11 +727,6 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
 
-    // Accumulate the whole stats block and emit it with ONE write_all:
-    // per-line eprintln! takes and releases the stderr lock between
-    // lines, so worker stderr (forwarded by the log pump threads under
-    // --worker-log-dir) can interleave mid-block and garble the summary.
-    use std::io::Write as _;
     let mut summary = format!(
         "{} jobs: {} evaluations, {} distinct estimates, {} cache hits ({} warm-start entries)\n",
         report.outcomes.len(),
@@ -918,33 +742,13 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
             backend.geometries()
         ));
     }
-    if let Some(backend) = remote {
-        let stats = backend.stats();
-        summary.push_str(&format!(
-            "remote fleet ({}): {}/{} workers alive, {} round-trips, {} geometries \
-             ({} requeued sub-cohorts, {} timeouts, {} worker deaths, {} respawns, \
-             {} rejoins, {} evaluated in-process), {} delta entries merged\n",
-            stats.transport.name(),
-            stats.workers_alive,
-            stats.workers_spawned,
-            stats.round_trips,
-            stats.geometries,
-            stats.requeues,
-            stats.timeouts,
-            stats.worker_deaths,
-            stats.respawns,
-            stats.rejoins,
-            stats.fallback_geometries,
-            stats.merged_entries,
-        ));
-    }
     if let Some(stats) = &report.store {
         summary.push_str(&format!(
             "cache file: {} entries loaded, {} B read, {} B written\n",
             stats.entries_loaded, stats.bytes_read, stats.bytes_written,
         ));
     }
-    let _ = std::io::stderr().lock().write_all(summary.as_bytes());
+    eprint!("{summary}");
     Ok(())
 }
 
@@ -967,9 +771,8 @@ fn install_sigterm_drain() {
 }
 
 /// The long-lived daemon: accept framed batch jobs on `--listen` from
-/// many concurrent clients, multiplexed onto one shared eval cache (and
-/// optionally a remote worker fleet), until SIGTERM or a client's
-/// shutdown frame drains it.
+/// many concurrent clients, multiplexed onto one shared eval cache,
+/// until SIGTERM or a client's shutdown frame drains it.
 fn serve_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let raw = flags.get("listen").ok_or("missing --listen")?;
     let listen = sega_dcim::ListenAddr::parse(raw)?;
@@ -1007,44 +810,6 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         options.grace,
     )?;
 
-    let backend_name = flags.get("backend").map(String::as_str).unwrap_or("macro");
-    if backend_name != "remote" {
-        for flag in ["workers", "transport"] {
-            if flags.contains_key(flag) {
-                return Err(format!("--{flag} requires --backend remote"));
-            }
-        }
-    }
-    let _fleet: Option<Arc<RemoteBackend>> = match backend_name {
-        "macro" => None,
-        "remote" => {
-            let workers =
-                get_positive(flags, "workers", "a remote fleet needs at least one worker")?
-                    .unwrap_or(2);
-            let transport = flags
-                .get("transport")
-                .map(|raw| sega_dcim::TransportKind::parse(raw))
-                .transpose()?
-                .unwrap_or_default();
-            let program = std::env::current_exe()
-                .map_err(|e| format!("cannot locate the worker binary: {e}"))?;
-            let fleet_options = RemoteOptions::fleet(program, workers).with_transport(transport);
-            // The fleet's snapshot deltas sink into the daemon's cache,
-            // so remotely computed estimates warm later clients too.
-            let cache = Arc::new(SharedEvalCache::new());
-            let backend =
-                Arc::new(RemoteBackend::spawn(fleet_options)?.with_sink(Arc::clone(&cache)));
-            options.cache = Some(cache);
-            options.backend = Some(Arc::clone(&backend) as _);
-            Some(backend)
-        }
-        other => {
-            return Err(format!(
-                "unknown backend `{other}` (serve runs macro or remote)"
-            ))
-        }
-    };
-
     install_sigterm_drain();
     let report = sega_dcim::serve(options)?;
     eprintln!(
@@ -1062,46 +827,4 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         report.cache_entries,
     );
     Ok(())
-}
-
-/// The serving half of the remote protocol: frames on stdio (`--serve`,
-/// the coordinator launched us on pipes) or over a dialed socket
-/// (`--connect ADDR`, the coordinator runs a hub) until it shuts us
-/// down or closes the link.
-fn worker(flags: &HashMap<String, String>) -> Result<(), String> {
-    let knob = |key: &str| -> Result<Option<u64>, String> {
-        flags
-            .get(key)
-            .map(|v| v.parse().map_err(|e| format!("--{key}: {e}")))
-            .transpose()
-    };
-    let options = sega_dcim::WorkerOptions {
-        fail_after: knob("fail-after")?,
-        corrupt_after: knob("corrupt-after")?,
-        hang_after: knob("hang-after")?,
-        truncate_after: knob("truncate-after")?,
-        stall: knob("stall-ms")?.map(std::time::Duration::from_millis),
-        drop_conn_after: knob("drop-conn-after")?,
-        reconnect_after: knob("reconnect-after")?,
-        late_hello: knob("late-hello-ms")?.map(std::time::Duration::from_millis),
-        capacity: knob("capacity")?.unwrap_or(1).min(u64::from(u32::MAX)) as u32,
-        worker_id: knob("worker-id")?.unwrap_or(0),
-        log: flags.contains_key("log"),
-    };
-    if let Some(raw) = flags.get("connect") {
-        let addr = sega_dcim::ListenAddr::parse(raw)?;
-        return sega_dcim::run_connected_worker(&addr, &options);
-    }
-    if !flags.contains_key("serve") {
-        return Err(
-            "worker requires --serve or --connect ADDR (it is launched by a \
-             coordinator, not run by hand)"
-                .to_owned(),
-        );
-    }
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = stdin.lock();
-    let mut output = std::io::BufWriter::new(stdout.lock());
-    sega_dcim::remote::serve_worker(&mut input, &mut output, &options)
 }

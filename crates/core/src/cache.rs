@@ -35,8 +35,8 @@
 //! [`SharedEvalCache::load`] installs one, and
 //! [`SharedEvalCache::merge`] unions two live caches —
 //! commutative/idempotent operations, so caches from separate processes
-//! (CLI `--cache-file` warm starts today, remote estimator workers
-//! tomorrow) combine in any order.
+//! (CLI `--cache-file` warm starts, checkpoint journal deltas) combine
+//! in any order.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};

@@ -79,8 +79,7 @@ pub struct PipelineOptions {
     /// Where objective vectors come from. `None` (default) resolves to
     /// the in-process [`MacroModelBackend`](crate::backend::MacroModelBackend);
     /// set a custom [`EvalBackend`] to swap the estimator implementation
-    /// (the counting [`InstrumentedBackend`](crate::backend::InstrumentedBackend),
-    /// a [`RemoteBackend`](crate::remote::RemoteBackend) worker fleet)
+    /// (the counting [`InstrumentedBackend`](crate::backend::InstrumentedBackend))
     /// without touching any caller. Every backend must be deterministic,
     /// so the choice can never change a front — only where and how fast
     /// estimates happen.

@@ -74,7 +74,6 @@ pub mod distill;
 pub mod enumerate;
 pub mod explore;
 pub mod mixed;
-pub mod remote;
 pub mod report;
 pub mod runtime;
 pub mod serve;
@@ -98,10 +97,6 @@ pub use explore::{
     ExploreResume, ParetoSolution, PipelineOptions,
 };
 pub use mixed::{explore_mixed, explore_mixed_with, MixedExploration};
-pub use remote::{
-    run_connected_worker, RemoteBackend, RemoteOptions, RemoteStats, TransportKind, WorkerCommand,
-    WorkerOptions,
-};
 pub use serve::{drain_flag, run_batch_connected, serve, ListenAddr, ServeOptions, ServeReport};
 pub use spec::{ExplorerLimits, SpecError, UserSpec};
 pub use store::{CacheStore, StoreStats};

@@ -1,13 +1,13 @@
 //! The networked service layer: `sega-dcim serve` — a long-lived daemon
 //! that accepts framed batch jobs from many concurrent client
-//! connections and multiplexes them onto **one** shared eval cache and
-//! one backend — plus the socket plumbing ([`ListenAddr`], stream and
-//! listener adapters) shared by the daemon, the connected batch client
-//! and the worker fleet's socket transports.
+//! connections and runs them on **one** shared eval cache through the
+//! in-process macro model — plus the socket plumbing ([`ListenAddr`],
+//! stream and listener adapters) shared by the daemon and the connected
+//! batch client.
 //!
 //! # Connection lifecycle
 //!
-//! Every peer moves through the same supervised state machine:
+//! Every connection moves through the same supervised state machine:
 //!
 //! ```text
 //! Connecting → Hello → Serving → Draining → Gone
@@ -30,7 +30,7 @@
 //! # Concurrency and determinism
 //!
 //! Jobs from different connections run at the same time on the one
-//! [`SharedEvalCache`] and backend. A job executes through the exact
+//! [`SharedEvalCache`]. A job executes through the exact
 //! same [`explore_pareto_with`] pipeline a local batch run uses, and the
 //! cache memoizes a pure function, so the front the daemon ships back is
 //! **bit-identical** to an in-process run of the same job whatever else
@@ -59,7 +59,7 @@ use sega_wire::frame::{
 };
 use sega_wire::GeometryRecord;
 
-use crate::backend::EvalBackend;
+use crate::backend::{EvalBackend, MacroModelBackend};
 use crate::batch::{BatchJob, BatchOutcome, BatchReport};
 use crate::cache::SharedEvalCache;
 use crate::explore::{explore_pareto_with, ExplorationResult, Geometry, PipelineOptions};
@@ -67,9 +67,8 @@ use crate::store::CacheStore;
 
 /// A parsed socket address: `unix:/path/to.sock` or `tcp:host:port`.
 ///
-/// The single address vocabulary of the networked surfaces — `serve
-/// --listen`, `batch --connect`, `worker --connect` — and of the fleet's
-/// socket transports.
+/// The single address vocabulary of the networked surfaces: `serve
+/// --listen` and `batch --connect`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ListenAddr {
     /// A Unix domain socket at this filesystem path.
@@ -198,8 +197,8 @@ pub(crate) enum Listener {
 
 impl Listener {
     /// Binds `addr`, returning the listener and the **resolved** address
-    /// (a `tcp:host:0` request comes back with the real port, so workers
-    /// and clients can be pointed at it).
+    /// (a `tcp:host:0` request comes back with the real port, so clients
+    /// can be pointed at it).
     pub(crate) fn bind(addr: &ListenAddr) -> io::Result<(Listener, ListenAddr)> {
         match addr {
             ListenAddr::Unix(path) => {
@@ -226,17 +225,7 @@ impl Listener {
         }
     }
 
-    /// Switches the listener to non-blocking accepts (the fleet hub's
-    /// accept loop polls a stop flag between attempts).
-    pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            Listener::Unix(l, _) => l.set_nonblocking(true),
-            Listener::Tcp(l) => l.set_nonblocking(true),
-        }
-    }
-
-    /// Accepts one connection (blocking unless
-    /// [`set_nonblocking`](Self::set_nonblocking) ran).
+    /// Accepts one connection, blocking until a peer connects.
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
@@ -253,8 +242,8 @@ impl Drop for Listener {
     }
 }
 
-/// Connects to `addr`, retrying for up to `patience` (the peer may still
-/// be binding its listener — daemon startup, fleet hub construction).
+/// Connects to `addr`, retrying for up to `patience` (a daemon started
+/// just before its first client may still be binding its listener).
 ///
 /// # Errors
 ///
@@ -299,14 +288,6 @@ pub struct ServeOptions {
     /// Warm-start the cache from this snapshot at startup and flush the
     /// final snapshot here during drain.
     pub cache_file: Option<PathBuf>,
-    /// The shared eval cache jobs run against. `None` creates a private
-    /// one; pass a handle to share it with a backend sink (the CLI wires
-    /// a remote fleet's sink to the same cache).
-    pub cache: Option<Arc<SharedEvalCache>>,
-    /// The eval backend jobs run on. `None` = the in-process macro
-    /// model; the CLI passes a [`RemoteBackend`](crate::RemoteBackend)
-    /// here for a daemon that fronts its own worker fleet.
-    pub backend: Option<Arc<dyn EvalBackend>>,
     /// Evaluation pipeline width per job (`0` = all hardware threads).
     pub threads: usize,
     /// How long a freshly accepted connection may take to say hello.
@@ -328,8 +309,6 @@ impl ServeOptions {
         ServeOptions {
             listen,
             cache_file: None,
-            cache: None,
-            backend: None,
             threads: 0,
             hello_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(600),
@@ -358,16 +337,15 @@ pub struct ServeReport {
     pub cache_entries: usize,
 }
 
-/// Shared state of one daemon: the cache and backend every connection's
-/// jobs run through, the drain/activity flags the accept loop and the
-/// connection threads coordinate on, and the served counters. Jobs from
-/// different connections run concurrently: the cache is sharded and
-/// memoizes a pure function, and the backend and the worker pool accept
-/// several submitters at once.
+/// Shared state of one daemon: the cache every connection's jobs run
+/// through, the drain/activity flags the accept loop and the connection
+/// threads coordinate on, and the served counters. Jobs from different
+/// connections run concurrently: the cache is sharded and memoizes a
+/// pure function, and the worker pool accepts several submitters at
+/// once.
 #[derive(Debug)]
 struct DaemonShared {
     cache: Arc<SharedEvalCache>,
-    backend: Option<Arc<dyn EvalBackend>>,
     threads: usize,
     hello_deadline: Duration,
     idle_timeout: Duration,
@@ -466,9 +444,7 @@ const DRAIN_POLL: Duration = Duration::from_millis(20);
 pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
     let (listener, resolved) = Listener::bind(&options.listen)
         .map_err(|e| format!("cannot listen on `{}`: {e}", options.listen))?;
-    let cache = options
-        .cache
-        .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
+    let cache = Arc::new(SharedEvalCache::new());
     let mut store = options.cache_file.map(CacheStore::file);
     if let Some(store) = &mut store {
         let installed = cache.load(&store.load()?).map_err(|e| e.to_string())?;
@@ -481,7 +457,6 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
     }
     let shared = Arc::new(DaemonShared {
         cache: Arc::clone(&cache),
-        backend: options.backend,
         threads: options.threads,
         hello_deadline: options.hello_deadline,
         idle_timeout: options.idle_timeout,
@@ -583,7 +558,7 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
 /// the daemon drains.
 fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<(), String> {
     // Hello phase, bounded: a connected-but-silent peer is dropped at
-    // the deadline, exactly like a stalled worker.
+    // the deadline.
     stream
         .set_read_timeout(Some(shared.hello_deadline))
         .map_err(|e| e.to_string())?;
@@ -656,8 +631,8 @@ fn serve_connection(stream: Stream, conn: u64, shared: &DaemonShared) -> Result<
 }
 
 /// Executes one job through the standard exploration pipeline on the
-/// daemon's shared cache and backend, concurrently with the jobs of
-/// other connections.
+/// daemon's shared cache, concurrently with the jobs of other
+/// connections.
 fn run_job(shared: &DaemonShared, job: &JobRequest) -> Result<JobResponse, String> {
     let precision = Precision::from_name(&job.precision)
         .ok_or_else(|| format!("job {} names unknown precision `{}`", job.id, job.precision))?;
@@ -680,7 +655,6 @@ fn run_job(shared: &DaemonShared, job: &JobRequest) -> Result<JobResponse, Strin
     let pipeline = PipelineOptions {
         threads: shared.threads,
         shared_cache: Some(Arc::clone(&shared.cache)),
-        backend: shared.backend.clone(),
         ..Default::default()
     };
     let result = explore_pareto_with(
@@ -790,7 +764,6 @@ pub fn run_batch_connected(
         preloaded_entries: 0,
         cache_entries: 0,
         backend: "daemon",
-        remote: None,
         store: None,
         complete: true,
         resumed_jobs: 0,
@@ -808,7 +781,7 @@ fn materialize_result(
     tech: &Technology,
     conditions: &OperatingConditions,
 ) -> Result<ExplorationResult, String> {
-    let evaluator = crate::backend::MacroModelBackend.bind(&job.spec, tech, conditions);
+    let evaluator = MacroModelBackend.bind(&job.spec, tech, conditions);
     let mut solutions = Vec::with_capacity(response.front.len());
     for record in &response.front {
         let g = Geometry {
@@ -1123,6 +1096,54 @@ mod tests {
             local.outcomes[0].result.objective_matrix()
         );
         let report = daemon.join().expect("daemon thread").expect("daemon exit");
+        assert_eq!(report.jobs, 1, "{report:?}");
+    }
+
+    /// A peer that sends a frame kind the protocol withdrew (the worker
+    /// fleet's `eval-request`) loses only its own connection: the daemon
+    /// keeps serving, and a fresh client still gets the in-process front.
+    #[test]
+    fn a_retired_frame_kind_closes_only_its_connection() {
+        let addr = scratch_addr("retired");
+        let mut options = ServeOptions::new(addr.clone());
+        options.threads = 1;
+        let daemon = std::thread::spawn(move || serve(options));
+
+        let writer = connect_with_retry(&addr, Duration::from_secs(5)).expect("connect");
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        let mut writer = writer;
+        frame::send(&mut writer, &Message::Hello(Hello::client())).unwrap();
+        assert!(matches!(
+            frame::recv(&mut reader).unwrap(),
+            Message::Hello(_)
+        ));
+        let mut retired = sega_wire::Writer::with_header();
+        retired.put_str("eval-request");
+        retired.put_u64(1);
+        frame::write_frame(&mut writer, &retired.finish()).unwrap();
+        assert!(
+            matches!(frame::recv(&mut reader), Err(FrameError::Eof)),
+            "the daemon must close the offending connection"
+        );
+
+        let jobs = parse_jobs(
+            r#"[{"wstore": 8192, "precision": "int8", "population": 8, "generations": 3, "seed": 4}]"#,
+            &Nsga2Config::default(),
+        )
+        .unwrap();
+        let served = run_batch_connected(&addr, &jobs, true).expect("client after the bad frame");
+        let local = crate::batch::run_batch(
+            &jobs,
+            &Technology::tsmc28(),
+            &OperatingConditions::paper_default(),
+            PipelineOptions::default(),
+        );
+        assert_eq!(
+            served.outcomes[0].result.objective_matrix(),
+            local.outcomes[0].result.objective_matrix()
+        );
+        let report = daemon.join().expect("daemon thread").expect("daemon exit");
+        assert_eq!(report.connections, 2, "{report:?}");
         assert_eq!(report.jobs, 1, "{report:?}");
     }
 

@@ -1,7 +1,7 @@
-//! CLI-level tests of `sega-dcim batch`: the scheduling-flag validation
-//! (clear errors instead of panics deep in the pipeline) and the
-//! end-to-end distributed run — the same choreography CI's
-//! `distributed-smoke` job drives, at test scale.
+//! CLI-level tests of `sega-dcim batch` and `serve`: the flag validation
+//! (clear errors instead of panics deep in the pipeline), the checkpoint
+//! resume and cache-file warm starts, and the daemon's SIGTERM drain —
+//! the same choreography CI's `daemon-smoke` job drives, at test scale.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -48,7 +48,6 @@ fn batch_rejects_zero_valued_scheduling_flags_with_clear_errors() {
     for (flag, needle) in [
         ("--threads", "--threads must be >= 1"),
         ("--shards", "--shards must be >= 1"),
-        ("--workers", "--workers must be >= 1"),
     ] {
         let output = run(&["batch", "--jobs", jobs, flag, "0"]);
         assert!(
@@ -105,65 +104,30 @@ fn batch_rejects_a_population_below_two_without_panicking() {
 fn batch_rejects_unknown_backends_naming_the_valid_ones() {
     let dir = scratch("bad-backend");
     let jobs = write_jobs(&dir);
-    let output = run(&[
-        "batch",
-        "--jobs",
-        jobs.to_str().unwrap(),
-        "--backend",
-        "turbo",
-    ]);
-    assert!(!output.status.success());
-    let stderr = stderr_of(&output);
-    assert!(stderr.contains("unknown backend `turbo`"), "{stderr}");
-    for valid in ["macro", "instrumented", "remote"] {
-        assert!(stderr.contains(valid), "`{stderr}` should name `{valid}`");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn fleet_only_flags_are_rejected_without_the_remote_backend() {
-    let dir = scratch("fleet-flags");
-    let jobs = write_jobs(&dir);
-    let jobs = jobs.to_str().unwrap();
-    // An unknown fault value fails even on the remote backend.
-    let output = run(&[
-        "batch",
-        "--jobs",
-        jobs,
-        "--backend",
-        "remote",
-        "--inject-fault",
-        "explode",
-    ]);
-    assert!(!output.status.success());
-    assert!(
-        stderr_of(&output).contains("unknown fault `explode`"),
-        "{}",
-        stderr_of(&output)
-    );
-    // Fleet-only flags on a non-remote backend would be silently inert
-    // (a fault-matrix run that tested nothing) — they must refuse.
-    for args in [
-        ["--inject-fault", "kill-one"],
-        ["--workers", "3"],
-        ["--worker-log-dir", "logs"],
-        ["--worker-deadline-ms", "2000"],
-        ["--restart-budget", "1"],
-        ["--backoff-ms", "100"],
-        ["--backoff-seed", "7"],
-    ] {
-        let output = run(&["batch", "--jobs", jobs, args[0], args[1]]);
-        assert!(
-            !output.status.success(),
-            "{args:?} must fail without remote"
-        );
+    // `remote` names the retired worker fleet.
+    for backend in ["turbo", "remote"] {
+        let output = run(&[
+            "batch",
+            "--jobs",
+            jobs.to_str().unwrap(),
+            "--backend",
+            backend,
+        ]);
+        assert!(!output.status.success());
         let stderr = stderr_of(&output);
         assert!(
-            stderr.contains("requires --backend remote"),
-            "{args:?}: {stderr}"
+            stderr.contains(&format!("unknown backend `{backend}`")),
+            "{stderr}"
         );
+        for valid in ["macro", "instrumented"] {
+            assert!(stderr.contains(valid), "`{stderr}` should name `{valid}`");
+        }
     }
+    // So does the retired `worker` command.
+    let output = run(&["worker"]);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("unknown command `worker`"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -364,108 +328,6 @@ fn cache_file_preload_counts_every_key_space_in_the_file() {
     // The union was written back: the other precision is still warm.
     let again = batch(both, "both.bin", "again.json.out");
     assert_eq!(field(&again, &["totals", "distinct_evaluations"]), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn worker_refuses_to_run_without_serve() {
-    let output = run(&["worker"]);
-    assert!(!output.status.success());
-    assert!(
-        stderr_of(&output).contains("--serve"),
-        "{}",
-        stderr_of(&output)
-    );
-}
-
-/// The distributed end-to-end: remote fleets of 1 and 3 workers produce
-/// byte-identical report fronts to the in-process run, and the cache
-/// file a remote run leaves behind warm-starts a fresh process to zero
-/// distinct evaluations — the CI smoke, at test scale.
-#[test]
-fn remote_batch_matches_macro_and_warm_starts_across_processes() {
-    let dir = scratch("remote-e2e");
-    let jobs = write_jobs(&dir);
-    let jobs = jobs.to_str().unwrap();
-    let report = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-    let cache = dir.join("cache.bin");
-    let cache = cache.to_str().unwrap();
-
-    let macro_run = run(&["batch", "--jobs", jobs, "--report", &report("macro.json")]);
-    assert!(macro_run.status.success(), "{}", stderr_of(&macro_run));
-    for (label, workers) in [("w1", "1"), ("w3", "3")] {
-        let output = run(&[
-            "batch",
-            "--jobs",
-            jobs,
-            "--backend",
-            "remote",
-            "--workers",
-            workers,
-            "--cache-file",
-            cache,
-            "--report",
-            &report(&format!("remote-{label}.json")),
-            "--worker-log-dir",
-            dir.join("wlogs").to_str().unwrap(),
-        ]);
-        assert!(output.status.success(), "{}", stderr_of(&output));
-        let stderr = stderr_of(&output);
-        assert!(stderr.contains("remote fleet (stdio):"), "{stderr}");
-    }
-    let warm = run(&[
-        "batch",
-        "--jobs",
-        jobs,
-        "--cache-file",
-        cache,
-        "--report",
-        &report("warm.json"),
-    ]);
-    assert!(warm.status.success(), "{}", stderr_of(&warm));
-
-    let front_of = |name: &str| {
-        let text = std::fs::read_to_string(dir.join(name)).expect("read report");
-        let doc = sega_wire::Json::parse(&text).expect("parse report");
-        doc.get("jobs")
-            .and_then(sega_wire::Json::as_arr)
-            .expect("jobs array")
-            .iter()
-            .map(|j| j.get("front").unwrap().to_string())
-            .collect::<Vec<_>>()
-    };
-    let reference = front_of("macro.json");
-    assert_eq!(front_of("remote-w1.json"), reference, "1-worker front");
-    assert_eq!(front_of("remote-w3.json"), reference, "3-worker front");
-    assert_eq!(front_of("warm.json"), reference, "warm front");
-
-    let totals_distinct = |name: &str| {
-        let text = std::fs::read_to_string(dir.join(name)).expect("read report");
-        let doc = sega_wire::Json::parse(&text).expect("parse report");
-        doc.get("totals")
-            .and_then(|t| t.get("distinct_evaluations"))
-            .and_then(sega_wire::Json::as_u64)
-            .expect("distinct_evaluations")
-    };
-    assert!(totals_distinct("remote-w1.json") > 0, "cold run estimates");
-    // The 3-worker run reran against the already-saved cache file, so it
-    // warm-started; the final macro rerun must be fully estimator-free.
-    assert_eq!(
-        totals_distinct("warm.json"),
-        0,
-        "warm rerun across processes"
-    );
-
-    // Worker logs were produced for upload, and every line carries the
-    // correlatable prefix: monotonic timestamp, worker id, request id.
-    let log = std::fs::read_to_string(dir.join("wlogs").join("worker-0.log")).expect("worker log");
-    assert!(!log.is_empty(), "worker-0.log is empty");
-    for line in log.lines() {
-        assert!(
-            line.starts_with("[+") && line.contains("ms w0 r"),
-            "unprefixed log line: `{line}`"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,7 @@
 //! Property tests of the persistence layer: snapshot round-trips, merge
 //! laws, and warm-start determinism.
 //!
-//! Four properties anchor the `--cache-file` / remote-worker story:
+//! Four properties anchor the `--cache-file` warm-start story:
 //!
 //! 1. **Round-trip** — snapshot → encode (binary *and* JSON) → decode →
 //!    load gives bit-identical lookups, for every shard count.

@@ -3,17 +3,15 @@
 //! their combinations — must return a **bit-identical** Pareto front for
 //! the same seed, and the evaluation accounting must be exact.
 
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use sega_cells::Technology;
 use sega_dcim::explore::DcimProblem;
 use sega_dcim::{
-    explore_mixed_with, explore_pareto_resumable, explore_pareto_with, EvalBackend,
-    ExplorationResult, ExploreResume, InstrumentedBackend, MacroModelBackend, PipelineOptions,
-    RemoteBackend, RemoteOptions, SharedEvalCache, UserSpec,
+    explore_mixed_with, explore_pareto_resumable, explore_pareto_with, ExplorationResult,
+    ExploreResume, InstrumentedBackend, MacroModelBackend, PipelineOptions, SharedEvalCache,
+    UserSpec,
 };
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::{Nsga2Config, Problem};
@@ -447,19 +445,13 @@ fn cached_exploration_reaches_5x_fewer_estimates_at_default_budget() {
 }
 
 // ---------------------------------------------------------------------------
-// The remote fleet: where a cohort is evaluated must be invisible in
-// every committed number — fronts AND accounting bit-identical to the
-// in-process loop, for every fleet size, even with workers dying or
-// hanging mid-run.
+// Mid-exploration checkpoints: stopping at a generation boundary and
+// resuming must be invisible in every committed number.
 // ---------------------------------------------------------------------------
 
-fn program() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_sega-dcim"))
-}
-
 /// A small budget whose low mutation rate lets late cohorts consist
-/// entirely of already-cached genomes, so fleets see both empty and
-/// non-empty miss lists.
+/// entirely of already-cached genomes, so the resumed run sees both
+/// empty and non-empty miss lists.
 fn small_cfg(seed: u64) -> Nsga2Config {
     Nsga2Config {
         population: 10,
@@ -468,27 +460,6 @@ fn small_cfg(seed: u64) -> Nsga2Config {
         seed,
         ..Default::default()
     }
-}
-
-fn run_small(
-    spec: &UserSpec,
-    seed: u64,
-    backend: Option<Arc<dyn EvalBackend>>,
-) -> ExplorationResult {
-    let pipeline = PipelineOptions {
-        threads: 1,
-        cache: true,
-        min_batch_per_worker: 1,
-        backend,
-        ..Default::default()
-    };
-    explore_pareto_with(
-        spec,
-        &Technology::tsmc28(),
-        &OperatingConditions::paper_default(),
-        &small_cfg(seed),
-        pipeline,
-    )
 }
 
 /// Everything the loop commits, compared field by field: the front and
@@ -506,33 +477,6 @@ fn assert_committed_identical(run: &ExplorationResult, baseline: &ExplorationRes
     );
     assert_eq!(run.cache_hits, baseline.cache_hits, "{label}");
     assert_eq!(run.interned, baseline.interned, "{label}");
-}
-
-#[test]
-fn synchronous_loop_is_bit_identical_across_remote_fleets_and_faults() {
-    let spec = UserSpec::new(8192, Precision::Int8).unwrap();
-    let seed = 41;
-    let baseline = run_small(&spec, seed, None);
-
-    // Remote fleets: every size, healthy and sabotaged. Respawning is
-    // off and the deadline short, as in the remote acceptance suite.
-    for fleet_size in [1usize, 2, 3] {
-        for fault in [None, Some(("fail-after", 1u64)), Some(("hang-after", 1))] {
-            let mut options = RemoteOptions::fleet(program(), fleet_size)
-                .with_restart_budget(0)
-                .with_deadline(Duration::from_millis(500));
-            if let Some((flag, n)) = fault {
-                options.workers[0] = options.workers[0]
-                    .clone()
-                    .with_args([format!("--{flag}"), n.to_string()]);
-            }
-            let backend = Arc::new(RemoteBackend::spawn(options).expect("spawn fleet"))
-                as Arc<dyn EvalBackend>;
-            let label = format!("remote x{fleet_size} fault {fault:?}");
-            let run = run_small(&spec, seed, Some(backend));
-            assert_committed_identical(&run, &baseline, &label);
-        }
-    }
 }
 
 /// Stopping an exploration at a journaled generation boundary and

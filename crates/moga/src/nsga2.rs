@@ -175,7 +175,7 @@ impl Nsga2 {
 /// The cycle is `Breed → Submitted → Reconcile → Select → Breed …`,
 /// ending in `Done` after the final cohort's selection. Every transition
 /// is an explicit method call, so a caller can interleave arbitrary work
-/// — remote evaluation, checkpointing — between steps.
+/// — cache lookups, checkpointing, span timing — between steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverPhase {
     /// Ready to breed the next cohort ([`Nsga2Driver::breed`]).

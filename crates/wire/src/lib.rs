@@ -5,7 +5,8 @@
 //! this crate, and nothing else. It has **zero dependencies** (the
 //! workspace builds without crates.io, and a wire format should stay
 //! decodable by anything that can read bytes), and every format is
-//! **versioned** so future remote estimator workers can negotiate.
+//! **versioned**, so a decoder rejects a format generation it does not
+//! know instead of guessing.
 //!
 //! Three layers:
 //!
@@ -24,9 +25,9 @@
 //!   that is invariant in shard count and insertion order, and both a
 //!   JSON and a compact binary codec.
 //! * [`frame`] — the length-prefixed framed transport and the typed
-//!   request/response vocabulary of the remote evaluation protocol
-//!   (worker hello/eval-request/eval-response/shutdown, daemon jobs),
-//!   built on the same header and the snapshot records.
+//!   message vocabulary of the `sega-dcim serve` daemon protocol
+//!   (hello, heartbeat, job request/response, shutdown), built on the
+//!   same header and the snapshot's geometry records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +41,7 @@ pub mod snapshot;
 
 pub use binary::{Reader, WireError, Writer};
 pub use driver::DriverStateRecord;
-pub use frame::{EvalRequest, EvalResponse, FrameError, Message, PROTOCOL_VERSION};
+pub use frame::{FrameError, Message, PROTOCOL_VERSION};
 pub use json::{Json, JsonError};
 pub use snapshot::{EntryRecord, GeometryRecord, KeyRecord, Snapshot, SpaceRecord};
 

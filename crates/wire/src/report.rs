@@ -33,62 +33,11 @@ pub struct ConfigRecord {
     pub distinct_evaluations: usize,
     /// Evaluations served from memory (cache or intra-batch dedup).
     pub cache_hits: usize,
-    /// Remote-backend traffic counters; `None` for in-process arms.
-    pub remote: Option<RemoteTrafficRecord>,
-}
-
-/// The remote arm's transport accounting: what one exploration cost in
-/// round-trips across a worker fleet, and the supervision ledger CI
-/// checks (`workers_alive == workers_spawned − worker_deaths + respawns
-/// + rejoins`).
-#[derive(Debug, Clone)]
-pub struct RemoteTrafficRecord {
-    /// Worker processes in the fleet.
-    pub workers: usize,
-    /// Transport the fleet linked over (`stdio`, `unix-socket`, `tcp`).
-    pub transport: String,
-    /// Request/response exchanges completed.
-    pub round_trips: u64,
-    /// Sub-cohorts re-dispatched after a worker failure.
-    pub requeues: u64,
-    /// Workers that died during the run.
-    pub worker_deaths: u64,
-    /// Buried workers replaced by a fresh process under the budget.
-    pub respawns: u64,
-    /// Buried socket workers readopted after reconnecting.
-    pub rejoins: u64,
-    /// Workers alive at the end of the run.
-    pub workers_alive: usize,
-    /// Workers launched at fleet construction.
-    pub workers_spawned: usize,
-    /// Each live worker's hello-negotiated capacity weight, in slot
-    /// order.
-    pub capacities: Vec<u32>,
-}
-
-impl RemoteTrafficRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("workers", Json::from(self.workers)),
-            ("transport", Json::from(self.transport.clone())),
-            ("round_trips", Json::from(self.round_trips)),
-            ("requeues", Json::from(self.requeues)),
-            ("worker_deaths", Json::from(self.worker_deaths)),
-            ("respawns", Json::from(self.respawns)),
-            ("rejoins", Json::from(self.rejoins)),
-            ("workers_alive", Json::from(self.workers_alive)),
-            ("workers_spawned", Json::from(self.workers_spawned)),
-            (
-                "capacities",
-                Json::Arr(self.capacities.iter().map(|&c| Json::from(c)).collect()),
-            ),
-        ])
-    }
 }
 
 impl ConfigRecord {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj([
             ("name", Json::from(self.name.clone())),
             ("wall_s", Json::from(self.wall_s)),
             ("evaluations", Json::from(self.evaluations)),
@@ -97,11 +46,7 @@ impl ConfigRecord {
                 Json::from(self.distinct_evaluations),
             ),
             ("cache_hits", Json::from(self.cache_hits)),
-        ];
-        if let Some(remote) = &self.remote {
-            fields.push(("remote", remote.to_json()));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -363,26 +308,13 @@ mod tests {
                     evaluations: 12100,
                     distinct_evaluations: 12100,
                     cache_hits: 0,
-                    remote: None,
                 },
                 ConfigRecord {
-                    name: "remote_w3".to_owned(),
+                    name: "shared_cache_run2".to_owned(),
                     wall_s: 0.5,
                     evaluations: 12100,
-                    distinct_evaluations: 600,
-                    cache_hits: 11500,
-                    remote: Some(RemoteTrafficRecord {
-                        workers: 3,
-                        transport: "unix-socket".to_owned(),
-                        round_trips: 363,
-                        requeues: 0,
-                        worker_deaths: 1,
-                        respawns: 0,
-                        rejoins: 1,
-                        workers_alive: 3,
-                        workers_spawned: 3,
-                        capacities: vec![1, 2, 1],
-                    }),
+                    distinct_evaluations: 0,
+                    cache_hits: 12100,
                 },
             ],
         };
@@ -391,12 +323,9 @@ mod tests {
             text.starts_with(r#"{"bench":"pipeline","spec":{"wstore":65536,"precision":"int8"}"#)
         );
         assert!(text.contains(r#""name":"serial_uncached","wall_s":0.25,"evaluations":12100"#));
-        assert!(text.contains(r#""distinct_evaluations":12100,"cache_hits":0"#));
-        // In-process arms carry no remote block; the remote arm carries
-        // its transport accounting plus the supervision ledger
-        // (alive == spawned − deaths + respawns + rejoins).
+        assert!(text.contains(r#""distinct_evaluations":12100,"cache_hits":0}"#));
         assert!(text.contains(
-            r#""remote":{"workers":3,"transport":"unix-socket","round_trips":363,"requeues":0,"worker_deaths":1,"respawns":0,"rejoins":1,"workers_alive":3,"workers_spawned":3,"capacities":[1,2,1]}"#
+            r#"{"name":"shared_cache_run2","wall_s":0.5,"evaluations":12100,"distinct_evaluations":0,"cache_hits":12100}"#
         ));
         // The report is valid JSON by our own parser.
         Json::parse(&text).unwrap();

@@ -107,8 +107,8 @@ impl KeyRecord {
 
     /// The space's technology+conditions fingerprint: FNV-1a over the
     /// key's canonical binary encoding. Stored in each space's header so
-    /// a decoder (or a remote worker merging a foreign shard) can verify
-    /// it is pairing entries with the right invariants.
+    /// a decoder (or a process merging a foreign snapshot) can verify it
+    /// is pairing entries with the right invariants.
     pub fn fingerprint(&self) -> u64 {
         let mut w = Writer::default();
         self.encode_into(&mut w);
@@ -529,8 +529,8 @@ impl Snapshot {
 
 /// FNV-1a (64-bit) over a byte slice — the fingerprint hash used for
 /// key-space fingerprints and cache-file error messages. Chosen for
-/// being trivially reimplementable in any language a future remote
-/// worker might be written in.
+/// being trivially reimplementable in any language a cache-file reader
+/// might be written in.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
