@@ -162,20 +162,6 @@ pub mod rngs {
         }
     }
 
-    impl StdRng {
-        /// The raw xoshiro256++ state words — everything a checkpoint
-        /// needs to resume the stream exactly where it left off.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from exported [`state`](Self::state)
-        /// words; the rebuilt stream continues bit-identically.
-        pub fn from_state(s: [u64; 4]) -> StdRng {
-            StdRng { s }
-        }
-    }
-
     impl RngCore for StdRng {
         fn next_u32(&mut self) -> u32 {
             (self.next_u64() >> 32) as u32
@@ -261,18 +247,6 @@ mod tests {
         assert!((1..=16).contains(&v));
         assert!(dynamic.gen_bool(1.0));
         assert!(!dynamic.gen_bool(0.0));
-    }
-
-    #[test]
-    fn state_round_trips_mid_stream() {
-        let mut a = StdRng::seed_from_u64(21);
-        for _ in 0..17 {
-            a.next_u64();
-        }
-        let mut b = StdRng::from_state(a.state());
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 
     #[test]

@@ -28,10 +28,10 @@ use sega_wire::{Json, Snapshot};
 
 use crate::cache::SharedEvalCache;
 use crate::checkpoint::{
-    jobs_fingerprint, load_journal, progress_record_of, reconstruct_outcome, record_of_outcome,
-    resume_of_progress, CheckpointConfig, Header, Journal, ProgressRecord,
+    jobs_fingerprint, load_journal, reconstruct_outcome, record_of_outcome, CheckpointConfig,
+    Header, Journal,
 };
-use crate::explore::{explore_pareto_resumable, ExplorationResult, PipelineOptions};
+use crate::explore::{explore_pareto_with, ExplorationResult, PipelineOptions};
 use crate::spec::UserSpec;
 
 /// One batch entry: a specification and the exploration budget to spend
@@ -104,15 +104,6 @@ pub struct BatchControl {
     /// — the deterministic stand-in for a killed batch in resume tests
     /// and CI.
     pub stop_after_jobs: Option<usize>,
-    /// With a journal: also checkpoint *inside* each job, every this
-    /// many bred generations (`0` = job-granular journaling only). A
-    /// resumed run picks the interrupted job up at the last journaled
-    /// generation boundary instead of re-running it from scratch.
-    pub checkpoint_generations: usize,
-    /// Abandon the run right after writing this many mid-job progress
-    /// records — the deterministic stand-in for a batch killed *inside*
-    /// a long job.
-    pub stop_after_progress: Option<usize>,
 }
 
 /// The smallest population NSGA-II can breed from.
@@ -335,7 +326,6 @@ pub fn run_batch_with(
 
     // Checkpoint setup: either replay an existing journal or start one.
     let mut finished: BTreeMap<u64, crate::checkpoint::JobRecord> = BTreeMap::new();
-    let mut pending_progress: Option<ProgressRecord> = None;
     let mut journal = match &control.checkpoint {
         Some(cp) if cp.resume => {
             let bytes = std::fs::read(&cp.path)
@@ -362,7 +352,6 @@ pub fn run_batch_with(
                     .map_err(|e| format!("checkpoint delta: {e}"))?;
                 finished.insert(record.index, record);
             }
-            pending_progress = loaded.progress;
             Some(Journal::reopen(&cp.path, loaded.good_len)?)
         }
         Some(cp) => Some(Journal::create(
@@ -382,7 +371,6 @@ pub fn run_batch_with(
     let resumed_jobs = finished.len();
     let mut outcomes: Vec<BatchOutcome> = Vec::with_capacity(jobs.len());
     let mut executed = 0usize;
-    let mut progress_written = 0usize;
     let mut complete = true;
     for (index, job) in jobs.iter().enumerate() {
         if let Some(record) = finished.get(&(index as u64)) {
@@ -393,69 +381,7 @@ pub fn run_batch_with(
             complete = false;
             break;
         }
-        // A journaled mid-job checkpoint for this exact job resumes the
-        // exploration at its last generation boundary: load the cache
-        // delta the interrupted run had accumulated, then hand the
-        // driver state to the explorer. (Replay order matters: finished
-        // job deltas first — done above — then this progress delta.)
-        let resume = match &pending_progress {
-            Some(progress) if progress.index == index as u64 => {
-                cache
-                    .load(&progress.delta)
-                    .map_err(|e| format!("checkpoint progress delta: {e}"))?;
-                let resume = resume_of_progress(progress);
-                pending_progress = None;
-                Some(resume)
-            }
-            _ => None,
-        };
-        let result = match (&mut journal, control.checkpoint_generations) {
-            (Some(journal), every) if every > 0 || resume.is_some() => {
-                let baseline = last_snapshot.as_ref().expect("baseline set with journal");
-                let mut checkpoint_error: Option<String> = None;
-                let result = explore_pareto_resumable(
-                    &job.spec,
-                    tech,
-                    conditions,
-                    &job.config,
-                    inner.clone(),
-                    resume,
-                    every,
-                    &mut |state| {
-                        let delta = cache.snapshot().diff(baseline);
-                        if let Err(e) =
-                            journal.append_progress(&progress_record_of(index, state, delta))
-                        {
-                            checkpoint_error = Some(e);
-                            return false;
-                        }
-                        progress_written += 1;
-                        control.stop_after_progress != Some(progress_written)
-                    },
-                );
-                if let Some(e) = checkpoint_error {
-                    return Err(e);
-                }
-                result
-            }
-            _ => explore_pareto_resumable(
-                &job.spec,
-                tech,
-                conditions,
-                &job.config,
-                inner.clone(),
-                None,
-                0,
-                &mut |_| true,
-            ),
-        };
-        let Some(result) = result else {
-            // Abandoned at a journaled generation boundary
-            // (`stop_after_progress`): the report covers a prefix, and
-            // the journal's progress record carries the rest.
-            complete = false;
-            break;
-        };
+        let result = explore_pareto_with(&job.spec, tech, conditions, &job.config, inner.clone());
         let outcome = BatchOutcome {
             config: job.config.clone(),
             result,

@@ -10,7 +10,6 @@
 //!                   [--population N] [--generations N] [--seed N]
 //!                   [--threads N] [--shards N] [--backend macro|instrumented]
 //!                   [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
-//!                   [--checkpoint-generations N] [--stop-after-progress N]
 //! sega-dcim batch   --jobs FILE --connect ADDR [--drain] [--report FILE]
 //! sega-dcim serve   --listen ADDR [--cache-file FILE] [--threads N]
 //!                   [--hello-deadline-ms N] [--idle-timeout-ms N]
@@ -42,12 +41,8 @@
 //! finished jobs, warm-starts the cache from the journal, and produces a
 //! report **byte-identical** to an uninterrupted run. `--stop-after-jobs
 //! N` stops after N executed jobs — the deterministic stand-in for
-//! `kill -9` in the CI resume arm.
-//! `--checkpoint-generations G` additionally journals the NSGA-II driver
-//! state *inside* each job every G bred generations, so `--resume` picks
-//! an interrupted exploration up at its last generation boundary instead
-//! of re-running it; `--stop-after-progress N` abandons the run right
-//! after the Nth such record — the mid-job kill stand-in.
+//! `kill -9` in the CI resume arm. The journal is job-granular: a job
+//! interrupted mid-exploration reruns from its start on resume.
 //!
 //! `serve` runs the long-lived daemon: it listens on `--listen
 //! unix:/path.sock` or `tcp:host:port`, accepts framed batch jobs from
@@ -98,7 +93,6 @@ const USAGE: &str = "usage:
                      [--population N] [--generations N] [--seed N]
                      [--threads N] [--shards N] [--backend macro|instrumented]
                      [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
-                     [--checkpoint-generations N] [--stop-after-progress N]
   sega-dcim batch    --jobs FILE --connect ADDR [--drain] [--report FILE]
                      [--population N] [--generations N] [--seed N]
   sega-dcim serve    --listen ADDR [--cache-file FILE] [--threads N]
@@ -120,11 +114,6 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
               the finished report is byte-identical to an uninterrupted run
 --stop-after-jobs: stop after N executed jobs (requires --checkpoint or
               --resume; the report is withheld — resume to finish the batch)
---checkpoint-generations: also journal the GA driver state inside each job
-              every N bred generations, so --resume continues an interrupted
-              exploration at its last journaled generation boundary
---stop-after-progress: abandon the run after the Nth mid-job progress record
-              (requires --checkpoint-generations; the mid-job kill stand-in)
 --connect:    run the jobs on a `sega-dcim serve` daemon at ADDR
               (unix:/path.sock or tcp:host:port) instead of in-process
 --drain:      after the last job, ask the connected daemon to flush its cache
@@ -155,8 +144,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "batch" => (
             batch,
             "jobs cache-file report population generations seed threads shards backend \
-             checkpoint resume stop-after-jobs checkpoint-generations stop-after-progress \
-             connect drain",
+             checkpoint resume stop-after-jobs connect drain",
         ),
         "serve" => (
             serve_cmd,
@@ -502,8 +490,6 @@ fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<()
         "checkpoint",
         "resume",
         "stop-after-jobs",
-        "checkpoint-generations",
-        "stop-after-progress",
     ] {
         if flags.contains_key(flag) {
             return Err(format!(
@@ -607,32 +593,6 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
                 .to_owned(),
         );
     }
-    let checkpoint_generations = get_positive(
-        flags,
-        "checkpoint-generations",
-        "omit the flag for job-granular journaling only",
-    )?
-    .unwrap_or(0);
-    if checkpoint_generations > 0 && checkpoint.is_none() {
-        return Err(
-            "--checkpoint-generations requires --checkpoint or --resume (mid-job \
-             progress records need a journal to land in)"
-                .to_owned(),
-        );
-    }
-    let stop_after_progress = get_positive(
-        flags,
-        "stop-after-progress",
-        "stopping before the first progress record would journal nothing",
-    )?;
-    if stop_after_progress.is_some() && checkpoint_generations == 0 {
-        return Err(
-            "--stop-after-progress requires --checkpoint-generations (without it \
-             no progress record is ever written, so the run would never stop)"
-                .to_owned(),
-        );
-    }
-
     let jobs_path = flags.get("jobs").ok_or("missing --jobs")?;
     let jobs_text = fs::read_to_string(jobs_path)
         .map_err(|e| format!("cannot read job file `{jobs_path}`: {e}"))?;
@@ -683,8 +643,6 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     let control = sega_dcim::BatchControl {
         checkpoint,
         stop_after_jobs,
-        checkpoint_generations,
-        stop_after_progress,
     };
     let mut report = run_batch_with(
         &jobs,

@@ -17,20 +17,25 @@
 //! longest decodable prefix — a record torn by `kill -9` mid-write is
 //! dropped (that job simply reruns) instead of poisoning the file. On
 //! resume the file is truncated back to that prefix before appending.
+//!
+//! The journal is job-granular: an exploration always runs start to
+//! finish, so a job cut off mid-exploration reruns from its start. A
+//! frame of any other kind — such as the retired `batch-job-progress`
+//! records of older journals — ends the prefix exactly like a torn one.
 
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use sega_estimator::EstimatorStats;
-use sega_moga::{DominanceStats, DriverState, Nsga2Config, ObjectiveMatrix};
+use sega_moga::DominanceStats;
 use sega_wire::frame::{self, FrameError};
-use sega_wire::{DriverStateRecord, GeometryRecord, Reader, Snapshot, WireError, Writer};
+use sega_wire::{GeometryRecord, Reader, Snapshot, WireError, Writer};
 
 use crate::backend::EvalBackend;
 use crate::backend::MacroModelBackend;
 use crate::batch::{BatchJob, BatchOutcome};
 use crate::cache::FxHasher;
-use crate::explore::{ExplorationResult, ExploreResume, Geometry};
+use crate::explore::{ExplorationResult, Geometry};
 use sega_cells::Technology;
 use sega_estimator::OperatingConditions;
 
@@ -72,9 +77,6 @@ const HEADER_KIND: &str = "batch-checkpoint-v2";
 /// to follow the estimator counters: an older record fails the kind
 /// check instead of having its front length misread.
 const RECORD_KIND: &str = "batch-job-record-v2";
-/// Document kind tag of a mid-job progress frame (a generation-boundary
-/// GA checkpoint inside a long exploration).
-const PROGRESS_KIND: &str = "batch-job-progress";
 
 /// The journal header: which batch this journal belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,197 +221,6 @@ impl JobRecord {
     }
 }
 
-/// A mid-job GA checkpoint: the exploration of job `index` had committed
-/// `driver.bred` generations when this frame was written. Replaces the
-/// previous progress frame logically (the loader keeps only the latest),
-/// and is superseded entirely by the job's [`JobRecord`] once it
-/// finishes.
-#[derive(Debug, Clone)]
-pub(crate) struct ProgressRecord {
-    /// Index into the job list.
-    pub index: u64,
-    /// Cache hits the exploration's stats had recorded so far.
-    pub hits: u64,
-    /// Distinct evaluations (misses) recorded so far.
-    pub misses: u64,
-    /// Estimator-kernel counters recorded so far.
-    pub estimator: EstimatorStats,
-    /// The GA driver at the generation boundary.
-    pub driver: DriverStateRecord,
-    /// Cache entries added **since this job started** (the finished-job
-    /// deltas already journaled cover everything before it).
-    pub delta: Snapshot,
-}
-
-impl ProgressRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_header();
-        w.put_str(PROGRESS_KIND);
-        w.put_u64(self.index);
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.estimator.designs);
-        w.put_u64(self.estimator.batched);
-        w.put_u64(self.estimator.scalar_fallbacks);
-        w.put_u64(self.estimator.allocations);
-        let driver = self.driver.encode();
-        w.put_u64(driver.len() as u64);
-        w.put_bytes(&driver);
-        let delta = self.delta.encode_binary();
-        w.put_u64(delta.len() as u64);
-        w.put_bytes(&delta);
-        w.finish()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<ProgressRecord, WireError> {
-        let mut r = Reader::open(bytes)?;
-        let kind = r.take_str()?;
-        if kind != PROGRESS_KIND {
-            return Err(WireError::Malformed(format!(
-                "expected a {PROGRESS_KIND} document, found `{kind}`"
-            )));
-        }
-        let index = r.take_u64()?;
-        let hits = r.take_u64()?;
-        let misses = r.take_u64()?;
-        let estimator = EstimatorStats {
-            designs: r.take_u64()?,
-            batched: r.take_u64()?,
-            scalar_fallbacks: r.take_u64()?,
-            allocations: r.take_u64()?,
-        };
-        let driver_len = r.take_u64()? as usize;
-        let driver = DriverStateRecord::decode(r.take_bytes(driver_len)?)?;
-        let delta_len = r.take_u64()? as usize;
-        let delta = Snapshot::decode_binary(r.take_bytes(delta_len)?)?;
-        Ok(ProgressRecord {
-            index,
-            hits,
-            misses,
-            estimator,
-            driver,
-            delta,
-        })
-    }
-}
-
-/// [`DriverState`] → wire record (field-for-field, floats as bits).
-pub(crate) fn driver_record_of(state: &DriverState<Geometry>) -> DriverStateRecord {
-    DriverStateRecord {
-        population: state.config.population as u64,
-        generations: state.config.generations as u64,
-        crossover_bits: state.config.crossover_rate.to_bits(),
-        mutation_bits: state.config.mutation_rate.to_bits(),
-        seed: state.config.seed,
-        intern: state.config.intern,
-        rng: state.rng,
-        genomes: state
-            .genomes
-            .iter()
-            .map(|g| GeometryRecord {
-                log_h: g.log_h,
-                log_l: g.log_l,
-                k: g.k,
-            })
-            .collect(),
-        objective_width: state.objectives.width() as u32,
-        objective_bits: state
-            .objectives
-            .as_flat()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect(),
-        rank: state.rank.iter().map(|&r| r as u64).collect(),
-        crowding_bits: state.crowding.iter().map(|v| v.to_bits()).collect(),
-        bred: state.bred as u64,
-        evaluations: state.evaluations as u64,
-        interned: state.interned as u64,
-        dominance: [
-            state.dominance.comparisons,
-            state.dominance.word_ops,
-            state.dominance.allocations,
-        ],
-    }
-}
-
-/// Wire record → [`DriverState`] (decode already validated the
-/// population vectors agree).
-pub(crate) fn driver_state_of(record: &DriverStateRecord) -> DriverState<Geometry> {
-    let width = record.objective_width as usize;
-    let mut objectives = ObjectiveMatrix::with_capacity(width, record.genomes.len());
-    if width > 0 {
-        let mut row = vec![0.0f64; width];
-        for bits in record.objective_bits.chunks(width) {
-            for (v, &b) in row.iter_mut().zip(bits) {
-                *v = f64::from_bits(b);
-            }
-            objectives.push_row(&row);
-        }
-    }
-    DriverState {
-        config: Nsga2Config {
-            population: record.population as usize,
-            generations: record.generations as usize,
-            crossover_rate: f64::from_bits(record.crossover_bits),
-            mutation_rate: f64::from_bits(record.mutation_bits),
-            seed: record.seed,
-            intern: record.intern,
-        },
-        rng: record.rng,
-        genomes: record
-            .genomes
-            .iter()
-            .map(|g| Geometry {
-                log_h: g.log_h,
-                log_l: g.log_l,
-                k: g.k,
-            })
-            .collect(),
-        objectives,
-        rank: record.rank.iter().map(|&r| r as usize).collect(),
-        crowding: record
-            .crowding_bits
-            .iter()
-            .map(|&b| f64::from_bits(b))
-            .collect(),
-        bred: record.bred as usize,
-        evaluations: record.evaluations as usize,
-        interned: record.interned as usize,
-        dominance: DominanceStats {
-            comparisons: record.dominance[0],
-            word_ops: record.dominance[1],
-            allocations: record.dominance[2],
-        },
-    }
-}
-
-/// A [`ProgressRecord`] from a mid-exploration [`ExploreResume`].
-pub(crate) fn progress_record_of(
-    index: usize,
-    resume: &ExploreResume,
-    delta: Snapshot,
-) -> ProgressRecord {
-    ProgressRecord {
-        index: index as u64,
-        hits: resume.hits as u64,
-        misses: resume.misses as u64,
-        estimator: resume.estimator,
-        driver: driver_record_of(&resume.driver),
-        delta,
-    }
-}
-
-/// The [`ExploreResume`] a journaled [`ProgressRecord`] resumes from
-/// (the caller loads the record's cache delta separately).
-pub(crate) fn resume_of_progress(progress: &ProgressRecord) -> ExploreResume {
-    ExploreResume {
-        driver: driver_state_of(&progress.driver),
-        hits: progress.hits as usize,
-        misses: progress.misses as usize,
-        estimator: progress.estimator,
-    }
-}
-
 /// Deterministic fingerprint of a job list: every field that shapes the
 /// exploration, in order — the same Fx hash the cache shards by, so it
 /// is stable across runs, platforms and processes.
@@ -430,15 +241,11 @@ pub(crate) fn jobs_fingerprint(jobs: &[BatchJob]) -> u64 {
     h.finish()
 }
 
-/// The parsed journal: its header, the complete records, the latest
-/// still-relevant mid-job progress frame, and the byte length of the
-/// decodable prefix (everything past it is torn tail).
+/// The parsed journal: its header, the complete records, and the byte
+/// length of the decodable prefix (everything past it is torn tail).
 pub(crate) struct LoadedJournal {
     pub header: Header,
     pub records: Vec<JobRecord>,
-    /// The newest [`ProgressRecord`] whose job has no finished
-    /// [`JobRecord`] — the point a resumed run continues that job from.
-    pub progress: Option<ProgressRecord>,
     pub good_len: u64,
 }
 
@@ -456,7 +263,6 @@ pub(crate) fn load_journal(bytes: &[u8]) -> Result<LoadedJournal, String> {
     let header =
         Header::decode(&header_payload).map_err(|e| format!("checkpoint journal header: {e}"))?;
     let mut records: Vec<JobRecord> = Vec::new();
-    let mut progress: Option<ProgressRecord> = None;
     let mut good_len = (bytes.len() - cursor.len()) as u64;
     loop {
         let payload = match frame::read_frame(&mut cursor) {
@@ -466,31 +272,17 @@ pub(crate) fn load_journal(bytes: &[u8]) -> Result<LoadedJournal, String> {
             Err(FrameError::Eof) => break,
             Err(_) => break,
         };
-        // Two record kinds interleave: finished jobs and mid-job GA
-        // progress. Later frames supersede earlier progress (each
-        // progress frame carries the complete driver state).
-        if let Ok(record) = JobRecord::decode(&payload) {
-            records.push(record);
-            good_len = (bytes.len() - cursor.len()) as u64;
-        } else if let Ok(record) = ProgressRecord::decode(&payload) {
-            progress = Some(record);
-            good_len = (bytes.len() - cursor.len()) as u64;
-        } else {
-            // A framed-but-garbled record: stop at the last good one.
-            break;
+        // A whole frame that is not a job record — garbled, or of
+        // another kind — ends the prefix like a torn one: later jobs rerun.
+        match JobRecord::decode(&payload) {
+            Ok(record) => records.push(record),
+            Err(_) => break,
         }
-    }
-    // A progress frame is only live while its job is unfinished — the
-    // job's own record makes it redundant.
-    if let Some(p) = &progress {
-        if records.iter().any(|r| r.index == p.index) {
-            progress = None;
-        }
+        good_len = (bytes.len() - cursor.len()) as u64;
     }
     Ok(LoadedJournal {
         header,
         records,
-        progress,
         good_len,
     })
 }
@@ -532,18 +324,6 @@ impl Journal {
     pub fn append(&mut self, record: &JobRecord) -> Result<(), String> {
         frame::write_frame(&mut self.file, &record.encode())
             .map_err(|e| format!("checkpoint record write: {e}"))?;
-        self.file
-            .flush()
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("checkpoint sync: {e}"))
-    }
-
-    /// Appends one mid-job progress record and flushes it to disk. The
-    /// journal grows by one frame per checkpoint (append-only — no
-    /// rewriting on the hot path); the loader keeps only the latest.
-    pub fn append_progress(&mut self, record: &ProgressRecord) -> Result<(), String> {
-        frame::write_frame(&mut self.file, &record.encode())
-            .map_err(|e| format!("checkpoint progress write: {e}"))?;
         self.file
             .flush()
             .and_then(|()| self.file.sync_data())

@@ -10,8 +10,10 @@
 //!
 //! # The batched evaluation pipeline
 //!
-//! [`Nsga2`] breeds each generation completely before evaluating it and
-//! hands the cohort to [`Problem::evaluate_batch`]. [`DcimProblem`]'s
+//! [`explore_pareto_with`] steps an [`Nsga2Driver`] from start to finish:
+//! the driver breeds each generation completely before evaluating it,
+//! and the loop hands the cohort to [`Problem::evaluate_batch_into`]
+//! before passing the rows back. [`DcimProblem`]'s
 //! implementation dedups the cohort, serves repeats from a sharded
 //! [`SharedEvalCache`] key space — the discrete `(log2 H, log2 L, k)`
 //! space has only a few hundred feasible points, so after the first few
@@ -31,8 +33,7 @@ use rand::Rng;
 use sega_cells::Technology;
 use sega_estimator::{DcimDesign, EstimatorStats, MacroEstimate, OperatingConditions};
 use sega_moga::{
-    DominanceStats, DriverPhase, DriverState, Nsga2Config, Nsga2Driver, Nsga2Result,
-    ObjectiveMatrix, Problem,
+    DominanceStats, DriverPhase, Nsga2Config, Nsga2Driver, Nsga2Result, ObjectiveMatrix, Problem,
 };
 use sega_parallel::{resolve_threads, Pool};
 
@@ -644,6 +645,10 @@ pub fn explore_pareto(
 /// [`explore_pareto`] with explicit [`PipelineOptions`]. The returned
 /// frontier is bit-identical across all pipeline configurations; only the
 /// wall-clock and the [`ExplorationResult`] counters differ.
+///
+/// The GA is stepped one [`DriverPhase`] at a time rather than through
+/// [`sega_moga::Nsga2::run`]: `perfbench`'s traced replica times this
+/// same loop span by span, so the two must stay step for step alike.
 pub fn explore_pareto_with(
     spec: &UserSpec,
     tech: &Technology,
@@ -651,95 +656,11 @@ pub fn explore_pareto_with(
     config: &Nsga2Config,
     pipeline: PipelineOptions,
 ) -> ExplorationResult {
-    explore_pareto_resumable(
-        spec,
-        tech,
-        conditions,
-        config,
-        pipeline,
-        None,
-        0,
-        &mut |_| true,
-    )
-    .expect("an exploration without checkpoints cannot be interrupted")
-}
-
-/// Everything needed to continue an exploration from a generation
-/// boundary in another process: the GA driver's complete state plus the
-/// problem-level accounting recorded so far. The *cache contents*
-/// accumulated since the exploration began travel separately (a
-/// [`Snapshot`](sega_wire::Snapshot) delta in the batch checkpoint
-/// journal) — with both restored, the resumed run's front and accounting
-/// match the uninterrupted run exactly.
-#[derive(Debug, Clone)]
-pub struct ExploreResume {
-    /// The GA state at a `Breed`-phase generation boundary.
-    pub driver: DriverState<Geometry>,
-    /// Cache hits the problem's stats had recorded.
-    pub hits: usize,
-    /// Distinct evaluations (misses) the problem's stats had recorded.
-    pub misses: usize,
-    /// Estimator-kernel counters recorded so far.
-    pub estimator: EstimatorStats,
-}
-
-/// [`explore_pareto_with`] with mid-exploration checkpointing and
-/// resume: every `checkpoint_every` generations (0 = never) the driver
-/// state and accounting are offered to `on_checkpoint` at a generation
-/// boundary; returning `false` abandons the run (the caller has
-/// persisted the state and wants to stop — the interruption test path),
-/// yielding `None`. Passing a previously captured [`ExploreResume`]
-/// continues that run: the RNG stream, counters and (given the caller
-/// also restored the cache) the front are exactly those of an
-/// uninterrupted run — except the dominance `allocations` counter, which
-/// measures scratch-buffer warmth the resumed process must rebuild.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_pareto_resumable(
-    spec: &UserSpec,
-    tech: &Technology,
-    conditions: &OperatingConditions,
-    config: &Nsga2Config,
-    pipeline: PipelineOptions,
-    resume: Option<ExploreResume>,
-    checkpoint_every: usize,
-    on_checkpoint: &mut dyn FnMut(&ExploreResume) -> bool,
-) -> Option<ExplorationResult> {
     let problem = DcimProblem::with_options(*spec, tech.clone(), *conditions, pipeline);
-    let mut driver = match resume {
-        Some(resume) => {
-            // Replay the accounting the interrupted run had already
-            // recorded, so the final report matches an uninterrupted
-            // run's.
-            problem.stats().record(resume.hits, resume.misses);
-            problem.cache().record(resume.hits, resume.misses);
-            problem.stats().record_estimator(resume.estimator);
-            Nsga2Driver::from_state(resume.driver)
-        }
-        None => Nsga2Driver::new(config.clone(), problem.objectives()),
-    };
-    let mut last_checkpoint = driver.bred();
+    let mut driver = Nsga2Driver::new(config.clone(), problem.objectives());
     let result = loop {
         match driver.phase() {
-            DriverPhase::Breed => {
-                let bred = driver.bred();
-                if checkpoint_every > 0
-                    && bred > 0
-                    && bred % checkpoint_every == 0
-                    && bred != last_checkpoint
-                {
-                    last_checkpoint = bred;
-                    let state = ExploreResume {
-                        driver: driver.export_state(),
-                        hits: problem.stats().hits(),
-                        misses: problem.stats().distinct_evaluations(),
-                        estimator: problem.stats().estimator(),
-                    };
-                    if !on_checkpoint(&state) {
-                        return None;
-                    }
-                }
-                driver.breed(&problem);
-            }
+            DriverPhase::Breed => driver.breed(&problem),
             DriverPhase::Submitted => {
                 let mut rows = ObjectiveMatrix::with_capacity(4, driver.pending().len());
                 let cohort = driver.pending().to_vec();
@@ -751,7 +672,7 @@ pub fn explore_pareto_resumable(
             DriverPhase::Done => break driver.into_result(),
         }
     };
-    Some(conclude(&problem, spec, result))
+    conclude(&problem, spec, result)
 }
 
 /// Materializes a finished GA run into the exploration report: front

@@ -93,8 +93,7 @@ pub use compiler::{CompileError, CompiledMacro, Compiler};
 pub use distill::DistillStrategy;
 pub use enumerate::{enumerate_design_space, enumerate_design_space_with, exhaustive_front};
 pub use explore::{
-    explore_pareto, explore_pareto_resumable, explore_pareto_with, ExplorationResult,
-    ExploreResume, ParetoSolution, PipelineOptions,
+    explore_pareto, explore_pareto_with, ExplorationResult, ParetoSolution, PipelineOptions,
 };
 pub use mixed::{explore_mixed, explore_mixed_with, MixedExploration};
 pub use serve::{drain_flag, run_batch_connected, serve, ListenAddr, ServeOptions, ServeReport};

@@ -1075,12 +1075,23 @@ mod tests {
             &Nsga2Config::default(),
         )
         .unwrap();
-        // `parse_jobs` refuses this job, so build it by hand as a client
-        // that skips validation would.
+        // `parse_jobs` refuses these jobs, so build them by hand as a
+        // client that skips validation would: a population out of range,
+        // a `Wstore` that is not a power of two, and one below INT4's
+        // minimum of 32 weights.
+        let mut bad_jobs = Vec::new();
         for population in [1, 100_000_000] {
             let mut bad = good.clone();
             bad[0].config.population = population;
-            let err = run_batch_connected(&addr, &bad, false).unwrap_err();
+            bad_jobs.push(bad);
+        }
+        for wstore in [3000, 16] {
+            let mut bad = good.clone();
+            bad[0].spec.wstore = wstore;
+            bad_jobs.push(bad);
+        }
+        for bad in &bad_jobs {
+            let err = run_batch_connected(&addr, bad, false).unwrap_err();
             assert!(err.contains("job 1"), "{err}");
         }
 

@@ -12,6 +12,8 @@ use sega_dcim::{
 };
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
+use sega_wire::frame::write_frame;
+use sega_wire::Writer;
 
 fn jobs() -> Vec<BatchJob> {
     let job = |wstore: u64, precision, seed| BatchJob {
@@ -70,7 +72,6 @@ fn resume_reproduces_the_uninterrupted_report_byte_for_byte() {
         &BatchControl {
             checkpoint: Some(CheckpointConfig::fresh(&path)),
             stop_after_jobs: Some(1),
-            ..Default::default()
         },
     )
     .expect("checkpointed run");
@@ -88,7 +89,6 @@ fn resume_reproduces_the_uninterrupted_report_byte_for_byte() {
         &BatchControl {
             checkpoint: Some(CheckpointConfig::resume(&path)),
             stop_after_jobs: None,
-            ..Default::default()
         },
     )
     .expect("resumed run");
@@ -117,7 +117,6 @@ fn torn_journal_tail_re_executes_only_the_lost_job() {
         &BatchControl {
             checkpoint: Some(CheckpointConfig::fresh(&path)),
             stop_after_jobs: None,
-            ..Default::default()
         },
     )
     .expect("journaled run");
@@ -133,7 +132,6 @@ fn torn_journal_tail_re_executes_only_the_lost_job() {
         &BatchControl {
             checkpoint: Some(CheckpointConfig::resume(&path)),
             stop_after_jobs: None,
-            ..Default::default()
         },
     )
     .expect("resume over a torn journal");
@@ -149,48 +147,36 @@ fn torn_journal_tail_re_executes_only_the_lost_job() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A run abandoned *inside* a job — right after its Nth mid-job
-/// progress record — must resume at that generation boundary and still
-/// finish with a report byte-identical to an uninterrupted run with the
-/// same journaling cadence.
+/// A journal from an older build may hold `batch-job-progress` frames
+/// (mid-exploration GA state, a retired record kind) after its finished
+/// jobs. The loader treats the first such frame like a torn tail: the
+/// jobs before it are kept, everything from it on reruns, and the frame
+/// is truncated away before the resumed run appends.
 #[test]
-fn mid_job_progress_resume_reproduces_the_uninterrupted_report() {
+fn retired_progress_frames_end_the_journal_prefix() {
     let jobs = jobs();
-    let reference_path = scratch("progress-ref");
-    let reference = run_batch_with(
-        &jobs,
-        &tech(),
-        &conditions(),
-        pipeline(),
-        &BatchControl {
-            checkpoint: Some(CheckpointConfig::fresh(&reference_path)),
-            checkpoint_generations: 2,
-            ..Default::default()
-        },
-    )
-    .expect("reference run");
-    assert!(reference.complete);
-
-    let path = scratch("progress");
-    let stopped = run_batch_with(
+    let reference = run_batch(&jobs, &tech(), &conditions(), pipeline());
+    let path = scratch("retired-progress");
+    run_batch_with(
         &jobs,
         &tech(),
         &conditions(),
         pipeline(),
         &BatchControl {
             checkpoint: Some(CheckpointConfig::fresh(&path)),
-            checkpoint_generations: 2,
-            stop_after_progress: Some(2),
-            ..Default::default()
+            stop_after_jobs: Some(1),
         },
     )
-    .expect("stopped run");
-    assert!(!stopped.complete, "the run must abandon mid-job");
-    assert_eq!(
-        stopped.outcomes.len(),
-        0,
-        "the interrupted job must not report an outcome"
-    );
+    .expect("checkpointed run");
+    let mut payload = Writer::with_header();
+    payload.put_str("batch-job-progress");
+    payload.put_u64(1);
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .expect("journal exists");
+    write_frame(&mut file, &payload.finish()).expect("append the retired frame");
+    drop(file);
 
     let resumed = run_batch_with(
         &jobs,
@@ -199,23 +185,23 @@ fn mid_job_progress_resume_reproduces_the_uninterrupted_report() {
         pipeline(),
         &BatchControl {
             checkpoint: Some(CheckpointConfig::resume(&path)),
-            checkpoint_generations: 2,
-            ..Default::default()
+            stop_after_jobs: None,
         },
     )
-    .expect("resumed run");
+    .expect("resume over a journal holding a retired frame");
     assert!(resumed.complete);
-    assert_eq!(
-        resumed.resumed_jobs, 0,
-        "no job had finished; the interrupted one resumes mid-flight"
-    );
+    assert_eq!(resumed.resumed_jobs, 1, "the job before the frame is kept");
     assert_eq!(
         resumed.to_json().to_string(),
-        reference.to_json().to_string(),
-        "mid-job resume must reproduce the uninterrupted report"
+        reference.to_json().to_string()
+    );
+    let bytes = std::fs::read(&path).expect("journal exists");
+    let retired = b"batch-job-progress";
+    assert!(
+        !bytes.windows(retired.len()).any(|w| w == retired),
+        "the retired frame must be truncated away"
     );
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&reference_path);
 }
 
 #[test]
@@ -230,7 +216,6 @@ fn resume_rejects_a_journal_for_a_different_job_list() {
         &BatchControl {
             checkpoint: Some(CheckpointConfig::fresh(&path)),
             stop_after_jobs: Some(1),
-            ..Default::default()
         },
     )
     .expect("checkpointed run");
@@ -245,7 +230,6 @@ fn resume_rejects_a_journal_for_a_different_job_list() {
         &BatchControl {
             checkpoint: Some(CheckpointConfig::resume(&path)),
             stop_after_jobs: None,
-            ..Default::default()
         },
     )
     .expect_err("fingerprint mismatch must fail");

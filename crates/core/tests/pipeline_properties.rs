@@ -9,9 +9,8 @@ use proptest::prelude::*;
 use sega_cells::Technology;
 use sega_dcim::explore::DcimProblem;
 use sega_dcim::{
-    explore_mixed_with, explore_pareto_resumable, explore_pareto_with, ExplorationResult,
-    ExploreResume, InstrumentedBackend, MacroModelBackend, PipelineOptions, SharedEvalCache,
-    UserSpec,
+    explore_mixed_with, explore_pareto_with, ExplorationResult, InstrumentedBackend,
+    MacroModelBackend, PipelineOptions, SharedEvalCache, UserSpec,
 };
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::{Nsga2Config, Problem};
@@ -441,137 +440,5 @@ fn cached_exploration_reaches_5x_fewer_estimates_at_default_budget() {
     assert_eq!(
         run.estimator.batched + run.estimator.scalar_fallbacks,
         run.estimator.designs
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Mid-exploration checkpoints: stopping at a generation boundary and
-// resuming must be invisible in every committed number.
-// ---------------------------------------------------------------------------
-
-/// A small budget whose low mutation rate lets late cohorts consist
-/// entirely of already-cached genomes, so the resumed run sees both
-/// empty and non-empty miss lists.
-fn small_cfg(seed: u64) -> Nsga2Config {
-    Nsga2Config {
-        population: 10,
-        generations: 12,
-        mutation_rate: 0.05,
-        seed,
-        ..Default::default()
-    }
-}
-
-/// Everything the loop commits, compared field by field: the front and
-/// the full evaluation accounting.
-fn assert_committed_identical(run: &ExplorationResult, baseline: &ExplorationResult, label: &str) {
-    assert_eq!(
-        run.objective_matrix(),
-        baseline.objective_matrix(),
-        "{label}: front diverged from the in-process loop"
-    );
-    assert_eq!(run.evaluations, baseline.evaluations, "{label}");
-    assert_eq!(
-        run.distinct_evaluations, baseline.distinct_evaluations,
-        "{label}"
-    );
-    assert_eq!(run.cache_hits, baseline.cache_hits, "{label}");
-    assert_eq!(run.interned, baseline.interned, "{label}");
-}
-
-/// Stopping an exploration at a journaled generation boundary and
-/// resuming from the exported driver state reproduces the uninterrupted
-/// run's front and accounting. The shared cache plays the role of the
-/// batch journal's snapshot delta.
-#[test]
-fn mid_exploration_checkpoint_resume_matches_the_uninterrupted_run() {
-    let spec = UserSpec::new(16384, Precision::Int8).unwrap();
-    let tech = Technology::tsmc28();
-    let conditions = OperatingConditions::paper_default();
-    let config = small_cfg(43);
-    let pipeline = |cache: &Arc<SharedEvalCache>| {
-        PipelineOptions {
-            threads: 1,
-            cache: true,
-            min_batch_per_worker: 1,
-            ..Default::default()
-        }
-        .with_shared_cache(Arc::clone(cache))
-    };
-
-    let reference_cache = Arc::new(SharedEvalCache::new());
-    let reference = explore_pareto_resumable(
-        &spec,
-        &tech,
-        &conditions,
-        &config,
-        pipeline(&reference_cache),
-        None,
-        2,
-        &mut |_| true,
-    )
-    .expect("uninterrupted run");
-
-    // The "killed" run: capture the second checkpoint, then refuse
-    // to continue — exactly what `--stop-after-progress 2` does.
-    let cache = Arc::new(SharedEvalCache::new());
-    let mut captured: Option<ExploreResume> = None;
-    let mut checkpoints = 0usize;
-    let interrupted = explore_pareto_resumable(
-        &spec,
-        &tech,
-        &conditions,
-        &config,
-        pipeline(&cache),
-        None,
-        2,
-        &mut |state| {
-            checkpoints += 1;
-            if checkpoints == 2 {
-                captured = Some(state.clone());
-                false
-            } else {
-                true
-            }
-        },
-    );
-    assert!(interrupted.is_none(), "the run must report the abandon");
-    let resume = captured.expect("two generation boundaries must pass");
-
-    let resumed = explore_pareto_resumable(
-        &spec,
-        &tech,
-        &conditions,
-        &config,
-        pipeline(&cache),
-        Some(resume),
-        2,
-        &mut |_| true,
-    )
-    .expect("resumed run");
-    let label = "resume";
-    assert_committed_identical(&resumed, &reference, label);
-    // Scratch-allocation counters (dominance and estimator) depend
-    // on process-local buffer warmth and are exempt from the resume
-    // contract; the work counters are not.
-    assert_eq!(
-        resumed.dominance.comparisons, reference.dominance.comparisons,
-        "{label}"
-    );
-    assert_eq!(
-        resumed.dominance.word_ops, reference.dominance.word_ops,
-        "{label}"
-    );
-    assert_eq!(
-        resumed.estimator.designs, reference.estimator.designs,
-        "{label}"
-    );
-    assert_eq!(
-        resumed.estimator.batched, reference.estimator.batched,
-        "{label}"
-    );
-    assert_eq!(
-        resumed.estimator.scalar_fallbacks, reference.estimator.scalar_fallbacks,
-        "{label}"
     );
 }

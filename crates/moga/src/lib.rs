@@ -71,8 +71,6 @@ mod problem;
 
 pub use baselines::{exhaustive_front, random_search, weighted_sum_ga, WeightedSumConfig};
 pub use matrix::ObjectiveMatrix;
-pub use nsga2::{
-    DriverPhase, DriverState, Individual, Nsga2, Nsga2Config, Nsga2Driver, Nsga2Result,
-};
+pub use nsga2::{DriverPhase, Individual, Nsga2, Nsga2Config, Nsga2Driver, Nsga2Result};
 pub use pareto::DominanceStats;
 pub use problem::Problem;

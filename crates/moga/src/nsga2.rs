@@ -175,7 +175,7 @@ impl Nsga2 {
 /// The cycle is `Breed → Submitted → Reconcile → Select → Breed …`,
 /// ending in `Done` after the final cohort's selection. Every transition
 /// is an explicit method call, so a caller can interleave arbitrary work
-/// — cache lookups, checkpointing, span timing — between steps.
+/// — cache lookups, span timing — between steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverPhase {
     /// Ready to breed the next cohort ([`Nsga2Driver::breed`]).
@@ -205,62 +205,14 @@ struct PendingBatch<G> {
     slots: Vec<usize>,
 }
 
-impl<G> Default for PendingBatch<G> {
-    fn default() -> Self {
-        PendingBatch {
-            cohort: Vec::new(),
-            distinct: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-}
-
-/// Exported driver state — everything needed to resume an NSGA-II run
-/// exactly where it stopped, in plain-old-data form so the wire layer
-/// can serialize it without reaching into the driver's internals.
-///
-/// Only capturable between generations ([`DriverPhase::Breed`] — see
-/// [`Nsga2Driver::export_state`]); a driver rebuilt by
-/// [`Nsga2Driver::from_state`] continues the run bit-identically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriverState<G> {
-    /// The run configuration (seed included — the RNG stream position
-    /// itself lives in [`rng`](Self::rng)).
-    pub config: Nsga2Config,
-    /// The raw xoshiro256++ state words of the run's RNG.
-    pub rng: [u64; 4],
-    /// The current population's genomes.
-    pub genomes: Vec<G>,
-    /// The current population's objective rows (same order).
-    pub objectives: ObjectiveMatrix,
-    /// The current population's non-domination ranks.
-    pub rank: Vec<usize>,
-    /// The current population's crowding distances.
-    pub crowding: Vec<f64>,
-    /// Cohorts bred so far (1 = the initial population).
-    pub bred: usize,
-    /// Objective evaluations requested so far.
-    pub evaluations: usize,
-    /// Duplicates served by the interning layer so far.
-    pub interned: usize,
-    /// Dominance-kernel counters accumulated so far. `comparisons` and
-    /// `word_ops` are pure functions of the sorted data and resume
-    /// exactly; `allocations` additionally counts post-resume scratch
-    /// re-warming (buffers the uninterrupted run had already grown).
-    pub dominance: DominanceStats,
-}
-
-/// `Nsga2::run` unrolled into an explicitly resumable state machine.
+/// `Nsga2::run` unrolled into an explicit state machine.
 ///
 /// The driver owns the run's complete state — genomes, the flat
 /// [`ObjectiveMatrix`], rank/crowding vectors, RNG stream, counters —
 /// and exposes the evolution loop as discrete steps (see
 /// [`DriverPhase`]). The synchronous [`Nsga2::run`] is a thin loop over
 /// these steps; callers that evaluate elsewhere instead hold the driver
-/// in `Submitted` while the cohort is in flight. Between generations
-/// the run can be **checkpointed** ([`Self::export_state`] /
-/// [`Self::from_state`]): serialized and resumed elsewhere, continuing
-/// the exact RNG stream and counters.
+/// in `Submitted` while the cohort is in flight.
 pub struct Nsga2Driver<G> {
     config: Nsga2Config,
     objectives: usize,
@@ -274,9 +226,6 @@ pub struct Nsga2Driver<G> {
     /// Cohorts bred so far; breed #1 is the initial random population.
     bred: usize,
     evaluations: usize,
-    /// Dominance counters carried in from an imported [`DriverState`]
-    /// (the live counters accumulate in `scratch.sort`).
-    dominance_base: DominanceStats,
 }
 
 impl<G: Clone + PartialEq> Nsga2Driver<G> {
@@ -307,7 +256,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
             phase: DriverPhase::Breed,
             bred: 0,
             evaluations: 0,
-            dominance_base: DominanceStats::default(),
             objectives,
             config,
         }
@@ -316,17 +264,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
     /// The driver's current phase.
     pub fn phase(&self) -> DriverPhase {
         self.phase
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &Nsga2Config {
-        &self.config
-    }
-
-    /// Cohorts bred so far (1 = the initial population; the driver is
-    /// done once `generations + 1` cohorts have been bred and selected).
-    pub fn bred(&self) -> usize {
-        self.bred
     }
 
     /// Breeds the next cohort: the initial random population on the
@@ -496,68 +433,6 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
         };
     }
 
-    /// Exports the run state between generations, for serialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the driver is at [`DriverPhase::Breed`] (a
-    /// generation boundary).
-    pub fn export_state(&self) -> DriverState<G> {
-        assert_eq!(
-            self.phase,
-            DriverPhase::Breed,
-            "export only at a generation boundary"
-        );
-        let mut dominance = self.dominance_base;
-        dominance.merge(self.scratch.sort.stats());
-        DriverState {
-            config: self.config.clone(),
-            rng: self.rng.state(),
-            genomes: self.pop.genomes.clone(),
-            objectives: self.pop.objs.clone(),
-            rank: self.pop.rank.clone(),
-            crowding: self.pop.crowding.clone(),
-            bred: self.bred,
-            evaluations: self.evaluations,
-            interned: self.scratch.interned,
-            dominance,
-        }
-    }
-
-    /// Rebuilds a driver from exported state; the resumed run continues
-    /// bit-identically to one that never stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state's population is smaller than 2.
-    pub fn from_state(state: DriverState<G>) -> Nsga2Driver<G> {
-        assert!(
-            state.config.population >= 2,
-            "population must be at least 2"
-        );
-        let objectives = state.objectives.width();
-        let mut scratch = EvolutionScratch::new(objectives);
-        scratch.interned = state.interned;
-        Nsga2Driver {
-            rng: StdRng::from_state(state.rng),
-            pop: Pop {
-                genomes: state.genomes,
-                objs: state.objectives,
-                rank: state.rank,
-                crowding: state.crowding,
-            },
-            scratch,
-            pending: PendingBatch::default(),
-            provided: ObjectiveMatrix::new(objectives),
-            phase: DriverPhase::Breed,
-            bred: state.bred,
-            evaluations: state.evaluations,
-            dominance_base: state.dominance,
-            objectives,
-            config: state.config,
-        }
-    }
-
     /// Finalizes a completed run.
     ///
     /// # Panics
@@ -566,21 +441,19 @@ impl<G: Clone + PartialEq> Nsga2Driver<G> {
     pub fn into_result(self) -> Nsga2Result<G> {
         assert_eq!(self.phase, DriverPhase::Done, "run not complete");
         let front = extract_front(&self.pop);
-        let mut dominance = self.dominance_base;
-        dominance.merge(self.scratch.sort.stats());
         Nsga2Result {
             front,
             population: self.pop.into_individuals(),
             evaluations: self.evaluations,
             generations: self.config.generations,
             interned: self.scratch.interned,
-            dominance,
+            dominance: self.scratch.sort.stats(),
         }
     }
 
     /// Drives the remaining steps synchronously (evaluating through the
     /// problem's batch hook) and finalizes — the body of [`Nsga2::run`].
-    pub fn run_to_completion<P: Problem<Genome = G>>(mut self, problem: &P) -> Nsga2Result<G> {
+    fn run_to_completion<P: Problem<Genome = G>>(mut self, problem: &P) -> Nsga2Result<G> {
         while self.phase != DriverPhase::Done {
             match self.phase {
                 DriverPhase::Breed => self.breed(problem),
@@ -1203,56 +1076,6 @@ mod tests {
                 assert_results_identical(&reference, &stepped);
                 assert_eq!(reference.dominance, stepped.dominance, "dominance differs");
             }
-        }
-    }
-
-    #[test]
-    fn driver_state_round_trips_mid_run() {
-        for seed in [3u64, 11] {
-            let cfg = Nsga2Config {
-                population: 20,
-                generations: 12,
-                seed,
-                ..Default::default()
-            };
-            let reference = Nsga2::new(cfg.clone()).run(&Sch);
-
-            // Run half the generations, export at a generation boundary,
-            // serialize nothing (the state is plain data), rebuild, finish.
-            let mut driver: Nsga2Driver<f64> = Nsga2Driver::new(cfg.clone(), Sch.objectives());
-            let mut rows = ObjectiveMatrix::new(2);
-            while driver.phase() != DriverPhase::Done {
-                if driver.phase() == DriverPhase::Breed && driver.bred() == cfg.generations / 2 {
-                    break;
-                }
-                match driver.phase() {
-                    DriverPhase::Breed => driver.breed(&Sch),
-                    DriverPhase::Submitted => {
-                        rows.clear();
-                        Sch.evaluate_batch_into(driver.pending(), &mut rows);
-                        driver.provide_rows(&rows);
-                    }
-                    DriverPhase::Reconcile => driver.reconcile(),
-                    DriverPhase::Select => driver.select(),
-                    DriverPhase::Done => unreachable!(),
-                }
-            }
-            let state = driver.export_state();
-            drop(driver);
-            let resumed = Nsga2Driver::from_state(state.clone());
-            let finished = resumed.run_to_completion(&Sch);
-            assert_results_identical(&reference, &finished);
-            // The data-dependent dominance counters carry across the
-            // export/import seam exactly; `allocations` is a scratch-
-            // warmth artifact (a resumed run re-allocates buffers the
-            // uninterrupted run had warm) and is excluded.
-            assert_eq!(
-                reference.dominance.comparisons,
-                finished.dominance.comparisons
-            );
-            assert_eq!(reference.dominance.word_ops, finished.dominance.word_ops);
-            // The exported state itself round-trips structurally.
-            assert_eq!(state, Nsga2Driver::from_state(state.clone()).export_state());
         }
     }
 }

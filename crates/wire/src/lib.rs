@@ -33,14 +33,12 @@
 #![warn(missing_docs)]
 
 pub mod binary;
-pub mod driver;
 pub mod frame;
 pub mod json;
 pub mod report;
 pub mod snapshot;
 
 pub use binary::{Reader, WireError, Writer};
-pub use driver::DriverStateRecord;
 pub use frame::{FrameError, Message, PROTOCOL_VERSION};
 pub use json::{Json, JsonError};
 pub use snapshot::{EntryRecord, GeometryRecord, KeyRecord, Snapshot, SpaceRecord};
