@@ -1,21 +1,15 @@
 //! The batch job runner: many heterogeneous exploration requests through
-//! **one** persistent pool and **one** shared, persistable eval cache —
-//! the first scenario where the engine behaves like a service.
+//! **one** persistent pool and **one** shared eval cache — the first
+//! scenario where the engine behaves like a service.
 //!
 //! A *job file* (JSON, parsed with the dependency-free `sega_wire`
 //! parser) lists `UserSpec`s plus optional per-job NSGA-II budget
 //! overrides. [`run_batch`] executes them in order against a shared
-//! [`SharedEvalCache`], so later jobs reuse everything earlier jobs (or a
-//! `--cache-file` warm start) already estimated, and returns a
-//! [`BatchReport`] that serializes to a machine-readable results document
-//! via the wire codec — including the exact objective bit patterns, so
-//! CI can assert bit-identical fronts across runs, thread counts, shard
-//! counts and backend choices.
-//!
-//! The cache round-trips through [`Snapshot`] files: load before, save
-//! after. Rerunning an identical job file against the saved snapshot
-//! reports **0 distinct evaluations** — every objective vector is served
-//! from the warm cache, and the fronts are bit-identical to the cold run.
+//! [`SharedEvalCache`], so later jobs reuse everything earlier jobs
+//! already estimated, and returns a [`BatchReport`] that serializes to a
+//! machine-readable results document via the wire codec — including the
+//! exact objective bit patterns, so CI can assert bit-identical fronts
+//! across runs, thread counts, shard counts and backend choices.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,7 +18,7 @@ use sega_cells::Technology;
 use sega_estimator::{EstimatorStats, OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
 use sega_parallel::{resolve_threads, Pool};
-use sega_wire::{Json, Snapshot};
+use sega_wire::Json;
 
 use crate::cache::SharedEvalCache;
 use crate::checkpoint::{
@@ -60,8 +54,7 @@ pub struct BatchReport {
     pub outcomes: Vec<BatchOutcome>,
     /// Total genome evaluations the GA requested across all jobs.
     pub evaluations: usize,
-    /// Total evaluations that reached the estimator backend. `0` on a
-    /// fully warm-started rerun of an identical job file.
+    /// Total evaluations that reached the estimator backend.
     pub distinct_evaluations: usize,
     /// Total evaluations served from memory.
     pub cache_hits: usize,
@@ -75,18 +68,14 @@ pub struct BatchReport {
     /// Estimator-kernel totals across all jobs: designs estimated, and
     /// the vector/scalar split of their finish lanes.
     pub estimator: EstimatorStats,
-    /// Entries the shared cache held *before* the first job (the warm
-    /// start, e.g. from a loaded `--cache-file`).
+    /// Entries the caller's shared cache held *before* the first job
+    /// (on resume, the original run's count, read from the journal
+    /// header). The CLI always starts from an empty cache.
     pub preloaded_entries: usize,
     /// Entries the shared cache holds after the last job.
     pub cache_entries: usize,
     /// Name of the estimator backend the batch ran on.
     pub backend: &'static str,
-    /// Cache-file activity (entries loaded, bytes read and written)
-    /// when the run used `--cache-file`; serialized as the `"cache"`
-    /// object's nested `"store"` only when present, so storeless reports
-    /// are unchanged.
-    pub store: Option<crate::store::StoreStats>,
     /// `false` when [`BatchControl::stop_after_jobs`] ended the run
     /// before the job list did — the report covers only a prefix.
     pub complete: bool,
@@ -413,7 +402,6 @@ pub fn run_batch_with(
         preloaded_entries,
         cache_entries: cache.len(),
         backend,
-        store: None,
         complete,
         resumed_jobs,
         outcomes,
@@ -461,31 +449,19 @@ impl BatchReport {
         ])
     }
 
-    /// The `"cache"` stats object: warm-start and final entry counts,
-    /// the hit rate, and — only when a cache file was used — its nested
-    /// ledger.
+    /// The `"cache"` stats object: preloaded and final entry counts and
+    /// the hit rate.
     fn cache_json(&self) -> Json {
         let hit_rate = if self.evaluations > 0 {
             self.cache_hits as f64 / self.evaluations as f64
         } else {
             0.0
         };
-        let mut fields = vec![
+        Json::obj([
             ("preloaded_entries", Json::from(self.preloaded_entries)),
             ("entries", Json::from(self.cache_entries)),
             ("hit_rate", Json::from(hit_rate)),
-        ];
-        if let Some(store) = &self.store {
-            fields.push((
-                "store",
-                Json::obj([
-                    ("entries_loaded", Json::from(store.entries_loaded)),
-                    ("bytes_read", Json::from(store.bytes_read)),
-                    ("bytes_written", Json::from(store.bytes_written)),
-                ]),
-            ));
-        }
-        Json::obj(fields)
+        ])
     }
 }
 
@@ -545,28 +521,6 @@ pub fn solution_json(s: &crate::explore::ParetoSolution) -> Json {
             ),
         ),
     ])
-}
-
-/// Decodes a cache file's bytes (binary or JSON, sniffed by magic) into
-/// a [`Snapshot`].
-///
-/// # Errors
-///
-/// A human-readable message (for CLI surfaces).
-pub fn decode_cache_file(bytes: &[u8]) -> Result<Snapshot, String> {
-    Snapshot::decode(bytes).map_err(|e| format!("cache file: {e}"))
-}
-
-/// Encodes a snapshot for a cache file path: JSON text when the path
-/// ends in `.json`, the compact binary form otherwise.
-pub fn encode_cache_file(snapshot: &Snapshot, path: &std::path::Path) -> Vec<u8> {
-    if path.extension().is_some_and(|e| e == "json") {
-        let mut text = snapshot.to_json().to_string();
-        text.push('\n');
-        text.into_bytes()
-    } else {
-        snapshot.encode_binary()
-    }
 }
 
 #[cfg(test)]
@@ -758,17 +712,5 @@ mod tests {
         for (b, o) in bits.iter().zip(expected) {
             assert_eq!(b.as_str().unwrap(), format!("{:016x}", o.to_bits()));
         }
-    }
-
-    #[test]
-    fn cache_file_encoding_follows_the_extension() {
-        let snapshot = Snapshot::default();
-        let binary = encode_cache_file(&snapshot, std::path::Path::new("warm.bin"));
-        assert!(sega_wire::Reader::looks_binary(&binary));
-        let json = encode_cache_file(&snapshot, std::path::Path::new("warm.json"));
-        assert!(json.starts_with(b"{"));
-        decode_cache_file(&binary).unwrap();
-        decode_cache_file(&json).unwrap();
-        assert!(decode_cache_file(b"garbage").is_err());
     }
 }

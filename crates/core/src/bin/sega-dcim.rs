@@ -6,12 +6,12 @@
 //!                   [--threads N] [--no-cache] [--out DIR]
 //! sega-dcim explore --wstore 8192 --precision bf16 [--threads N] [--no-cache] [--csv | --json]
 //! sega-dcim estimate --n 32 --h 128 --l 16 --k 4 --precision int8 [--json]
-//! sega-dcim batch   --jobs FILE [--cache-file FILE] [--report FILE]
+//! sega-dcim batch   --jobs FILE [--report FILE]
 //!                   [--population N] [--generations N] [--seed N]
-//!                   [--threads N] [--shards N] [--backend macro|instrumented]
+//!                   [--threads N] [--backend macro|instrumented]
 //!                   [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
 //! sega-dcim batch   --jobs FILE --connect ADDR [--drain] [--report FILE]
-//! sega-dcim serve   --listen ADDR [--cache-file FILE] [--threads N]
+//! sega-dcim serve   --listen ADDR [--threads N]
 //!                   [--hello-deadline-ms N] [--idle-timeout-ms N]
 //!                   [--grace-ms N] [--log]
 //! ```
@@ -29,12 +29,10 @@
 //!
 //! `batch` is the service-shaped entry point: it reads a JSON job file of
 //! many specifications, runs them over one worker pool and one shared
-//! eval cache, and emits a wire-codec results report. `--cache-file`
-//! loads the cache before the run and saves it after (binary snapshot,
-//! or JSON when the path ends in `.json`), so an identical rerun
-//! warm-starts to **0 distinct evaluations** with bit-identical fronts.
-//! `--backend instrumented` runs the same macro model and also counts
-//! the cohorts and geometries it evaluated.
+//! eval cache, and emits a wire-codec results report. The cache lives
+//! for one run: every `batch` starts cold, so an identical rerun writes
+//! a byte-identical report. `--backend instrumented` runs the same macro
+//! model and also counts the cohorts and geometries it evaluated.
 //!
 //! `--checkpoint F` journals each completed batch job (and its cache
 //! delta) to `F`; after a crash or an early stop, `--resume F` skips the
@@ -47,12 +45,12 @@
 //! `serve` runs the long-lived daemon: it listens on `--listen
 //! unix:/path.sock` or `tcp:host:port`, accepts framed batch jobs from
 //! many concurrent clients, and multiplexes them onto one shared eval
-//! cache (warm-started from and flushed to `--cache-file`), so a repeat
-//! batch from a second client answers with **0 distinct evaluations**.
-//! `batch --connect ADDR` is the matching client (`--drain` asks the
-//! daemon to flush and exit after the batch); SIGTERM or a client's
-//! `--drain` triggers the graceful drain: stop accepting, finish
-//! in-flight jobs under `--grace-ms`, flush the snapshot, exit.
+//! cache that lives as long as the daemon, so a repeat batch from a
+//! second client answers with **0 distinct evaluations**. `batch
+//! --connect ADDR` is the matching client (`--drain` asks the daemon to
+//! exit after the batch); SIGTERM or a client's `--drain` triggers the
+//! graceful drain: stop accepting, finish in-flight jobs under
+//! `--grace-ms`, exit.
 
 use std::collections::HashMap;
 use std::fs;
@@ -63,8 +61,8 @@ use std::sync::Arc;
 use sega_dcim::batch::{check_budget, parse_jobs, run_batch_with, MIN_POPULATION};
 use sega_dcim::report::{csv_table, markdown_table};
 use sega_dcim::{
-    CacheStore, Compiler, DistillStrategy, ExplorationResult, InstrumentedBackend, JobError,
-    PipelineOptions, SharedEvalCache, UserSpec,
+    Compiler, DistillStrategy, ExplorationResult, InstrumentedBackend, JobError, PipelineOptions,
+    UserSpec,
 };
 use sega_estimator::{estimate, DcimDesign, MacroEstimate, OperatingConditions, Precision};
 use sega_layout::export::to_ascii;
@@ -89,13 +87,13 @@ const USAGE: &str = "usage:
                      [--population N] [--generations N] [--seed N] [--threads N] [--no-cache] [--out DIR]
   sega-dcim explore  --wstore N --precision P [--threads N] [--no-cache] [--csv | --json]
   sega-dcim estimate --n N --h H --l L --k K --precision P [--json]
-  sega-dcim batch    --jobs FILE [--cache-file FILE] [--report FILE]
+  sega-dcim batch    --jobs FILE [--report FILE]
                      [--population N] [--generations N] [--seed N]
-                     [--threads N] [--shards N] [--backend macro|instrumented]
+                     [--threads N] [--backend macro|instrumented]
                      [--checkpoint FILE | --resume FILE] [--stop-after-jobs N]
   sega-dcim batch    --jobs FILE --connect ADDR [--drain] [--report FILE]
                      [--population N] [--generations N] [--seed N]
-  sega-dcim serve    --listen ADDR [--cache-file FILE] [--threads N]
+  sega-dcim serve    --listen ADDR [--threads N]
                      [--hello-deadline-ms N] [--idle-timeout-ms N] [--grace-ms N] [--log]
 precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
 --threads:    evaluation pool width (0 = all hardware threads, 1 = serial;
@@ -104,9 +102,6 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
 --json:       emit the wire-codec JSON document instead of a table
 --jobs:       JSON job file: {\"jobs\":[{\"wstore\":8192,\"precision\":\"int8\",
               \"population\":..,\"generations\":..,\"seed\":..}, ...]}
---cache-file: load the eval cache before the batch, save it after (warm start;
-              binary snapshot, or JSON text when the path ends in .json);
-              with --connect the daemon owns the cache: use serve --cache-file
 --report:     write the batch results JSON here (default: stdout)
 --backend:    estimator backend (default macro; instrumented = macro + counters)
 --checkpoint: journal completed jobs (and cache deltas) to FILE as they finish
@@ -116,8 +111,8 @@ precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
               --resume; the report is withheld — resume to finish the batch)
 --connect:    run the jobs on a `sega-dcim serve` daemon at ADDR
               (unix:/path.sock or tcp:host:port) instead of in-process
---drain:      after the last job, ask the connected daemon to flush its cache
-              snapshot and exit (requires --connect)
+--drain:      after the last job, ask the connected daemon to drain and exit
+              (requires --connect)
 --listen:     the daemon's accept address (unix:/path.sock or tcp:host:port;
               tcp:host:0 picks a free port and logs it with --log)
 --hello-deadline-ms / --idle-timeout-ms / --grace-ms:
@@ -143,12 +138,12 @@ fn run(args: &[String]) -> Result<(), String> {
         "estimate" => (estimate_cmd, "n h l k precision json"),
         "batch" => (
             batch,
-            "jobs cache-file report population generations seed threads shards backend \
+            "jobs report population generations seed threads backend \
              checkpoint resume stop-after-jobs connect drain",
         ),
         "serve" => (
             serve_cmd,
-            "listen cache-file threads hello-deadline-ms idle-timeout-ms grace-ms log",
+            "listen threads hello-deadline-ms idle-timeout-ms grace-ms log",
         ),
         other => return Err(format!("unknown command `{other}`")),
     };
@@ -449,8 +444,8 @@ fn estimate_json(design: &DcimDesign, est: &MacroEstimate) -> Json {
 
 /// Parses a batch flag that must be a **positive** count: the batch
 /// runner rejects `0` (and non-numbers) up front with a clear message
-/// instead of letting a zero-width pool or zero-shard cache surface as a
-/// panic deep inside the pipeline.
+/// instead of letting a zero-width pool surface as a panic deep inside
+/// the pipeline.
 fn get_positive(
     flags: &HashMap<String, String>,
     key: &str,
@@ -476,17 +471,9 @@ fn get_positive(
 /// ignored.
 fn batch_connected(flags: &HashMap<String, String>, raw_addr: &str) -> Result<(), String> {
     let addr = sega_dcim::ListenAddr::parse(raw_addr)?;
-    if flags.contains_key("cache-file") {
-        return Err(
-            "--cache-file does not apply with --connect (the daemon owns the cache; \
-             persist it with `serve --cache-file`)"
-                .to_owned(),
-        );
-    }
     for flag in [
         "backend",
         "threads",
-        "shards",
         "checkpoint",
         "resume",
         "stop-after-jobs",
@@ -546,8 +533,6 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         "threads",
         "omit the flag to use all hardware threads",
     )?;
-    let shards = get_positive(flags, "shards", "the cache needs at least one shard")?
-        .unwrap_or(sega_dcim::cache::DEFAULT_SHARDS);
     let backend_name = flags.get("backend").map(String::as_str).unwrap_or("macro");
     if !matches!(backend_name, "macro" | "instrumented") {
         return Err(format!(
@@ -608,28 +593,8 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let jobs = parse_jobs(&jobs_text, &defaults).map_err(|e| e.to_string())?;
 
-    // One shared cache for the whole batch, warm-started from the cache
-    // file when present.
-    let cache = Arc::new(SharedEvalCache::with_shards(shards));
-    let mut store = flags.get("cache-file").map(CacheStore::file);
-    if let Some(store) = &mut store {
-        let snapshot = store.load()?;
-        if snapshot.is_empty() {
-            eprintln!(
-                "cache file {} is missing or empty, starting cold",
-                store.path().display()
-            );
-        } else {
-            let installed = cache.load(&snapshot).map_err(|e| e.to_string())?;
-            eprintln!(
-                "loaded {} cached estimates from {}",
-                installed,
-                store.path().display()
-            );
-        }
-    }
-
-    let mut pipeline = PipelineOptions::default().with_shared_cache(Arc::clone(&cache));
+    // `run_batch_with` gives the whole batch one fresh shared cache.
+    let mut pipeline = PipelineOptions::default();
     if let Some(t) = threads {
         pipeline.threads = t;
     }
@@ -644,24 +609,13 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
         checkpoint,
         stop_after_jobs,
     };
-    let mut report = run_batch_with(
+    let report = run_batch_with(
         &jobs,
         &sega_cells::Technology::tsmc28(),
         &OperatingConditions::paper_default(),
         pipeline,
         &control,
     )?;
-    // Persist before emitting the report so its "cache" object carries
-    // the save's byte count too.
-    if let Some(store) = &mut store {
-        store.save(&cache.snapshot())?;
-        report.store = Some(store.stats());
-        eprintln!(
-            "saved {} cached estimates to {}",
-            cache.len(),
-            store.path().display()
-        );
-    }
 
     if report.complete {
         let document = report.to_json().to_string();
@@ -686,24 +640,17 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let mut summary = format!(
-        "{} jobs: {} evaluations, {} distinct estimates, {} cache hits ({} warm-start entries)\n",
+        "{} jobs: {} evaluations, {} distinct estimates, {} cache hits\n",
         report.outcomes.len(),
         report.evaluations,
         report.distinct_evaluations,
-        report.cache_hits,
-        report.preloaded_entries
+        report.cache_hits
     );
     if let Some(backend) = instrumented {
         summary.push_str(&format!(
             "backend traffic: {} cohorts, {} geometries\n",
             backend.cohorts(),
             backend.geometries()
-        ));
-    }
-    if let Some(stats) = &report.store {
-        summary.push_str(&format!(
-            "cache file: {} entries loaded, {} B read, {} B written\n",
-            stats.entries_loaded, stats.bytes_read, stats.bytes_written,
         ));
     }
     eprint!("{summary}");
@@ -713,7 +660,7 @@ fn batch(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Bridges SIGTERM to the process-wide drain flag: the daemon's drain
 /// watcher polls [`sega_dcim::drain_flag`] and, when the flag flips,
 /// wakes the blocking accept with a self-connect and begins the graceful
-/// drain (stop accepting, finish in-flight jobs, flush, exit). The
+/// drain (stop accepting, finish in-flight jobs, exit). The
 /// handler body is a single atomic store — async-signal-safe.
 fn install_sigterm_drain() {
     extern "C" fn on_sigterm(_signum: i32) {
@@ -735,7 +682,6 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let raw = flags.get("listen").ok_or("missing --listen")?;
     let listen = sega_dcim::ListenAddr::parse(raw)?;
     let mut options = sega_dcim::ServeOptions::new(listen);
-    options.cache_file = flags.get("cache-file").map(PathBuf::from);
     options.log = flags.contains_key("log");
     if let Some(t) = get_positive(
         flags,
@@ -772,7 +718,7 @@ fn serve_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let report = sega_dcim::serve(options)?;
     eprintln!(
         "serve: {} connections, {} jobs, {} hello timeouts, {} idle closes, \
-         drained {}, {} cache entries flushed",
+         drained {}, {} cache entries",
         report.connections,
         report.jobs,
         report.hello_timeouts,

@@ -28,15 +28,12 @@
 //! bit-identical to a recomputed one (the estimator is deterministic), so
 //! sharing only changes *counters and wall-clock*, never fronts.
 //!
-//! The cache is also **persistent and mergeable**:
 //! [`SharedEvalCache::snapshot`] exports a canonical wire image
 //! ([`sega_wire::Snapshot`], identical bytes for identical facts
-//! regardless of shard count or insertion order),
-//! [`SharedEvalCache::load`] installs one, and
-//! [`SharedEvalCache::merge`] unions two live caches —
-//! commutative/idempotent operations, so caches from separate processes
-//! (CLI `--cache-file` warm starts, checkpoint journal deltas) combine
-//! in any order.
+//! regardless of shard count or insertion order) and
+//! [`SharedEvalCache::load`] installs one as a union (entries already
+//! memoized are kept): a batch checkpoint journals each job's snapshot
+//! delta, and a resumed batch loads the deltas back.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -277,8 +274,8 @@ impl KeySpace {
     }
 
     /// Installs one geometry's objectives unless it is already memoized
-    /// (the merge/load primitive: first value wins, so repeated merges
-    /// are idempotent). Returns `true` when the entry was new.
+    /// (the load primitive: first value wins, so repeated loads are
+    /// idempotent). Returns `true` when the entry was new.
     pub fn insert_if_absent(&self, g: Geometry, objectives: [f64; 4]) -> bool {
         let mut shard = self.shards[self.shard_of(&g)]
             .lock()
@@ -504,23 +501,6 @@ impl SharedEvalCache {
             }
         }
         Ok(installed)
-    }
-
-    /// Union-merges another cache's current contents into this one (the
-    /// in-process form of [`SharedEvalCache::load`]; commutative over
-    /// facts, idempotent, shard-count invariant on both sides). Returns
-    /// the number of entries installed.
-    pub fn merge(&self, other: &SharedEvalCache) -> usize {
-        let mut installed = 0;
-        for (key, space) in other.spaces_vec() {
-            let mine = self.space(&key);
-            for (g, objectives) in space.entries() {
-                if mine.insert_if_absent(g, objectives) {
-                    installed += 1;
-                }
-            }
-        }
-        installed
     }
 }
 
@@ -809,6 +789,34 @@ mod tests {
                 scalar_fallbacks: 5,
                 allocations: 3,
             }
+        );
+    }
+
+    /// Non-finite objective vectors (infeasible geometries memoize
+    /// `[+∞; 4]`, and a corrupted journal delta may carry NaN) survive
+    /// the full snapshot → encode → decode → load → lookup cycle a
+    /// checkpoint delta takes, bit-identically.
+    #[test]
+    fn non_finite_objectives_survive_the_round_trip() {
+        let cache = SharedEvalCache::with_shards(4);
+        let key = key(Precision::Int8, 16384);
+        let space = cache.space(&key);
+        let nan = f64::from_bits(0x7ff8_0000_0000_1234); // payload NaN
+        let odd = [nan, f64::NEG_INFINITY, -0.0, 1e-300];
+        space.insert(geometry(1, 0, 1), [f64::INFINITY; 4]);
+        space.insert(geometry(2, 0, 1), odd);
+
+        let bytes = cache.snapshot().encode_binary();
+        let fresh = SharedEvalCache::new();
+        fresh
+            .load(&Snapshot::decode_binary(&bytes).unwrap())
+            .unwrap();
+        let restored = fresh.space(&key);
+        assert_eq!(restored.get(&geometry(1, 0, 1)), Some([f64::INFINITY; 4]));
+        assert_eq!(
+            restored.get(&geometry(2, 0, 1)).unwrap().map(f64::to_bits),
+            odd.map(f64::to_bits),
+            "NaN payload / −0 / subnormal must round-trip bit-identically"
         );
     }
 }

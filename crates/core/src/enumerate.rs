@@ -5,9 +5,13 @@
 //! `k ≤ Bx`), so the *entire* space can be enumerated and Pareto-filtered
 //! exactly. This serves two purposes:
 //!
-//! * a **ground truth** to measure the NSGA-II explorer against (the
-//!   explorer must recover the true front — tested), and
+//! * a **ground truth** to measure the NSGA-II explorer against, and
 //! * the data behind Fig. 7's full design-space clouds.
+//!
+//! The explorer does not recover the true front exactly. On the 24-spec
+//! benchmark corpus its point recall is about 0.55, at a hypervolume
+//! ratio of about 0.997. The test below checks only that the GA front's
+//! hypervolume is at least 95% of the exhaustive front's.
 
 use sega_cells::Technology;
 use sega_estimator::OperatingConditions;

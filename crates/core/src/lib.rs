@@ -39,13 +39,11 @@
 //! [`ExplorationResult`] reports the accounting (`evaluations` vs
 //! `distinct_evaluations` vs `cache_hits`).
 //!
-//! The cache persists and merges across processes
-//! ([`SharedEvalCache::snapshot`]/[`load`](SharedEvalCache::load)/
-//! [`merge`](SharedEvalCache::merge), via the dependency-free `sega_wire`
-//! codecs), and the [`batch`] module runs whole job files of
-//! specifications over one pool and one cache — the `sega-dcim batch`
-//! subcommand with `--cache-file` warm-starts an identical rerun to zero
-//! distinct evaluations.
+//! The [`batch`] module runs whole job files of specifications over one
+//! pool and one cache; its checkpoint journal records each job's cache
+//! delta ([`SharedEvalCache::snapshot`]/[`load`](SharedEvalCache::load),
+//! via the dependency-free `sega_wire` codec), so a resumed batch
+//! reproduces the uninterrupted report byte for byte.
 //!
 //! # Quickstart
 //!
@@ -78,7 +76,6 @@ pub mod report;
 pub mod runtime;
 pub mod serve;
 mod spec;
-pub mod store;
 pub mod testbench;
 
 pub use backend::{
@@ -98,7 +95,6 @@ pub use explore::{
 pub use mixed::{explore_mixed, explore_mixed_with, MixedExploration};
 pub use serve::{drain_flag, run_batch_connected, serve, ListenAddr, ServeOptions, ServeReport};
 pub use spec::{ExplorerLimits, SpecError, UserSpec};
-pub use store::{CacheStore, StoreStats};
 pub use testbench::{generate_int_testbench, Testbench};
 
 // Re-export the workspace layers under one roof for downstream users.

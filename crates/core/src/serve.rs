@@ -24,8 +24,9 @@
 //! thread polls) or a [`Message::Shutdown`] frame from any client: the
 //! daemon connects to its own listen address once to wake the blocked
 //! `accept`, stops accepting, lets in-flight jobs finish under a bounded
-//! grace, flushes the cache snapshot to `--cache-file`, and only then
-//! exits. *Gone* closes the connection and reclaims its thread.
+//! grace, and only then exits. *Gone* closes the connection and reclaims
+//! its thread. The cache lives as long as the daemon: a restarted daemon
+//! starts cold.
 //!
 //! # Concurrency and determinism
 //!
@@ -63,7 +64,6 @@ use crate::backend::{EvalBackend, MacroModelBackend};
 use crate::batch::{BatchJob, BatchOutcome, BatchReport};
 use crate::cache::SharedEvalCache;
 use crate::explore::{explore_pareto_with, ExplorationResult, Geometry, PipelineOptions};
-use crate::store::CacheStore;
 
 /// A parsed socket address: `unix:/path/to.sock` or `tcp:host:port`.
 ///
@@ -285,9 +285,6 @@ pub fn drain_flag() -> &'static AtomicBool {
 pub struct ServeOptions {
     /// Where to accept client connections.
     pub listen: ListenAddr,
-    /// Warm-start the cache from this snapshot at startup and flush the
-    /// final snapshot here during drain.
-    pub cache_file: Option<PathBuf>,
     /// Evaluation pipeline width per job (`0` = all hardware threads).
     pub threads: usize,
     /// How long a freshly accepted connection may take to say hello.
@@ -308,7 +305,6 @@ impl ServeOptions {
     pub fn new(listen: ListenAddr) -> ServeOptions {
         ServeOptions {
             listen,
-            cache_file: None,
             threads: 0,
             hello_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(600),
@@ -333,7 +329,8 @@ pub struct ServeReport {
     /// `true` when every connection finished inside the drain grace;
     /// `false` when the grace expired with work still in flight.
     pub drained_clean: bool,
-    /// Cache entries at drain time (what the snapshot flush persisted).
+    /// Entries the daemon's cache held when it drained (the cache is
+    /// dropped with the daemon).
     pub cache_entries: usize,
 }
 
@@ -435,26 +432,15 @@ const DRAIN_POLL: Duration = Duration::from_millis(20);
 /// Runs the daemon until a drain request (SIGTERM via [`drain_flag`], or
 /// a [`Message::Shutdown`] frame from any client) completes: stop
 /// accepting, finish in-flight connections under
-/// [`ServeOptions::grace`], flush the cache snapshot, report.
+/// [`ServeOptions::grace`], report.
 ///
 /// # Errors
 ///
-/// Binding the listen address, loading the cache file, a broken
-/// listener, or flushing the final snapshot.
+/// Binding the listen address or a broken listener.
 pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
     let (listener, resolved) = Listener::bind(&options.listen)
         .map_err(|e| format!("cannot listen on `{}`: {e}", options.listen))?;
     let cache = Arc::new(SharedEvalCache::new());
-    let mut store = options.cache_file.map(CacheStore::file);
-    if let Some(store) = &mut store {
-        let installed = cache.load(&store.load()?).map_err(|e| e.to_string())?;
-        if options.log {
-            eprintln!(
-                "[serve] warm-started {installed} cache entries from {}",
-                store.path().display()
-            );
-        }
-    }
     let shared = Arc::new(DaemonShared {
         cache: Arc::clone(&cache),
         threads: options.threads,
@@ -535,14 +521,6 @@ pub fn serve(options: ServeOptions) -> Result<ServeReport, String> {
         std::thread::sleep(Duration::from_millis(10));
     }
     let drained_clean = shared.active.load(Ordering::SeqCst) == 0;
-    if let Some(store) = &mut store {
-        store.save(&cache.snapshot())?;
-        shared.log(&format!(
-            "flushed {} cache entries to {}",
-            cache.len(),
-            store.path().display()
-        ));
-    }
     Ok(ServeReport {
         connections,
         jobs: shared.jobs.load(Ordering::Relaxed),
@@ -689,7 +667,7 @@ fn record_of_solution(s: &crate::explore::ParetoSolution) -> GeometryRecord {
 /// rematerialized locally through the deterministic macro model (the
 /// daemon ships geometry records; presentation needs no round-trip and
 /// cannot diverge). With `drain`, a [`Message::Shutdown`] frame follows
-/// the last job, asking the daemon to flush and exit.
+/// the last job, asking the daemon to drain and exit.
 ///
 /// # Errors
 ///
@@ -764,7 +742,6 @@ pub fn run_batch_connected(
         preloaded_entries: 0,
         cache_entries: 0,
         backend: "daemon",
-        store: None,
         complete: true,
         resumed_jobs: 0,
         outcomes,
@@ -1211,42 +1188,5 @@ mod tests {
         let _ = run_batch_connected(&addr, &[], true).expect("drain");
         let served = daemon.join().expect("daemon thread").expect("daemon exit");
         assert!(served.jobs >= 2, "{served:?}");
-    }
-
-    #[test]
-    fn cache_file_round_trips_through_a_drain() {
-        let dir = std::env::temp_dir().join(format!("sega-serve-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache_path = dir.join("daemon-cache.bin");
-        let _ = std::fs::remove_file(&cache_path);
-        let jobs = parse_jobs(
-            r#"[{"wstore": 8192, "precision": "int8", "population": 8, "generations": 2, "seed": 3}]"#,
-            &Nsga2Config::default(),
-        )
-        .unwrap();
-
-        // First daemon lifetime: run a job, drain, flush the snapshot.
-        let addr = scratch_addr("flush");
-        let mut options = ServeOptions::new(addr.clone());
-        options.threads = 1;
-        options.cache_file = Some(cache_path.clone());
-        let daemon = std::thread::spawn(move || serve(options));
-        let cold = run_batch_connected(&addr, &jobs, true).expect("cold client");
-        assert!(cold.distinct_evaluations > 0);
-        let report = daemon.join().unwrap().expect("daemon exit");
-        assert!(report.cache_entries > 0);
-        assert!(cache_path.is_file(), "drain must flush the snapshot");
-
-        // Second daemon lifetime warm-starts from the flushed snapshot:
-        // the same batch is served entirely from cache.
-        let addr = scratch_addr("flush2");
-        let mut options = ServeOptions::new(addr.clone());
-        options.threads = 1;
-        options.cache_file = Some(cache_path.clone());
-        let daemon = std::thread::spawn(move || serve(options));
-        let warm = run_batch_connected(&addr, &jobs, true).expect("warm client");
-        assert_eq!(warm.distinct_evaluations, 0);
-        daemon.join().unwrap().expect("daemon exit");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
 //! CLI-level tests of `sega-dcim batch` and `serve`: the flag validation
 //! (clear errors instead of panics deep in the pipeline), the checkpoint
-//! resume and cache-file warm starts, and the daemon's SIGTERM drain —
+//! resume, and the daemon's SIGTERM drain —
 //! the same choreography CI's `daemon-smoke` job drives, at test scale.
 
 use std::path::PathBuf;
@@ -45,28 +45,17 @@ fn batch_rejects_zero_valued_scheduling_flags_with_clear_errors() {
     let dir = scratch("zero-flags");
     let jobs = write_jobs(&dir);
     let jobs = jobs.to_str().unwrap();
-    for (flag, needle) in [
-        ("--threads", "--threads must be >= 1"),
-        ("--shards", "--shards must be >= 1"),
-    ] {
-        let output = run(&["batch", "--jobs", jobs, flag, "0"]);
-        assert!(
-            !output.status.success(),
-            "{flag} 0 must fail, got {:?}",
-            output.status
-        );
-        let stderr = stderr_of(&output);
-        assert!(
-            stderr.contains(needle),
-            "{flag}: `{stderr}` lacks `{needle}`"
-        );
-        // The run must have failed during validation, before any work:
-        // no report on stdout.
-        assert!(
-            output.stdout.is_empty(),
-            "{flag}: work ran before the error"
-        );
-    }
+    let output = run(&["batch", "--jobs", jobs, "--threads", "0"]);
+    assert!(
+        !output.status.success(),
+        "--threads 0 must fail, got {:?}",
+        output.status
+    );
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("--threads must be >= 1"), "{stderr}");
+    // The run must have failed during validation, before any work: no
+    // report on stdout.
+    assert!(output.stdout.is_empty(), "work ran before the error");
     // Non-numeric values get the same early, named rejection.
     let output = run(&["batch", "--jobs", jobs, "--threads", "many"]);
     assert!(!output.status.success());
@@ -131,39 +120,6 @@ fn batch_rejects_unknown_backends_naming_the_valid_ones() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A connected batch runs on the daemon's cache, so a client-side
-/// `--cache-file` would silently do nothing: it is a usage error that
-/// points at the daemon's own flag, raised before any connect attempt.
-#[test]
-fn connect_rejects_a_client_side_cache_file() {
-    let dir = scratch("connect-cache-file");
-    let jobs = write_jobs(&dir);
-    let socket = dir.join("no-daemon.sock");
-    let cache = dir.join("warm.bin");
-    let output = run(&[
-        "batch",
-        "--jobs",
-        jobs.to_str().unwrap(),
-        "--connect",
-        &format!("unix:{}", socket.display()),
-        "--cache-file",
-        cache.to_str().unwrap(),
-    ]);
-    assert_eq!(output.status.code(), Some(1), "{output:?}");
-    let stderr = stderr_of(&output);
-    assert!(
-        stderr.contains("--cache-file does not apply with --connect"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("serve --cache-file"), "{stderr}");
-    assert!(
-        !stderr.contains("cannot connect"),
-        "validated after dialing: {stderr}"
-    );
-    assert!(!cache.exists(), "no cache file may be written");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn checkpoint_flags_validate_before_any_work() {
     let dir = scratch("ckpt-flags");
@@ -212,24 +168,43 @@ fn checkpoint_flags_validate_before_any_work() {
         "{}",
         stderr_of(&output)
     );
-    // The retired mid-exploration checkpoint flags fail loudly instead
-    // of running as no-ops. Their names are joined from parts so a
-    // search for the retired names finds only live code.
-    for (words, value) in [
-        (["checkpoint", "generations"].as_slice(), "2"),
-        (["stop", "after", "progress"].as_slice(), "1"),
+    // Retired flags fail loudly instead of running as no-ops: the
+    // mid-exploration checkpoint flags, the on-disk eval cache of `batch`
+    // and `serve`, and the cache shard count. Their names are joined
+    // from parts so a search for the retired names finds only live code.
+    let warm = dir.join("warm.bin");
+    let warm = warm.to_str().unwrap();
+    let socket = format!("unix:{}", dir.join("serve.sock").display());
+    for (command, words, value) in [
+        ("batch", ["checkpoint", "generations"].as_slice(), "2"),
+        ("batch", ["stop", "after", "progress"].as_slice(), "1"),
+        ("batch", ["cache", "file"].as_slice(), warm),
+        ("serve", ["cache", "file"].as_slice(), warm),
+        ("batch", ["shards"].as_slice(), "4"),
     ] {
         let flag = words.join("-");
         let dashed = format!("--{flag}");
-        let output = run(&["batch", "--jobs", jobs, "--checkpoint", ck, &dashed, value]);
-        assert_eq!(output.status.code(), Some(1), "{dashed}");
+        let mut args = match command {
+            "batch" => vec!["batch", "--jobs", jobs, "--checkpoint", ck],
+            _ => vec!["serve", "--listen", &socket],
+        };
+        args.extend([dashed.as_str(), value]);
+        let output = run(&args);
+        assert_eq!(output.status.code(), Some(1), "{command} {dashed}");
         assert!(
-            stderr_of(&output).contains(&format!("`batch` does not take --{flag}")),
+            stderr_of(&output).contains(&format!("`{command}` does not take --{flag}")),
             "{}",
             stderr_of(&output)
         );
-        assert!(output.stdout.is_empty(), "{dashed} wrote to stdout");
+        assert!(
+            output.stdout.is_empty(),
+            "{command} {dashed} wrote to stdout"
+        );
     }
+    assert!(
+        !dir.join("warm.bin").exists(),
+        "no cache file may be written"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -284,68 +259,6 @@ fn checkpointed_batch_resume_is_byte_identical() {
         resumed_bytes, reference_bytes,
         "resumed report must be byte-identical to the uninterrupted run"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `batch --cache-file` warm-starts from the whole file: a file holding
-/// two precisions' key spaces preloads both for a one-precision job
-/// list, the cache counters report every loaded entry, and the rewritten
-/// file still serves the other precision estimator-free.
-#[test]
-fn cache_file_preload_counts_every_key_space_in_the_file() {
-    let dir = scratch("cache-spaces");
-    let both = write_jobs(&dir);
-    let both = both.to_str().unwrap();
-    let int8 = dir.join("int8.json");
-    std::fs::write(
-        &int8,
-        r#"{"jobs":[{"wstore":8192,"precision":"int8","population":10,"generations":5}]}"#,
-    )
-    .expect("write jobs file");
-    let int8 = int8.to_str().unwrap();
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-    let batch = |jobs: &str, cache: &str, report: &str| {
-        let output = run(&[
-            "batch",
-            "--jobs",
-            jobs,
-            "--cache-file",
-            &path(cache),
-            "--report",
-            &path(report),
-        ]);
-        assert!(output.status.success(), "{}", stderr_of(&output));
-        let text = std::fs::read_to_string(dir.join(report)).expect("read report");
-        sega_wire::Json::parse(&text).expect("parse report")
-    };
-    let field = |doc: &sega_wire::Json, path: &[&str]| {
-        path.iter()
-            .try_fold(doc, |node, key| node.get(key))
-            .and_then(sega_wire::Json::as_u64)
-            .unwrap_or_else(|| panic!("missing {path:?}"))
-    };
-
-    let one_space = field(
-        &batch(int8, "int8.bin", "int8.json.out"),
-        &["cache", "entries"],
-    );
-    let two_spaces = field(
-        &batch(both, "both.bin", "both.json.out"),
-        &["cache", "entries"],
-    );
-    assert!(one_space > 0 && two_spaces > one_space);
-
-    let warm = batch(int8, "both.bin", "warm.json.out");
-    assert_eq!(field(&warm, &["cache", "preloaded_entries"]), two_spaces);
-    assert_eq!(
-        field(&warm, &["cache", "store", "entries_loaded"]),
-        two_spaces
-    );
-    assert_eq!(field(&warm, &["cache", "entries"]), two_spaces);
-    assert_eq!(field(&warm, &["totals", "distinct_evaluations"]), 0);
-    // The union was written back: the other precision is still warm.
-    let again = batch(both, "both.bin", "again.json.out");
-    assert_eq!(field(&again, &["totals", "distinct_evaluations"]), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

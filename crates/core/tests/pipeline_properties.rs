@@ -321,48 +321,6 @@ proptest! {
         prop_assert!(plain.dominance.comparisons + plain.dominance.word_ops > 0);
     }
 
-    /// The persistent cache tier joins the matrix: a shared cache
-    /// warmed through a `--cache-file` round-trip (binary and JSON)
-    /// reproduces the serial front bit-identically — with **zero**
-    /// distinct evaluations, since the donor run computed everything.
-    #[test]
-    fn cache_file_warmed_caches_reproduce_the_serial_front(
-        precision_idx in 0usize..8,
-        seed in 0u64..1000,
-    ) {
-        let precision = ALL_PRECISIONS[precision_idx];
-        let spec = UserSpec::new(16384, precision).unwrap();
-        let baseline = explore(&spec, seed, PipelineOptions::serial_uncached());
-
-        let donor = Arc::new(SharedEvalCache::new());
-        let pipeline = |cache: &Arc<SharedEvalCache>| PipelineOptions {
-            threads: 4,
-            cache: true,
-            min_batch_per_worker: 1,
-            ..Default::default()
-        }
-        .with_shared_cache(Arc::clone(cache));
-        explore(&spec, seed, pipeline(&donor));
-
-        for extension in ["bin", "json"] {
-            let path = std::env::temp_dir().join(format!(
-                "sega-pipeline-store-{}-{seed}-{precision_idx}.{extension}",
-                std::process::id()
-            ));
-            sega_dcim::CacheStore::file(&path).save(&donor.snapshot()).unwrap();
-            let loaded = sega_dcim::CacheStore::file(&path).load().unwrap();
-            let _ = std::fs::remove_file(&path);
-            let via_file = Arc::new(SharedEvalCache::new());
-            via_file.load(&loaded).unwrap();
-            let run = explore(&spec, seed, pipeline(&via_file));
-            prop_assert_eq!(run.objective_matrix(), baseline.objective_matrix());
-            prop_assert_eq!(
-                run.distinct_evaluations, 0,
-                "file-warmed run must be estimator-free ({})", extension
-            );
-        }
-    }
-
     /// The mixed-precision fan-out is bit-identical between its serial
     /// and concurrent forms, and its counters aggregate exactly.
     #[test]
@@ -440,5 +398,34 @@ fn cached_exploration_reaches_5x_fewer_estimates_at_default_budget() {
     assert_eq!(
         run.estimator.batched + run.estimator.scalar_fallbacks,
         run.estimator.designs
+    );
+}
+
+/// Backend choice does not change a *cold* run either: the instrumented
+/// wrapper sees exactly the distinct evaluations the accounting reports,
+/// and fronts match the default backend bit-for-bit.
+#[test]
+fn cold_runs_are_backend_invariant_with_exact_traffic_accounting() {
+    let spec = UserSpec::new(16384, Precision::Fp16).unwrap();
+    let forced = || PipelineOptions {
+        threads: 4,
+        min_batch_per_worker: 1,
+        ..Default::default()
+    };
+    let default_run = explore(
+        &spec,
+        77,
+        forced().with_shared_cache(Arc::new(SharedEvalCache::new())),
+    );
+    let backend = Arc::new(InstrumentedBackend::macro_model());
+    let instrumented_run = explore(&spec, 77, forced().with_backend(Arc::clone(&backend) as _));
+    assert_eq!(
+        instrumented_run.objective_matrix(),
+        default_run.objective_matrix()
+    );
+    assert_eq!(
+        backend.geometries(),
+        instrumented_run.distinct_evaluations,
+        "backend traffic must equal the distinct-evaluation accounting"
     );
 }

@@ -152,12 +152,6 @@ impl<'a> Reader<'a> {
         Ok(r)
     }
 
-    /// True when the document starts with the binary [`MAGIC`] (vs, say,
-    /// JSON text).
-    pub fn looks_binary(buf: &[u8]) -> bool {
-        buf.len() >= MAGIC.len() && buf[..MAGIC.len()] == MAGIC
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self
             .pos
@@ -258,7 +252,6 @@ mod tests {
         w.put_str("geometry → objectives");
         w.put_str("");
         let bytes = w.finish();
-        assert!(Reader::looks_binary(&bytes));
         let mut r = Reader::open(&bytes).unwrap();
         assert_eq!(r.take_u8().unwrap(), 7);
         assert_eq!(r.take_u32().unwrap(), 0xdead_beef);
@@ -317,13 +310,11 @@ mod tests {
         let bytes = w.finish();
         for cut in 0..bytes.len() {
             let short = &bytes[..cut];
-            if Reader::looks_binary(short) {
-                if let Ok(mut r) = Reader::open(short) {
-                    assert!(matches!(
-                        r.take_str().unwrap_err(),
-                        WireError::Truncated { .. }
-                    ));
-                }
+            if let Ok(mut r) = Reader::open(short) {
+                assert!(matches!(
+                    r.take_str().unwrap_err(),
+                    WireError::Truncated { .. }
+                ));
             }
         }
     }

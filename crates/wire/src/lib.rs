@@ -1,7 +1,7 @@
 //! # sega-wire — the dependency-free wire formats of SEGA-DCIM
 //!
-//! Everything that crosses a process boundary — cache snapshots, batch
-//! reports, machine-readable CLI output, bench artifacts — is encoded by
+//! Everything that crosses a process boundary — checkpoint cache deltas,
+//! batch reports, machine-readable CLI output, bench artifacts — is encoded by
 //! this crate, and nothing else. It has **zero dependencies** (the
 //! workspace builds without crates.io, and a wire format should stay
 //! decodable by anything that can read bytes), and every format is
@@ -18,12 +18,12 @@
 //!   travel as raw IEEE-754 bit patterns, so NaN and ±∞ round-trip
 //!   **bit-identically** (the JSON emitter's `null` collapse does not
 //!   apply here).
-//! * [`snapshot`] — the persistent evaluation-cache format: a
-//!   [`Snapshot`] of key spaces (technology + conditions + precision +
-//!   capacity fingerprint) × geometry → objective-vector entries, with
-//!   commutative/idempotent [`Snapshot::merge`], a canonical ordering
-//!   that is invariant in shard count and insertion order, and both a
-//!   JSON and a compact binary codec.
+//! * [`snapshot`] — the evaluation-cache image checkpoint journals
+//!   carry as per-job deltas: a [`Snapshot`] of key spaces (technology +
+//!   conditions + precision + capacity fingerprint) × geometry →
+//!   objective-vector entries, with a canonical ordering that is
+//!   invariant in shard count and insertion order, and a compact binary
+//!   codec.
 //! * [`frame`] — the length-prefixed framed transport and the typed
 //!   message vocabulary of the `sega-dcim serve` daemon protocol
 //!   (hello, heartbeat, job request/response, shutdown), built on the
