@@ -12,9 +12,10 @@
 //! regression guard diffs against — deterministic counters, so the guard
 //! is stable on a 1-CPU runner where wall-clock is not.
 //!
-//! `M=4` is the production DCIM shape: it runs the blocked branchless
-//! tier, whose bill is `word_ops` (64-lane mask words) rather than
-//! scalar comparisons — the guard compares the *effective* counter
+//! `M=4` is the production DCIM shape: it runs the presorted
+//! one-direction fill, whose bill is `word_ops` (64-lane mask words, 3
+//! per chunk of up to 64 earlier rows in lexicographic order) rather
+//! than scalar comparisons — the guard compares the *effective* counter
 //! `comparisons + word_ops` against the pairwise bill.
 //!
 //! The random clouds hold no duplicate rows. One more M=4 case is shaped
@@ -109,8 +110,8 @@ fn bench_moga_kernel(c: &mut Criterion) {
         let rows: Vec<&[f64]> = matrix.iter_rows().collect();
         let naive = non_dominated_sort_naive(&rows);
         if m == 4 {
-            // The blocked tier reproduces the exact Deb front order.
-            assert_eq!(fronts, naive, "N={n} M={m}: blocked tier diverged");
+            // The presorted fill reproduces the exact Deb front order.
+            assert_eq!(fronts, naive, "N={n} M={m}: presorted fill diverged");
         } else {
             let mut naive = naive;
             let mut tiered = fronts.clone();
@@ -169,9 +170,8 @@ fn bench_moga_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("moga_kernel");
     group.sample_size(10);
     for (n, m) in [(1024usize, 2usize), (1024, 3), (1024, 4)] {
-        // M=4 is the DCIM shape: it exercises the blocked branchless
-        // fallback, so the timing trio shows all three tiers side by
-        // side.
+        // M=4 is the DCIM shape: it exercises the presorted bitset
+        // fill, so the timing trio shows all three tiers side by side.
         let matrix = cloud(n, m, 7);
         let mut scratch = SortScratch::default();
         let mut fronts = Vec::new();

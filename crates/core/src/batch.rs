@@ -61,7 +61,7 @@ pub struct BatchReport {
     /// Total dominance comparisons/probes the selection kernel performed
     /// across all jobs — the batch-level perf receipt of the tiered sort.
     pub dominance_comparisons: u64,
-    /// Total 64-lane mask words the blocked dominance tier produced
+    /// Total 64-lane mask words the presorted M=4 dominance fill produced
     /// across all jobs (the branchless complement of
     /// [`dominance_comparisons`](Self::dominance_comparisons)).
     pub dominance_word_ops: u64,

@@ -101,8 +101,7 @@ pub fn exhaustive_front(
     for s in &all {
         objs.push_row(&s.objectives());
     }
-    let mut keep = pareto_front_indices_matrix(&objs);
-    keep.sort_unstable();
+    let keep = pareto_front_indices_matrix(&objs);
     let mut front: Vec<ParetoSolution> = keep.into_iter().map(|i| all[i].clone()).collect();
     front.sort_by(|a, b| {
         a.estimate

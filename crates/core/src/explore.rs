@@ -26,7 +26,7 @@
 //! exploration is bit-identical for every pool width, shard count, cache
 //! configuration and backend choice).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::Rng;
 
@@ -513,7 +513,12 @@ impl Problem for DcimProblem {
     /// O(1) allocations. Results are identical to the serial default for
     /// every pool width, shard count and cache configuration.
     fn evaluate_batch_into(&self, genomes: &[Geometry], out: &mut ObjectiveMatrix) {
-        let mut scratch = self.batch_scratch.lock().expect("batch scratch poisoned");
+        // Every field is cleared before use, so a scratch left behind by
+        // a panicking holder is as good as a fresh one.
+        let mut scratch = self
+            .batch_scratch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let s = &mut *scratch;
         // Intra-batch dedup, in first-appearance order: `distinct[i]`
         // and, for every genome, its index into `distinct`.
@@ -735,6 +740,37 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn poisoned_batch_scratch_still_evaluates_the_cohort() {
+        let problem = setup(Precision::Int8, 65536);
+        let mut rng = StdRng::seed_from_u64(3);
+        let cohort: Vec<Geometry> = (0..40).map(|_| problem.random_genome(&mut rng)).collect();
+        let holder = problem.clone();
+        let poisoner = std::thread::spawn(move || {
+            let mut scratch = holder.batch_scratch.lock().unwrap();
+            scratch.distinct.push(Geometry {
+                log_h: 1,
+                log_l: 1,
+                k: 1,
+            });
+            scratch.slots.push(usize::MAX);
+            scratch.resolved.push(Some([f64::NAN; 4]));
+            panic!("poison the batch scratch");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(problem.batch_scratch.is_poisoned());
+
+        let mut poisoned_rows = ObjectiveMatrix::with_capacity(4, cohort.len());
+        problem.evaluate_batch_into(&cohort, &mut poisoned_rows);
+        let fresh = setup(Precision::Int8, 65536);
+        let mut fresh_rows = ObjectiveMatrix::with_capacity(4, cohort.len());
+        fresh.evaluate_batch_into(&cohort, &mut fresh_rows);
+        let bits =
+            |m: &ObjectiveMatrix| m.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&poisoned_rows), bits(&fresh_rows));
+        assert_eq!(poisoned_rows.len(), cohort.len());
     }
 
     #[test]

@@ -167,8 +167,7 @@ pub fn explore_mixed_with(
     for s in &candidates {
         objs.push_row(&s.objectives());
     }
-    let mut keep = pareto_front_indices_matrix(&objs);
-    keep.sort_unstable();
+    let keep = pareto_front_indices_matrix(&objs);
     let mut front: Vec<ParetoSolution> = keep.into_iter().map(|i| candidates[i].clone()).collect();
     front.sort_by(|a, b| {
         a.estimate

@@ -314,7 +314,7 @@ proptest! {
         prop_assert_eq!(interned_run.cache_hits, plain.cache_hits);
         prop_assert!(interned_run.interned <= interned_run.cache_hits);
         prop_assert_eq!(plain.interned, 0);
-        // M=4 production sorts run the blocked branchless tier, so the
+        // M=4 production sorts run the presorted bitset fill, so the
         // live counter is `word_ops` (comparisons only bill NaN rows
         // and forced-scalar runs).
         prop_assert!(interned_run.dominance.comparisons + interned_run.dominance.word_ops > 0);

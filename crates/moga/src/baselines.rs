@@ -165,8 +165,7 @@ fn front_of<G>(mut samples: Vec<(G, Vec<f64>)>) -> Vec<(G, Vec<f64>)> {
     for (_, o) in &samples {
         objs.push_row(o);
     }
-    let mut keep = pareto_front_indices_matrix(&objs);
-    keep.sort_unstable();
+    let keep = pareto_front_indices_matrix(&objs);
     let mut keep_iter = keep.into_iter().peekable();
     let mut idx = 0usize;
     samples.retain(|_| {

@@ -4,7 +4,8 @@
 //! Everything here operates on minimized objective vectors — either plain
 //! slices (`&[f64]`) or, on the hot path, a flat [`ObjectiveMatrix`] — so
 //! it is reusable outside the GA (the paper's Fig. 7 design spaces are
-//! filtered with [`pareto_front_indices`]).
+//! filtered with [`pareto_front_indices`], whose NaN-free path is a
+//! presort-and-scan skyline rather than a full sort).
 //!
 //! # The tiered dominance kernel
 //!
@@ -15,7 +16,8 @@
 //! |---|---|---|
 //! | **Presort + sweep** | `M = 2`, all rows finite-or-∞ (no NaN) | `O(N log N)` |
 //! | **Sweep + Pareto staircases** (Jensen/Fortin-style) | `M = 3`, no NaN | `O(N log N · log F)` |
-//! | **Bitset-row fallback** | `M ∉ {2, 3}` or any NaN entry | `O(N log N)` grouping + `O(M · D²)` over the `D ≤ N` distinct rows, flat row-major bitsets |
+//! | **Bitset rows, presorted fill** | `M = 4` (NaN rows of the set take the per-pair path) | `O(N log N)` grouping + `O(D log D)` presort + `D²/2` one-direction tests over the `D ≤ N` distinct rows, 64 per mask word |
+//! | **Bitset rows, per-pair fill** | `M ∉ {2, 3, 4}`, or forced scalar | `O(N log N)` grouping + `O(M · D²)` over the distinct rows, flat row-major bitsets |
 //!
 //! All tiers return *exactly* the fronts of the textbook Deb et al.
 //! `O(M·N²)` pass (retained as [`non_dominated_sort_naive`], the test
@@ -47,11 +49,12 @@
 //! about 6×; when every row is distinct the grouping is the identity.
 //!
 //! Every sort accumulates a [`DominanceStats`] counter (dominance
-//! comparisons / search probes, and buffer allocations) in its
-//! [`SortScratch`], so the asymptotic win over the `N·(N−1)/2` pairwise
-//! baseline is machine-checkable in tests and benches rather than
-//! dependent on wall clock. The fallback bills its `D` distinct rows:
-//! `D·(D−1)/2` pair comparisons on the scalar path.
+//! comparisons / search probes, mask words, and buffer allocations) in
+//! its [`SortScratch`], so the asymptotic win over the `N·(N−1)/2`
+//! pairwise baseline is machine-checkable in tests and benches rather
+//! than dependent on wall clock. The bitset tiers bill their `D` distinct
+//! rows: `D·(D−1)/2` pair comparisons on the per-pair path, 3 mask words
+//! per 64 earlier rows on the presorted path.
 
 use crate::matrix::ObjectiveMatrix;
 use rand::rngs::StdRng;
@@ -121,15 +124,17 @@ fn dominance_pair(a: &[f64], b: &[f64]) -> (bool, bool) {
 /// kernel performs exactly `N·(N−1)/2` of them per sort, so the counter
 /// makes the asymptotic win assertable in tests independent of wall
 /// clock. The fallback bills only its `D` distinct rows (`D·(D−1)/2` on
-/// the scalar path). `word_ops` counts 64-point mask words produced by the blocked
-/// M=4 tier (one per objective per tile), each subsuming up to 64
-/// pairwise comparisons. `allocations` counts buffers the kernel had to
-/// allocate fresh; a scratch-reusing steady state performs zero.
+/// the scalar path). `word_ops` counts 64-lane mask words produced by the
+/// presorted M=4 fill (one per objective compared per 64-candidate
+/// chunk: objectives 1–3, since the presort settles objective 0), each
+/// subsuming up to 64 pairwise comparisons. `allocations` counts buffers
+/// the kernel had to allocate fresh; a scratch-reusing steady state
+/// performs zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DominanceStats {
     /// Dominance comparisons / search probes performed.
     pub comparisons: u64,
-    /// 64-lane mask words produced by the blocked M=4 tier.
+    /// 64-lane mask words produced by the presorted M=4 fill.
     pub word_ops: u64,
     /// Buffers allocated (not recycled from scratch).
     pub allocations: u64,
@@ -175,7 +180,8 @@ pub fn non_dominated_sort_matrix(points: &ObjectiveMatrix) -> Vec<Vec<usize>> {
 /// steady-state allocation.
 #[derive(Debug)]
 pub struct SortScratch {
-    /// Point indices in lexicographic row order.
+    /// Point indices in lexicographic row order (fast tiers); class
+    /// indices, clean ones presorted, in the presorted M=4 fill.
     order: Vec<usize>,
     /// assigned[i]: front index of point i (fast tiers' duplicate chain).
     assigned: Vec<usize>,
@@ -191,10 +197,9 @@ pub struct SortScratch {
     bits: Vec<u64>,
     /// Fallback: how many points dominate each point.
     domination_count: Vec<usize>,
-    /// Blocked M=4 tier: objective-major transpose, 4 columns × n lanes.
+    /// Presorted M=4 fill: objectives 1–3 of the clean classes,
+    /// objective-major in `order`.
     cols: Vec<f64>,
-    /// Blocked M=4 tier: bitmask of NaN-free rows, ⌈n/64⌉ words.
-    valid: Vec<u64>,
     /// Fallback: class (distinct bit pattern) of each point.
     class_of: Vec<usize>,
     /// Fallback: lowest-index point of each class, ascending.
@@ -227,7 +232,6 @@ impl Default for SortScratch {
             bits: Vec::new(),
             domination_count: Vec::new(),
             cols: Vec::new(),
-            valid: Vec::new(),
             class_of: Vec::new(),
             reps: Vec::new(),
             rep_table: Vec::new(),
@@ -242,7 +246,7 @@ impl Default for SortScratch {
 }
 
 /// The `SEGA_FORCE_SCALAR` knob: any non-empty value other than `"0"`
-/// disables the blocked/vector kernels process-wide (cached on first
+/// disables the presorted/vector kernels process-wide (cached on first
 /// read). [`SortScratch::set_force_scalar`] overrides it per scratch.
 fn force_scalar_env() -> bool {
     static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -264,7 +268,7 @@ impl SortScratch {
 
     /// Overrides the `SEGA_FORCE_SCALAR` environment default for sorts
     /// using this scratch: `true` routes M=4 through the per-pair
-    /// scalar path, `false` re-enables the blocked tier.
+    /// scalar path, `false` re-enables the presorted fill.
     pub fn set_force_scalar(&mut self, force: bool) {
         self.force_scalar = force;
     }
@@ -313,7 +317,7 @@ impl SortScratch {
 #[inline]
 fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
     for (x, y) in a.iter().zip(b) {
-        match x.partial_cmp(y).expect("fast tiers exclude NaN") {
+        match x.partial_cmp(y).expect("callers exclude NaN rows") {
             std::cmp::Ordering::Equal => continue,
             other => return other,
         }
@@ -600,7 +604,7 @@ fn group_identical_rows(points: &ObjectiveMatrix, scratch: &mut SortScratch) {
 /// of the textbook algorithm (the expansion rule is in the module docs).
 ///
 /// For `M = 4` (the production objective count) the fill phase runs the
-/// blocked branchless tile kernel ([`bitset_fill_blocked_m4`]) unless
+/// presorted one-direction kernel ([`bitset_fill_presorted_m4`]) unless
 /// scalar mode is forced; every other shape — and every NaN row — takes
 /// the per-pair scalar fill. Both fills populate the same bitset rows
 /// and domination counts, so the peel (and hence the Deb front order)
@@ -618,7 +622,7 @@ fn bitset_sort_fallback(
     scratch.domination_count.resize(d, 0);
     let reps = std::mem::take(&mut scratch.reps);
     if points.width() == 4 && !scratch.force_scalar {
-        bitset_fill_blocked_m4(points, &reps, scratch, words);
+        bitset_fill_presorted_m4(points, &reps, scratch, words);
     } else {
         bitset_fill_pairwise(points, &reps, scratch, words);
     }
@@ -675,145 +679,126 @@ fn bitset_fill_pairwise(
     scratch: &mut SortScratch,
     words: usize,
 ) {
+    let SortScratch {
+        bits,
+        domination_count,
+        stats,
+        ..
+    } = scratch;
     for (i, &p) in reps.iter().enumerate() {
         let row_i = points.row(p);
         for (j, &q) in reps.iter().enumerate().skip(i + 1) {
-            scratch.stats.comparisons += 1;
-            let (i_dominates, j_dominates) = dominance_pair(row_i, points.row(q));
-            if i_dominates {
-                scratch.bits[i * words + j / 64] |= 1u64 << (j % 64);
-                scratch.domination_count[j] += 1;
-            } else if j_dominates {
-                scratch.bits[j * words + i / 64] |= 1u64 << (i % 64);
-                scratch.domination_count[i] += 1;
+            stats.comparisons += 1;
+            match dominance_pair(row_i, points.row(q)) {
+                (true, _) => mark_dominance(bits, domination_count, words, i, j),
+                (_, true) => mark_dominance(bits, domination_count, words, j, i),
+                _ => {}
             }
         }
     }
 }
 
-/// Blocked branchless fill for `M = 4`: the class representatives'
-/// rows (`reps`) are transposed into four objective-major columns, and
-/// each anchor row `i` is compared against 64-point tiles of rows
-/// `j > i` at once. Per objective the
-/// tile produces two lane masks — `a[m] ≤ v` and `a[m] < v` — built
-/// with bool-to-bit shifts (no data-dependent branches, and a shape
-/// LLVM autovectorizes); four `&`/`|` word reductions then yield "i
-/// dominates lane" and "lane dominates i" masks that merge straight
-/// into the peel's bitset rows. Work is counted in
-/// [`DominanceStats::word_ops`]: 4 mask words per processed tile, each
-/// standing in for up to 64 pairwise comparisons.
+/// Records "class `i` dominates class `j`" in the bitset rows and counts.
+#[inline]
+fn mark_dominance(bits: &mut [u64], count: &mut [usize], words: usize, i: usize, j: usize) {
+    bits[i * words + j / 64] |= 1u64 << (j % 64);
+    count[j] += 1;
+}
+
+/// `LANE_BITS[t] = 1 << t`: the presorted fill ANDs a lane's all-ones or
+/// all-zeros verdict with its bit, an OR reduction that vectorizes on the
+/// baseline x86-64 target where a variable shift per lane does not.
+const LANE_BITS: [u64; 64] = {
+    let mut bits = [0u64; 64];
+    let mut t = 0;
+    while t < 64 {
+        bits[t] = 1 << t;
+        t += 1;
+    }
+    bits
+};
+
+/// Presorted one-direction fill for `M = 4`. The NaN-free class
+/// representatives are sorted with [`lex_cmp`] into `order` and their
+/// objectives 1–3 transposed objective-major into `cols` in that order.
+/// A dominator is `≤` in every objective and differs in value, so it
+/// sorts strictly before the row it dominates, in an earlier run of
+/// value-equal rows (Kung, Luccio & Preparata, 1975). Each row `b` is
+/// therefore tested only against the rows before its run, in one
+/// direction, and objective 0 holds by the sort: `a` dominates `b` iff
+/// objectives 1–3 of `a` are `≤` those of `b`. The verdicts are built as
+/// branch-free 64-candidate words and scattered into the class-indexed
+/// bitset rows and domination counts. Work is counted in
+/// [`DominanceStats::word_ops`]: 3 mask words per 64-candidate chunk.
 ///
-/// NaN rows are prefiltered into a validity bitmask and handled by the
-/// scalar [`dominance_pair`] path (the branchless `≤`/`<` identities
-/// below hold only for NaN-free lanes, including ±∞).
-fn bitset_fill_blocked_m4(
+/// Pairs touching a NaN row keep the exact scalar semantics of
+/// [`dominance_pair`] and are billed in `comparisons`.
+fn bitset_fill_presorted_m4(
     points: &ObjectiveMatrix,
     reps: &[usize],
     scratch: &mut SortScratch,
     words: usize,
 ) {
-    let n = reps.len();
-    if scratch.cols.capacity() < 4 * n || scratch.valid.capacity() < words {
-        scratch.stats.allocations += 1;
+    let SortScratch {
+        order,
+        cols,
+        bits,
+        domination_count,
+        stats,
+        ..
+    } = scratch;
+    let d = reps.len();
+    let row = |c: usize| points.row(reps[c]);
+    let has_nan = |c: &usize| row(*c).iter().any(|x| x.is_nan());
+    if order.capacity() < d {
+        stats.allocations += 1;
     }
-    scratch.cols.clear();
-    scratch.cols.resize(4 * n, 0.0);
-    scratch.valid.clear();
-    scratch.valid.resize(words, 0);
-    let mut any_nan = false;
-    for (j, &p) in reps.iter().enumerate() {
-        let row = points.row(p);
-        for (m, &x) in row.iter().enumerate() {
-            scratch.cols[m * n + j] = x;
-        }
-        if row.iter().any(|x| x.is_nan()) {
-            any_nan = true;
-        } else {
-            scratch.valid[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-    if any_nan {
-        // Every pair touching a NaN row keeps the exact scalar
-        // semantics; NaN/NaN pairs are processed once (as (j, i)).
-        for i in 0..n {
-            if scratch.valid[i / 64] >> (i % 64) & 1 == 1 {
-                continue;
-            }
-            let row_i = points.row(reps[i]);
-            for (j, &q) in reps.iter().enumerate() {
-                if j == i || (j < i && scratch.valid[j / 64] >> (j % 64) & 1 == 0) {
-                    continue;
-                }
-                scratch.stats.comparisons += 1;
-                let (i_dominates, j_dominates) = dominance_pair(row_i, points.row(q));
-                if i_dominates {
-                    scratch.bits[i * words + j / 64] |= 1u64 << (j % 64);
-                    scratch.domination_count[j] += 1;
-                } else if j_dominates {
-                    scratch.bits[j * words + i / 64] |= 1u64 << (i % 64);
-                    scratch.domination_count[i] += 1;
-                }
+    // Clean classes in lexicographic order, then the NaN classes.
+    order.clear();
+    order.extend((0..d).filter(|c| !has_nan(c)));
+    let clean = order.len();
+    order.sort_unstable_by(|&a, &b| lex_cmp(row(a), row(b)));
+    order.extend((0..d).filter(has_nan));
+    for (k, &i) in order.iter().enumerate().skip(clean) {
+        for &j in &order[..k] {
+            stats.comparisons += 1;
+            match dominance_pair(row(i), row(j)) {
+                (true, _) => mark_dominance(bits, domination_count, words, i, j),
+                (_, true) => mark_dominance(bits, domination_count, words, j, i),
+                _ => {}
             }
         }
     }
-    let (c0, rest) = scratch.cols.split_at(n);
-    let (c1, rest) = rest.split_at(n);
-    let (c2, c3) = rest.split_at(n);
-    let columns = [c0, c1, c2, c3];
-    for i in 0..n {
-        let ti = i % 64;
-        let first_block = i / 64;
-        if scratch.valid[first_block] >> ti & 1 == 0 {
-            continue;
+    reset_buf(cols, 3 * clean, 0.0, stats);
+    for (pos, &c) in order[..clean].iter().enumerate() {
+        for (m, &x) in row(c)[1..].iter().enumerate() {
+            cols[m * clean + pos] = x;
         }
-        let a = [c0[i], c1[i], c2[i], c3[i]];
-        let i_word = i * words;
-        let i_bit = 1u64 << ti;
-        for b in first_block..words {
-            // Only NaN-free lanes strictly after the anchor.
-            let mut mask = scratch.valid[b];
-            if b == first_block {
-                mask &= u64::MAX.checked_shl(ti as u32 + 1).unwrap_or(0);
+    }
+    let (c1, rest) = cols.split_at(clean);
+    let (c2, c3) = rest.split_at(clean);
+    let mut run_start = 0;
+    for b in 1..clean {
+        let class = order[b];
+        if row(order[b - 1]) != row(class) {
+            run_start = b;
+        }
+        let (x1, x2, x3) = (c1[b], c2[b], c3[b]);
+        let (word, bit) = (class / 64, 1u64 << (class % 64));
+        for base in (0..run_start).step_by(64) {
+            let end = (base + 64).min(run_start);
+            let mut mask = 0u64;
+            let lanes = c1[base..end].iter().zip(&c2[base..end]).zip(&c3[base..end]);
+            for (((&a1, &a2), &a3), &lane) in lanes.zip(&LANE_BITS) {
+                mask |= lane & 0u64.wrapping_sub(u64::from((a1 <= x1) & (a2 <= x2) & (a3 <= x3)));
             }
-            if mask == 0 {
-                continue;
+            stats.word_ops += 3;
+            domination_count[class] += mask.count_ones() as usize;
+            while mask != 0 {
+                let a = order[base + mask.trailing_zeros() as usize];
+                mask &= mask - 1;
+                bits[a * words + word] |= bit;
             }
-            let base = b * 64;
-            let lanes = (n - base).min(64);
-            let mut i_le = u64::MAX; // a ≤ v in every objective
-            let mut i_lt = 0u64; // a < v in some objective
-            let mut j_le = u64::MAX; // v ≤ a in every objective (≡ !(a < v))
-            let mut j_lt = 0u64; // v < a in some objective (≡ !(a ≤ v))
-            for (am, col) in a.iter().zip(columns) {
-                let lane = &col[base..base + lanes];
-                let mut le = 0u64;
-                let mut lt = 0u64;
-                for (t, &v) in lane.iter().enumerate() {
-                    le |= u64::from(*am <= v) << t;
-                    lt |= u64::from(*am < v) << t;
-                }
-                i_le &= le;
-                i_lt |= lt;
-                j_le &= !lt;
-                j_lt |= !le;
-            }
-            scratch.stats.word_ops += 4;
-            let dom_i = i_le & i_lt & mask;
-            let dom_j = j_le & j_lt & mask;
-            scratch.bits[i_word + b] |= dom_i;
-            let mut w = dom_i;
-            while w != 0 {
-                let j = base + w.trailing_zeros() as usize;
-                w &= w - 1;
-                scratch.domination_count[j] += 1;
-            }
-            let mut w = dom_j;
-            while w != 0 {
-                let j = base + w.trailing_zeros() as usize;
-                w &= w - 1;
-                scratch.bits[j * words + first_block] |= i_bit;
-            }
-            scratch.domination_count[i] += dom_j.count_ones() as usize;
         }
     }
 }
@@ -857,7 +842,7 @@ pub fn non_dominated_sort_naive(points: &[&[f64]]) -> Vec<Vec<usize>> {
     fronts
 }
 
-/// Indices of the Pareto-optimal points (the first front).
+/// Indices of the Pareto-optimal points (the first front), ascending.
 pub fn pareto_front_indices(points: &[Vec<f64>]) -> Vec<usize> {
     pareto_front_indices_matrix(&ObjectiveMatrix::from_rows(points))
 }
@@ -867,12 +852,32 @@ pub fn pareto_front_indices_slices(points: &[&[f64]]) -> Vec<usize> {
     pareto_front_indices_matrix(&ObjectiveMatrix::from_slices(points))
 }
 
-/// [`pareto_front_indices`] over a flat [`ObjectiveMatrix`].
+/// [`pareto_front_indices`] over a flat [`ObjectiveMatrix`]: front 0 of
+/// [`non_dominated_sort_matrix`], indices ascending.
+///
+/// NaN-free inputs take a skyline scan (Kung, Luccio & Preparata, 1975)
+/// instead of the full sort: in lexicographic order a dominator always
+/// comes first, so a row is kept iff no *kept* row dominates it (a
+/// dominated dominator is itself dominated by a kept row, by
+/// transitivity). `O(N log N + N·F)` for a front of `F` points.
 pub fn pareto_front_indices_matrix(points: &ObjectiveMatrix) -> Vec<usize> {
-    non_dominated_sort_matrix(points)
-        .into_iter()
-        .next()
-        .unwrap_or_default()
+    if points.as_flat().iter().any(|x| x.is_nan()) {
+        return non_dominated_sort_matrix(points)
+            .into_iter()
+            .next()
+            .unwrap_or_default();
+    }
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_unstable_by(|&a, &b| lex_cmp(points.row(a), points.row(b)));
+    let mut front: Vec<usize> = Vec::new();
+    for i in order {
+        let row = points.row(i);
+        if !front.iter().any(|&k| dominates(points.row(k), row)) {
+            front.push(i);
+        }
+    }
+    front.sort_unstable();
+    front
 }
 
 /// Crowding distance of each member of `front` (indices into `points`),

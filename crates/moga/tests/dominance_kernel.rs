@@ -10,7 +10,10 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use sega_moga::matrix::ObjectiveMatrix;
-use sega_moga::pareto::{non_dominated_sort_matrix_into, non_dominated_sort_naive, SortScratch};
+use sega_moga::pareto::{
+    non_dominated_sort_matrix_into, non_dominated_sort_naive, pareto_front_indices_matrix,
+    SortScratch,
+};
 use sega_moga::DominanceStats;
 
 fn sorted_fronts(mut fronts: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
@@ -84,8 +87,60 @@ fn duplicate_pool(n: usize, k: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Sets every entry whose xorshift draw hits `rate` to `+∞` or `−∞`.
+fn sprinkle_infinities(pts: &mut [Vec<f64>], rate: u64, seed: u64) {
+    let mut state = seed | 1;
+    for v in pts.iter_mut().flatten() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if rate > 0 && state.is_multiple_of(rate) {
+            *v = if state & 0x100 == 0 {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+    }
+}
+
+/// Both M=4 fills, presorted and forced-scalar, return the oracle's
+/// exact Deb front order.
+fn assert_m4_deb_order(pts: &[Vec<f64>], label: &str) {
+    let expected = naive(pts);
+    let matrix = ObjectiveMatrix::from_rows(pts);
+    for force_scalar in [false, true] {
+        let mut scratch = SortScratch::default();
+        scratch.set_force_scalar(force_scalar);
+        let mut fronts = Vec::new();
+        non_dominated_sort_matrix_into(&matrix, &mut scratch, &mut fronts);
+        assert_eq!(fronts, expected, "{label} force_scalar={force_scalar}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The skyline first-front filter returns front 0 of the oracle,
+    /// indices ascending: gridded clouds of every width with `±∞`
+    /// entries, and the M=4 duplicate pools (NaN rows take the full
+    /// sort).
+    #[test]
+    fn skyline_front_matches_naive_front_zero(
+        m in 2usize..=4,
+        n in 1usize..=96,
+        seed in 0u64..10_000,
+        inf_rate in 0u64..8,
+        k in 1usize..=40,
+    ) {
+        let mut pts = random_points(n, m, Some(4.0), seed);
+        sprinkle_infinities(&mut pts, inf_rate, seed);
+        for pts in [pts, duplicate_pool(n, k, seed)] {
+            let front = pareto_front_indices_matrix(&ObjectiveMatrix::from_rows(&pts));
+            let expected = naive(&pts).into_iter().next().unwrap_or_default();
+            prop_assert_eq!(front, expected);
+        }
+    }
 
     /// Quantized random clouds (ties and duplicates everywhere), with
     /// optional doubling of the whole set and optional collapse of one
@@ -142,11 +197,11 @@ proptest! {
         prop_assert_eq!(sorted_fronts(tiered(&pts).0), sorted_fronts(naive(&pts)));
     }
 
-    /// The blocked branchless M=4 fill and the per-pair scalar fill
-    /// produce byte-identical fronts — same bitset rows, same counts,
-    /// same peel — for random and gridded clouds alike.
+    /// The presorted M=4 fill and the per-pair scalar fill produce
+    /// byte-identical fronts — same bitset rows, same counts, same peel —
+    /// for random and gridded clouds alike.
     #[test]
-    fn m4_blocked_and_scalar_paths_agree(
+    fn m4_presorted_and_scalar_paths_agree(
         n in 1usize..=96,
         seed in 0u64..10_000,
         quant in 0u32..2,
@@ -154,20 +209,20 @@ proptest! {
         let quant = (quant == 1).then_some(4.0);
         let pts = random_points(n, 4, quant, seed);
         let matrix = ObjectiveMatrix::from_rows(&pts);
-        let mut blocked = SortScratch::default();
-        blocked.set_force_scalar(false);
+        let mut presorted = SortScratch::default();
+        presorted.set_force_scalar(false);
         let mut scalar = SortScratch::default();
         scalar.set_force_scalar(true);
-        let (mut blocked_fronts, mut scalar_fronts) = (Vec::new(), Vec::new());
-        non_dominated_sort_matrix_into(&matrix, &mut blocked, &mut blocked_fronts);
+        let (mut presorted_fronts, mut scalar_fronts) = (Vec::new(), Vec::new());
+        non_dominated_sort_matrix_into(&matrix, &mut presorted, &mut presorted_fronts);
         non_dominated_sort_matrix_into(&matrix, &mut scalar, &mut scalar_fronts);
-        prop_assert_eq!(&blocked_fronts, &scalar_fronts);
+        prop_assert_eq!(&presorted_fronts, &scalar_fronts);
         prop_assert_eq!(scalar.stats().word_ops, 0);
         prop_assert_eq!(scalar.stats().comparisons, naive_pairs(distinct_rows(&pts)));
     }
 
     /// Duplicate-heavy M=4 pools (≤ 40 distinct rows, NaN, ±∞ and
-    /// `-0.0`/`0.0` included): the blocked and forced-scalar sorts both
+    /// `-0.0`/`0.0` included): the presorted and forced-scalar sorts both
     /// reproduce the oracle's **exact** front order, the scalar path
     /// bills only the distinct pairs, and a warm resort allocates
     /// nothing.
@@ -266,12 +321,12 @@ fn heavy_duplicates_at_scale_match_naive() {
     );
 }
 
-/// The blocked M=4 tier reproduces the oracle's **exact front order**
+/// The presorted M=4 tier reproduces the oracle's **exact front order**
 /// (not just the front sets) at the production scale, pays zero scalar
 /// pair comparisons on NaN-free data, and its word-op bill sits ≥4×
-/// below the naive pairwise bill — the ISSUE's acceptance criterion.
+/// below the naive pairwise bill.
 #[test]
-fn m4_blocked_tier_beats_pairwise_bill_at_n1024() {
+fn m4_presorted_tier_beats_pairwise_bill_at_n1024() {
     let pts = random_points(1024, 4, None, 0xB10C);
     let (fronts, stats) = tiered(&pts);
     assert_eq!(fronts, naive(&pts), "exact Deb front order");
@@ -292,28 +347,28 @@ fn m4_blocked_tier_beats_pairwise_bill_at_n1024() {
 /// distinct rows (the gridded cloud has copies; the continuous ones do
 /// not, so they pay the full `N·(N−1)/2`).
 #[test]
-fn m4_forced_scalar_matches_blocked_at_scale() {
+fn m4_forced_scalar_matches_presorted_at_scale() {
     for (seed, quant) in [(1u64, None), (77, Some(4.0)), (0xFEED, None)] {
         let pts = random_points(512, 4, quant, seed);
         let matrix = ObjectiveMatrix::from_rows(&pts);
-        let mut blocked = SortScratch::default();
-        blocked.set_force_scalar(false);
+        let mut presorted = SortScratch::default();
+        presorted.set_force_scalar(false);
         let mut scalar = SortScratch::default();
         scalar.set_force_scalar(true);
-        let (mut blocked_fronts, mut scalar_fronts) = (Vec::new(), Vec::new());
-        non_dominated_sort_matrix_into(&matrix, &mut blocked, &mut blocked_fronts);
+        let (mut presorted_fronts, mut scalar_fronts) = (Vec::new(), Vec::new());
+        non_dominated_sort_matrix_into(&matrix, &mut presorted, &mut presorted_fronts);
         non_dominated_sort_matrix_into(&matrix, &mut scalar, &mut scalar_fronts);
-        assert_eq!(blocked_fronts, scalar_fronts, "seed={seed}");
+        assert_eq!(presorted_fronts, scalar_fronts, "seed={seed}");
         assert_eq!(scalar.stats().comparisons, naive_pairs(distinct_rows(&pts)));
         assert_eq!(scalar.stats().word_ops, 0);
-        assert!(blocked.stats().word_ops > 0);
+        assert!(presorted.stats().word_ops > 0);
     }
 }
 
 /// NaN rows inside an M=4 cloud take the scalar pair path while the
-/// clean rows stay blocked — the mixed fill still equals the oracle.
+/// clean rows stay presorted — the mixed fill still equals the oracle.
 #[test]
-fn m4_nan_rows_mix_scalar_and_blocked_paths() {
+fn m4_nan_rows_mix_scalar_and_presorted_paths() {
     let mut pts = random_points(512, 4, None, 21);
     for i in (0..512).step_by(97) {
         pts[i][i % 4] = f64::NAN;
@@ -327,7 +382,7 @@ fn m4_nan_rows_mix_scalar_and_blocked_paths() {
 }
 
 /// Duplicated rows plus an all-equal column at N=1024/M=4 — the
-/// degenerate shapes the blocked masks must get exactly right.
+/// degenerate shapes the presorted masks must get exactly right.
 #[test]
 fn m4_duplicates_and_collapsed_columns_match_naive_at_scale() {
     let mut pts = random_points(512, 4, Some(5.0), 3);
@@ -379,5 +434,69 @@ fn scratch_reuse_is_allocation_free_across_tiers() {
             after_warm,
             "m={m}: warm sort must not allocate"
         );
+    }
+}
+
+/// `±∞` entries in M=4 clouds: the presorted fill's `≤` verdicts and
+/// the lexicographic presort both order infinities like any other value.
+#[test]
+fn m4_presorted_fill_keeps_deb_order_with_infinities() {
+    for seed in 0..24u64 {
+        let n = 20 + 7 * seed as usize;
+        let mut pts = random_points(n, 4, Some(4.0), seed);
+        sprinkle_infinities(&mut pts, 3 + seed % 5, seed);
+        assert_m4_deb_order(&pts, &format!("seed={seed}"));
+    }
+}
+
+/// Rows equal in value but for the sign of a zero are separate bit
+/// classes that sort next to each other and dominate nothing of each
+/// other, while both still dominate (and are dominated by) the same
+/// rows.
+#[test]
+fn m4_presorted_fill_separates_signed_zero_classes() {
+    let pts = vec![
+        vec![1.0, 0.0, 2.0, 3.0],
+        vec![1.0, -0.0, 2.0, 3.0],
+        vec![2.0, 1.0, 2.0, 3.0],
+        vec![0.0, -0.0, 2.0, 3.0],
+        vec![1.0, 0.0, 2.0, 3.0],
+        vec![-0.0, 0.0, 2.0, 3.0],
+        vec![1.0, -0.0, 2.0, -0.0],
+        vec![1.0, 0.0, 2.0, 0.0],
+        vec![3.0, 3.0, 3.0, 3.0],
+        vec![1.0, -0.0, 2.0, 3.0],
+    ];
+    assert_m4_deb_order(&pts, "signed zeros");
+    for seed in 0..16u64 {
+        let mut pts = random_points(48, 4, Some(3.0), seed);
+        for (i, p) in pts.iter_mut().enumerate() {
+            for v in p.iter_mut() {
+                if *v == 0.0 && (i + seed as usize).is_multiple_of(2) {
+                    *v = -0.0;
+                }
+            }
+        }
+        assert_m4_deb_order(&pts, &format!("seed={seed}"));
+    }
+}
+
+/// 65–130 distinct rows (with copies): a row's candidates span more
+/// than one 64-lane chunk, and classes numbered 64 and up scatter into
+/// the second word of every bitset row.
+#[test]
+fn m4_presorted_fill_crosses_word_boundaries() {
+    for distinct in (65..=130).step_by(5) {
+        let rows = random_points(distinct, 4, None, distinct as u64);
+        let mut state = distinct as u64 | 1;
+        let mut pts = rows.clone();
+        for _ in 0..distinct / 2 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            pts.push(rows[(state % distinct as u64) as usize].clone());
+        }
+        assert_eq!(distinct_rows(&pts), distinct);
+        assert_m4_deb_order(&pts, &format!("distinct={distinct}"));
     }
 }

@@ -119,7 +119,7 @@ pub struct MogaKernelRecord {
     pub m: usize,
     /// Dominance comparisons / search probes the tiered kernel performed.
     pub comparisons: u64,
-    /// 64-lane mask words the blocked branchless tier produced (0 for
+    /// 64-lane mask words the presorted M=4 fill produced (0 for
     /// the sweep/staircase/pairwise tiers; the M=4 tier bills here
     /// instead of `comparisons`).
     pub word_ops: u64,

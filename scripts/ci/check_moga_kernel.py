@@ -9,9 +9,9 @@ Three guarded cases:
 * N=1024/M=3 (the staircase tier): scalar comparisons within 5% of the
   committed BENCH_moga.json baseline, and 8x below the naive pairwise
   bill.
-* N=1024/M=4 (the production DCIM shape, blocked branchless tier): the
-  effective counter `comparisons + word_ops` within 5% of the baseline,
-  and at least 4x below the naive `N*(N-1)/2` bill.
+* N=1024/M=4 (the production DCIM shape, presorted one-direction fill):
+  the effective counter `comparisons + word_ops` within 5% of the
+  baseline, and at least 4x below the naive `N*(N-1)/2` bill.
 * N=200/M=4 (the GA's selection pool: 200 rows, ~80 distinct): the
   effective counter at most the bill of sorting the distinct rows alone
   (`distinct_bill`), so copies cost nothing, and no warm allocation.
@@ -64,10 +64,10 @@ def main() -> None:
         f"{effective(f4)} > {limit4:.0f} (baseline {effective(b4)})"
     )
     assert effective(f4) * 4 <= f4["naive_comparisons"], (
-        f"blocked M=4 tier lost its 4x margin over the pairwise bill: {f4}"
+        f"presorted M=4 tier lost its 4x margin over the pairwise bill: {f4}"
     )
     assert f4["word_ops"] > 0, (
-        f"blocked M=4 tier not engaged (word_ops=0 at N=1024/M=4): {f4}"
+        f"presorted M=4 tier not engaged (word_ops=0 at N=1024/M=4): {f4}"
     )
     assert f4["allocations"] == 0, f"warm M=4 sorts must not allocate: {f4}"
     print(
