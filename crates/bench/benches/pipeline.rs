@@ -1,17 +1,15 @@
-//! Criterion bench: the batched evaluation pipeline — serial vs pooled
-//! vs cached vs **cross-exploration shared cache** — the runtime's
+//! Criterion bench: the batched evaluation pipeline — uncached vs
+//! cached vs **cross-exploration shared cache** — the runtime's
 //! receipts.
 //!
-//! Five configurations explore the same spec with the same seed (the
+//! Three configurations explore the same spec with the same seed (the
 //! fronts are bit-identical by construction, asserted in the setup
-//! phase):
+//! phase). An exploration runs on one thread, so thread count is not
+//! one of them:
 //!
-//! * `serial_uncached` — the pre-refactor behaviour: one `estimate()` per
-//!   genome evaluation, single-threaded.
-//! * `pooled_uncached` — batch fan-out on the persistent worker pool,
-//!   no memoization (intra-batch dedup still applies).
-//! * `cached_serial` — memoized estimates, single-threaded.
-//! * `cached_pooled` — the default pipeline: memoized + pool fan-out.
+//! * `serial_uncached` — no memoization (intra-batch dedup still
+//!   applies).
+//! * `cached_serial` — memoized estimates, the default pipeline.
 //! * `shared_cache` — two successive explorations through one
 //!   [`SharedEvalCache`]: the second run reports **zero** distinct
 //!   evaluations (everything is served from the first run's estimates).
@@ -35,36 +33,15 @@ use sega_dcim::{
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
 
-fn pipeline_configs() -> [(&'static str, PipelineOptions); 4] {
+fn pipeline_configs() -> [(&'static str, PipelineOptions); 2] {
     [
         ("serial_uncached", PipelineOptions::serial_uncached()),
-        (
-            // min_batch_per_worker: 1 so the fan-out genuinely engages at
-            // GA batch sizes; otherwise "pooled" would measure the
-            // serial fast path.
-            "pooled_uncached",
-            PipelineOptions {
-                threads: 0,
-                cache: false,
-                min_batch_per_worker: 1,
-                ..Default::default()
-            },
-        ),
         (
             "cached_serial",
             PipelineOptions {
                 threads: 1,
                 cache: true,
                 ..PipelineOptions::default()
-            },
-        ),
-        (
-            "cached_pooled",
-            PipelineOptions {
-                threads: 0,
-                cache: true,
-                min_batch_per_worker: 1,
-                ..Default::default()
             },
         ),
     ]
@@ -96,13 +73,7 @@ fn bench_pipeline(c: &mut Criterion) {
     // The shared-cache scenario: a second exploration of the same spec
     // through the same cache serves everything from memory.
     let shared = Arc::new(SharedEvalCache::new());
-    let shared_pipeline = PipelineOptions {
-        threads: 0,
-        cache: true,
-        min_batch_per_worker: 1,
-        ..Default::default()
-    }
-    .with_shared_cache(Arc::clone(&shared));
+    let shared_pipeline = PipelineOptions::default().with_shared_cache(Arc::clone(&shared));
     for run_idx in 1..=2 {
         let started = Instant::now();
         let run = explore_pareto_with(&spec, &tech, &cond, &default_cfg, shared_pipeline.clone());
@@ -173,13 +144,7 @@ fn bench_pipeline(c: &mut Criterion) {
     // seeds) through one warm cache — the sweep/compiler workload.
     group.bench_function("shared_cache_warm", |b| {
         let cache = Arc::new(SharedEvalCache::new());
-        let pipeline = PipelineOptions {
-            threads: 0,
-            cache: true,
-            min_batch_per_worker: 1,
-            ..Default::default()
-        }
-        .with_shared_cache(Arc::clone(&cache));
+        let pipeline = PipelineOptions::default().with_shared_cache(Arc::clone(&cache));
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
@@ -196,8 +161,8 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 fn bench_mixed_fanout(c: &mut Criterion) {
-    // The per-spec loop of the mixed-precision explorer is where the
-    // pool buys wall-clock: eight independent seeded runs, one per
+    // The per-spec loop of the mixed-precision explorer is where threads
+    // buy wall-clock: eight independent seeded runs, one per
     // precision, fanned out concurrently — and where the shared cache
     // buys estimator calls: a second mixed run at the same budget
     // re-estimates nothing it has seen.
@@ -290,9 +255,9 @@ fn bench_mixed_fanout(c: &mut Criterion) {
                 ..PipelineOptions::default()
             },
         ),
-        ("pooled", PipelineOptions::default()),
+        ("parallel", PipelineOptions::default()),
         (
-            "pooled_shared_cache",
+            "parallel_shared_cache",
             PipelineOptions::default().with_shared_cache(Arc::new(SharedEvalCache::new())),
         ),
     ] {

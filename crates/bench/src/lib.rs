@@ -21,7 +21,7 @@ use sega_dcim::{
 };
 use sega_estimator::{DcimDesign, OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
-use sega_parallel::Pool;
+use sega_parallel::{available_threads, Pool};
 
 pub mod json;
 
@@ -96,8 +96,8 @@ pub fn explore_point_with(
 
 /// Explores a whole sweep of `(wstore, precision, seed)` points
 /// concurrently — the figure binaries' workhorse. Each point is an
-/// independent seeded run fanned out on the persistent process pool
-/// (no per-sweep thread spawning), and all points share one
+/// independent seeded run on one of up to [`available_threads`] scoped
+/// threads, and all points share one
 /// [`SharedEvalCache`]: two points with the same `(wstore, precision)`
 /// reuse every estimate the first one produced. The fan-out and the
 /// sharing change wall-clock only; results come back in input order.
@@ -112,9 +112,7 @@ pub fn explore_sweep_on(
     points: &[(u64, Precision, u64)],
     cache: &Arc<SharedEvalCache>,
 ) -> Vec<ExplorationResult> {
-    Pool::global().par_map(points, |&(wstore, precision, seed)| {
-        // Outer fan-out across points, serial inner batches: sweep points
-        // outnumber cores long before inner batches do.
+    Pool::new(available_threads()).par_map(points, |&(wstore, precision, seed)| {
         let pipeline = PipelineOptions {
             threads: 1,
             shared_cache: Some(Arc::clone(cache)),

@@ -1,15 +1,15 @@
 //! The pluggable estimator seam: **where objective vectors come from**.
 //!
-//! PR 2 made evaluation batch-first (dedup → cache → pool fan-out); this
-//! module abstracts the step at the bottom of that pipeline — "given a
+//! Evaluation is batch-first (dedup → cache → one cohort); this module
+//! abstracts the step at the bottom of that pipeline — "given a
 //! cohort of distinct, uncached geometries, produce their objective
 //! vectors" — behind [`EvalBackend`], so the estimator implementation can
 //! be swapped without touching [`DcimProblem`], `explore_*`, `mixed`,
 //! `enumerate` or the `Compiler`:
 //!
 //! * [`MacroModelBackend`] is today's in-process path: the closed-form
-//!   macro model through a hoisted [`EstimationContext`], fanned out on
-//!   the persistent [`Pool`].
+//!   macro model through a hoisted [`EstimationContext`], one batched
+//!   kernel call per cohort on the calling thread.
 //! * [`InstrumentedBackend`] wraps any backend with cohort/geometry
 //!   counters — the test double proving fronts are backend-invariant,
 //!   and the accounting hook the batch runner reports.
@@ -123,9 +123,12 @@ pub trait CohortEvaluator: Send + Sync + std::fmt::Debug {
     /// (the cache layer) guarantees the cohort is deduplicated and
     /// cache-missed — the GA interns duplicate genomes and the batch
     /// pipeline dedups within the cohort, so every geometry arriving
-    /// here is estimated exactly once; `workers` bounds the parallelism
-    /// the evaluation may use on `pool`. The `[f64; 4]` rows are already
-    /// flat and are copied straight into the caller's
+    /// here is estimated exactly once. `workers` is an upper bound on the
+    /// threads the evaluation may use on `pool`, not a request: the macro
+    /// model meets it by running serially, and
+    /// [`DcimProblem`](crate::explore::DcimProblem) passes a serial pool
+    /// and `1`, so an exploration runs on one thread. The `[f64; 4]` rows
+    /// are already flat and are copied straight into the caller's
     /// [`sega_moga::ObjectiveMatrix`] without per-genome allocation.
     ///
     /// Infeasible geometries evaluate to `[+∞; 4]` — they participate in
@@ -148,8 +151,8 @@ pub trait CohortEvaluator: Send + Sync + std::fmt::Debug {
 }
 
 /// The in-process macro-model backend: the paper's closed-form estimator
-/// through a per-binding hoisted [`EstimationContext`], fanned out on the
-/// persistent pool.
+/// through a per-binding hoisted [`EstimationContext`], evaluated on the
+/// calling thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MacroModelBackend;
 
@@ -186,12 +189,12 @@ struct MacroModelEvaluator {
     /// Voltage-realized technology + energy factor, hoisted once per
     /// binding so the innermost estimate never clones a [`Technology`].
     ctx: EstimationContext,
-    /// Kernel counters merged from every worker's thread-local scratch.
+    /// Kernel counters merged from every thread's cohort scratch.
     counters: Arc<EstimatorCounters>,
 }
 
-/// Atomic mirror of [`EstimatorStats`], so pool workers can merge their
-/// thread-local scratch counters without locking.
+/// Atomic mirror of [`EstimatorStats`], so explorations sharing one
+/// evaluator on different threads merge their counters without locking.
 #[derive(Debug, Default)]
 struct EstimatorCounters {
     designs: AtomicU64,
@@ -221,10 +224,10 @@ impl EstimatorCounters {
 }
 
 thread_local! {
-    /// Per-worker cohort workspace: the dense design list, the slot map
-    /// back into the chunk, the estimator's SoA lanes, and the row
-    /// output — all reused across chunks so steady-state evaluation
-    /// never allocates inside a worker.
+    /// Per-thread cohort workspace: the dense design list, the slot map
+    /// back into the cohort, the estimator's SoA lanes, and the row
+    /// output — all reused across cohorts so steady-state evaluation
+    /// never allocates.
     static COHORT_TLS: RefCell<CohortWorkspace> = RefCell::new(CohortWorkspace::default());
 }
 
@@ -236,18 +239,23 @@ struct CohortWorkspace {
     scratch: CohortScratch,
 }
 
-impl MacroModelEvaluator {
-    /// Runs the batched SoA estimator over one worker's chunk: map
-    /// feasible geometries into a dense design list, estimate the whole
+impl CohortEvaluator for MacroModelEvaluator {
+    /// Runs the batched SoA estimator over the whole cohort on the
+    /// calling thread, whatever `pool` and `workers` allow (a cohort is
+    /// at most a generation's misses, which estimate in microseconds):
+    /// map feasible geometries into a dense design list, estimate the
     /// list through [`EstimationContext::estimate_cohort`], then scatter
     /// the rows back — infeasible slots stay `[+∞; 4]`.
-    fn evaluate_chunk(&self, chunk: &[Geometry]) -> Vec<[f64; 4]> {
+    fn evaluate_cohort(&self, cohort: &[Geometry], _pool: &Pool, _workers: usize) -> Vec<[f64; 4]> {
+        if cohort.is_empty() {
+            return Vec::new();
+        }
         COHORT_TLS.with(|tls| {
             let ws = &mut *tls.borrow_mut();
             ws.designs.clear();
             ws.slots.clear();
-            let mut out = vec![[f64::INFINITY; 4]; chunk.len()];
-            for (slot, g) in chunk.iter().enumerate() {
+            let mut out = vec![[f64::INFINITY; 4]; cohort.len()];
+            for (slot, g) in cohort.iter().enumerate() {
                 if let Some(design) = self.lens.design_of(g) {
                     ws.designs.push(design);
                     ws.slots.push(slot);
@@ -262,27 +270,6 @@ impl MacroModelEvaluator {
             ws.scratch.reset_stats();
             out
         })
-    }
-}
-
-impl CohortEvaluator for MacroModelEvaluator {
-    fn evaluate_cohort(&self, cohort: &[Geometry], pool: &Pool, workers: usize) -> Vec<[f64; 4]> {
-        if cohort.is_empty() {
-            return Vec::new();
-        }
-        // Chunk the cohort so each pool worker runs the batched kernel
-        // over a contiguous claim (instead of one estimate per work
-        // item). Four chunks per participant keeps the tail balanced
-        // while leaving each chunk long enough to fill vector lanes.
-        let participants = workers.max(1);
-        let chunk_len = cohort.len().div_ceil(participants * 4).max(1);
-        let chunks: Vec<&[Geometry]> = cohort.chunks(chunk_len).collect();
-        let evaluated = pool.par_map_bounded(&chunks, workers, |chunk| self.evaluate_chunk(chunk));
-        let mut out = Vec::with_capacity(cohort.len());
-        for rows in evaluated {
-            out.extend(rows);
-        }
-        out
     }
 
     fn materialize(&self, g: &Geometry) -> Option<ParetoSolution> {
@@ -415,7 +402,7 @@ mod tests {
             &Technology::tsmc28(),
             &OperatingConditions::paper_default(),
         );
-        let pool = Pool::for_threads(1);
+        let pool = Pool::new(1);
         let cohort = evaluator.evaluate_cohort(std::slice::from_ref(&g), &pool, 1);
         assert_eq!(cohort, vec![expected.objectives()]);
         let solution = evaluator.materialize(&g).unwrap();
@@ -432,7 +419,7 @@ mod tests {
             log_l: 30,
             k: 1,
         };
-        let pool = Pool::for_threads(1);
+        let pool = Pool::new(1);
         let out = evaluator.evaluate_cohort(std::slice::from_ref(&beyond), &pool, 1);
         assert_eq!(out, vec![[f64::INFINITY; 4]]);
         assert!(evaluator.materialize(&beyond).is_none());
@@ -453,7 +440,7 @@ mod tests {
                 k,
             })
             .collect();
-        let pool = Pool::for_threads(1);
+        let pool = Pool::new(1);
         assert_eq!(
             wrapped.evaluate_cohort(&cohort, &pool, 1),
             plain.evaluate_cohort(&cohort, &pool, 1)
@@ -478,7 +465,7 @@ mod tests {
                 k,
             })
             .collect();
-        let pool = Pool::for_threads(1);
+        let pool = Pool::new(1);
         let rows = evaluator.evaluate_cohort(&cohort, &pool, 1);
         assert_eq!(rows.len(), 4);
         let stats = evaluator.estimator_stats();
@@ -490,10 +477,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_cohort_is_order_preserving_across_worker_counts() {
+    fn one_call_cohort_matches_per_geometry_cohorts() {
         let spec = UserSpec::new(16384, Precision::Fp16).unwrap();
         let evaluator = bind_default(&spec);
-        // A cohort long enough to split into many chunks, with an
+        // A cohort long enough to fill several vector blocks, with an
         // infeasible geometry buried mid-stream.
         let mut cohort = Vec::new();
         for log_h in 1..=6 {
@@ -511,14 +498,20 @@ mod tests {
                 k: 1,
             },
         );
-        let pool = Pool::for_threads(4);
-        let serial = evaluator.evaluate_cohort(&cohort, &pool, 1);
-        let fanned = evaluator.evaluate_cohort(&cohort, &pool, 4);
-        assert_eq!(serial.len(), cohort.len());
-        assert_eq!(serial[17], [f64::INFINITY; 4]);
-        let serial_bits: Vec<[u64; 4]> = serial.iter().map(|r| r.map(f64::to_bits)).collect();
-        let fanned_bits: Vec<[u64; 4]> = fanned.iter().map(|r| r.map(f64::to_bits)).collect();
-        assert_eq!(serial_bits, fanned_bits);
+        let pool = Pool::new(1);
+        let whole = evaluator.evaluate_cohort(&cohort, &pool, 1);
+        assert_eq!(whole.len(), cohort.len());
+        assert_eq!(whole[17], [f64::INFINITY; 4]);
+        let whole_bits: Vec<[u64; 4]> = whole.iter().map(|r| r.map(f64::to_bits)).collect();
+        let single_bits: Vec<[u64; 4]> = cohort
+            .iter()
+            .map(|g| {
+                let rows = evaluator.evaluate_cohort(std::slice::from_ref(g), &pool, 1);
+                assert_eq!(rows.len(), 1);
+                rows[0].map(f64::to_bits)
+            })
+            .collect();
+        assert_eq!(whole_bits, single_bits);
     }
 
     #[test]

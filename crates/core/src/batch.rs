@@ -1,6 +1,9 @@
 //! The batch job runner: many heterogeneous exploration requests through
-//! **one** persistent pool and **one** shared eval cache — the first
-//! scenario where the engine behaves like a service.
+//! **one** shared eval cache — the first scenario where the engine
+//! behaves like a service. Jobs run one after another, and each job's
+//! exploration runs on one thread; `threads` is reserved for running
+//! jobs in parallel, which waits on per-job cache counters that do not
+//! depend on job order.
 //!
 //! A *job file* (JSON, parsed with the dependency-free `sega_wire`
 //! parser) lists `UserSpec`s plus optional per-job NSGA-II budget
@@ -17,7 +20,6 @@ use std::sync::Arc;
 use sega_cells::Technology;
 use sega_estimator::{EstimatorStats, OperatingConditions, Precision};
 use sega_moga::Nsga2Config;
-use sega_parallel::{resolve_threads, Pool};
 use sega_wire::Json;
 
 use crate::cache::SharedEvalCache;
@@ -254,11 +256,11 @@ pub fn parse_jobs(text: &str, defaults: &Nsga2Config) -> Result<Vec<BatchJob>, J
         .collect()
 }
 
-/// Runs every job over one pool, one shared cache and one backend.
+/// Runs every job over one shared cache and one backend.
 ///
-/// Jobs execute in file order (each job's *inner* evaluation still fans
-/// out on the pool), so the report — and the cache snapshot left behind
-/// — is deterministic for a given job file, whatever the thread count.
+/// Jobs execute in file order on the calling thread, so the report — and
+/// the cache snapshot left behind — is deterministic for a given job
+/// file, whatever the thread count.
 /// If the pipeline options carry no shared cache, a fresh one is created
 /// for the batch; pass one explicitly to warm-start (see
 /// [`SharedEvalCache::load`]).
@@ -297,17 +299,12 @@ pub fn run_batch_with(
         .shared_cache
         .clone()
         .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
-    let pool = pipeline
-        .pool
-        .clone()
-        .unwrap_or_else(|| Pool::for_threads(resolve_threads(pipeline.threads)));
     let backend = pipeline
         .backend
         .as_ref()
         .map(|b| b.name())
         .unwrap_or("macro-model");
     let inner = PipelineOptions {
-        pool: Some(pool),
         shared_cache: Some(Arc::clone(&cache)),
         ..pipeline
     };

@@ -16,11 +16,13 @@
 //!                   [--grace-ms N] [--log]
 //! ```
 //!
-//! `--threads` bounds the exploration's evaluation pipeline (`0` = all
-//! hardware threads, the default; `1` = serial); batches run on a
-//! persistent worker pool either way. `--no-cache` disables estimate
+//! An exploration runs on one thread. `--threads` (`0` = all hardware
+//! threads, the default; `1` = serial) bounds only the fan-outs over
+//! whole explorations or points — mixed-precision runs and design-space
+//! enumeration — so no command here runs faster for it today; `batch`
+//! will use it to run jobs in parallel. `--no-cache` disables estimate
 //! memoization (for pipeline A/B timing). The frontier is bit-identical
-//! for every combination — the flags only trade wall-clock.
+//! for every combination.
 //!
 //! `compile` runs the full pipeline and writes `macro.v`, `macro.def` and
 //! `report.md` into `--out` (default `./sega-out`); `explore` prints the
@@ -28,7 +30,7 @@
 //! (both machine-readable with `--json`).
 //!
 //! `batch` is the service-shaped entry point: it reads a JSON job file of
-//! many specifications, runs them over one worker pool and one shared
+//! many specifications, runs them one after another over one shared
 //! eval cache, and emits a wire-codec results report. The cache lives
 //! for one run: every `batch` starts cold, so an identical rerun writes
 //! a byte-identical report. `--backend instrumented` runs the same macro
@@ -96,8 +98,9 @@ const USAGE: &str = "usage:
   sega-dcim serve    --listen ADDR [--threads N]
                      [--hello-deadline-ms N] [--idle-timeout-ms N] [--grace-ms N] [--log]
 precisions:   int2 int4 int8 int16 fp8 fp16 bf16 fp32
---threads:    evaluation pool width (0 = all hardware threads, 1 = serial;
-              batch requires an explicit width >= 1, or omit the flag)
+--threads:    width of mixed-precision and enumeration fan-outs (0 = all
+              hardware threads, 1 = serial; an exploration runs on one
+              thread; batch requires >= 1, or omit the flag)
 --no-cache:   disable estimate memoization (results are identical, only slower)
 --json:       emit the wire-codec JSON document instead of a table
 --jobs:       JSON job file: {\"jobs\":[{\"wstore\":8192,\"precision\":\"int8\",
@@ -444,8 +447,7 @@ fn estimate_json(design: &DcimDesign, est: &MacroEstimate) -> Json {
 
 /// Parses a batch flag that must be a **positive** count: the batch
 /// runner rejects `0` (and non-numbers) up front with a clear message
-/// instead of letting a zero-width pool surface as a panic deep inside
-/// the pipeline.
+/// instead of running with a meaningless width.
 fn get_positive(
     flags: &HashMap<String, String>,
     key: &str,

@@ -18,8 +18,8 @@
 //!   evaluations.
 //!
 //! Internally each key space is split into power-of-two **shards**
-//! (independent mutexes), so concurrent explorations and the pool's
-//! worker threads don't serialize on one lock, and every map hashes with
+//! (independent mutexes), so concurrent explorations (mixed-precision
+//! runs, daemon connections) don't serialize on one lock, and every map hashes with
 //! the vendored [`FxHasher`] — the workspace builds without crates.io,
 //! and SipHash's DoS resistance buys nothing for 12-byte geometry keys
 //! on a trusted hot path.

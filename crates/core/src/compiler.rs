@@ -114,7 +114,7 @@ pub struct Compiler {
 impl Compiler {
     /// A compiler with the paper's defaults: calibrated TSMC28, 0.9 V,
     /// 10% sparsity, paper-scale NSGA-II budget, and the full evaluation
-    /// pipeline (persistent pool, estimates memoized across runs).
+    /// pipeline (estimates memoized across runs).
     pub fn new() -> Compiler {
         Compiler {
             technology: Technology::tsmc28(),
@@ -164,8 +164,10 @@ impl Compiler {
         self
     }
 
-    /// Limits exploration to `threads` worker threads (`0` = all hardware
-    /// threads, `1` = serial). The result is bit-identical either way.
+    /// Sets [`PipelineOptions::threads`] (`0` = all hardware threads,
+    /// `1` = serial). A compile's exploration runs on one thread, so this
+    /// bounds nothing the compiler itself runs; the result is
+    /// bit-identical either way.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pipeline.threads = threads;

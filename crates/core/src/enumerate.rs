@@ -19,7 +19,7 @@ use sega_moga::pareto::pareto_front_indices_matrix;
 use sega_moga::ObjectiveMatrix;
 use sega_parallel::par_map;
 
-use crate::explore::{DcimProblem, Geometry, ParetoSolution, PipelineOptions};
+use crate::explore::{DcimProblem, Geometry, ParetoSolution};
 use crate::spec::UserSpec;
 
 /// Every legal geometry of the specification's design space, within the
@@ -71,15 +71,9 @@ pub fn enumerate_design_space_with(
     conditions: &OperatingConditions,
     threads: usize,
 ) -> Vec<ParetoSolution> {
-    // The problem is only used for its bound evaluator here, so bind it
-    // to the serial pool rather than the hardware-width one (the
-    // data-parallel fan-out below runs through `par_map` directly).
-    let problem = DcimProblem::with_options(
-        *spec,
-        tech.clone(),
-        *conditions,
-        PipelineOptions::with_threads(1),
-    );
+    // The problem is only used for its bound evaluator here; the
+    // data-parallel fan-out below runs through `par_map` directly.
+    let problem = DcimProblem::new(*spec, tech.clone(), *conditions);
     let geometries = enumerate_geometries(spec);
     par_map(&geometries, threads, |g| problem.materialize(g))
         .into_iter()

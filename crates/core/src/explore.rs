@@ -19,11 +19,12 @@
 //! space has only a few hundred feasible points, so after the first few
 //! generations almost every genome the GA proposes has already been
 //! estimated — and hands the remaining misses as one cohort to the bound
-//! [`EvalBackend`] (the in-process macro model by default), which fans
-//! them out on a persistent [`sega_parallel::Pool`] (workers spawned once
-//! per process, never per batch). The knobs live in [`PipelineOptions`];
-//! none of them changes the result, only how fast it arrives (the
-//! exploration is bit-identical for every pool width, shard count, cache
+//! [`EvalBackend`] (the in-process macro model by default), which
+//! estimates them in one batched kernel call. An exploration runs on one
+//! thread: a cohort is at most a generation's misses, and selection, not
+//! estimation, is where its time goes. The knobs live in
+//! [`PipelineOptions`]; none of them changes the result (the exploration
+//! is bit-identical for every thread count, shard count, cache
 //! configuration and backend choice).
 
 use std::sync::{Arc, Mutex, PoisonError};
@@ -35,7 +36,7 @@ use sega_estimator::{DcimDesign, EstimatorStats, MacroEstimate, OperatingConditi
 use sega_moga::{
     DominanceStats, DriverPhase, Nsga2Config, Nsga2Driver, Nsga2Result, ObjectiveMatrix, Problem,
 };
-use sega_parallel::{resolve_threads, Pool};
+use sega_parallel::Pool;
 
 use crate::backend::{default_backend, CohortEvaluator, EvalBackend, GeometryLens};
 use crate::cache::{CacheKey, EvalStats, FxHashMap, KeySpace, SharedEvalCache};
@@ -44,32 +45,16 @@ use crate::spec::UserSpec;
 /// How [`DcimProblem`] schedules and memoizes objective evaluations.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Concurrent evaluation participants: `0` = all hardware threads,
-    /// `1` = fully serial.
+    /// Threads for the fan-outs over whole explorations or points:
+    /// mixed-precision runs and design-space enumeration (`0` = all
+    /// hardware threads, `1` = serial). An exploration itself runs on
+    /// one thread whatever this says.
     pub threads: usize,
     /// Memoize per-geometry estimates, so each distinct geometry is
     /// estimated exactly once per cache lifetime. (Even with this off,
     /// duplicate genomes *within one cohort* reach the estimator once —
     /// intra-batch dedup is unconditional.)
     pub cache: bool,
-    /// Minimum batch items per worker before evaluation fans out
-    /// (default 64; `0` is treated as 1, i.e. always fan out).
-    ///
-    /// The closed-form estimator costs tens of nanoseconds, so scattering
-    /// a small miss list across threads loses to cross-thread traffic;
-    /// once a batch carries real work per worker (large uncached cohorts,
-    /// or a future expensive estimator backend feeding through the same
-    /// seam) the fan-out pays. The default keeps the default explore
-    /// budget (batches of ~100, nearly all cache hits after the first
-    /// generations) on the fast serial path; tests and benches force it
-    /// to 1 to genuinely exercise the multi-worker merge.
-    pub min_batch_per_worker: usize,
-    /// The persistent worker pool evaluation batches run on. `None`
-    /// (default) resolves to the process-wide cached pool of the
-    /// requested width ([`Pool::for_threads`]) — **no configuration ever
-    /// spawns threads per batch**; set an explicit pool to isolate an
-    /// exploration on dedicated workers.
-    pub pool: Option<Arc<Pool>>,
     /// The estimate cache batches read and write. `None` (default) gives
     /// the problem a **private** cache, reproducing the per-exploration
     /// memoization of PR 1; set a [`SharedEvalCache`] to reuse estimates
@@ -92,8 +77,6 @@ impl Default for PipelineOptions {
         PipelineOptions {
             threads: 0,
             cache: true,
-            min_batch_per_worker: 64,
-            pool: None,
             shared_cache: None,
             backend: None,
         }
@@ -101,8 +84,8 @@ impl Default for PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// The pre-refactor behaviour: one evaluation at a time, nothing
-    /// memoized. The baseline the pipeline benches compare against.
+    /// One thread, nothing memoized: the baseline the pipeline benches
+    /// compare against.
     pub fn serial_uncached() -> Self {
         PipelineOptions {
             threads: 1,
@@ -111,7 +94,7 @@ impl PipelineOptions {
         }
     }
 
-    /// Full pipeline restricted to `threads` workers (`0` = all).
+    /// The default pipeline with `threads` for the fan-outs (`0` = all).
     pub fn with_threads(threads: usize) -> Self {
         PipelineOptions {
             threads,
@@ -119,10 +102,10 @@ impl PipelineOptions {
         }
     }
 
-    /// Runs evaluation batches on an explicit persistent [`Pool`].
+    /// Shorthand for `threads = pool.participants()`.
     #[must_use]
     pub fn on_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = Some(pool);
+        self.threads = pool.participants();
         self
     }
 
@@ -148,24 +131,6 @@ impl PipelineOptions {
         self.backend = Some(backend);
         self
     }
-}
-
-/// Worker count for a batch of `items` evaluations: the requested thread
-/// budget, capped so every worker gets at least
-/// [`PipelineOptions::min_batch_per_worker`] items.
-fn batch_workers(pipeline: &PipelineOptions, items: usize) -> usize {
-    resolve_threads(pipeline.threads)
-        .min(items / pipeline.min_batch_per_worker.max(1))
-        .max(1)
-}
-
-/// The pool a pipeline's batches run on: the explicit handle if one was
-/// injected, else the process-wide cached pool of the requested width.
-fn resolve_pool(pipeline: &PipelineOptions) -> Arc<Pool> {
-    pipeline
-        .pool
-        .clone()
-        .unwrap_or_else(|| Pool::for_threads(resolve_threads(pipeline.threads)))
 }
 
 /// The cache a pipeline's batches read/write: the injected shared cache,
@@ -296,11 +261,8 @@ pub struct DcimProblem {
     serial_bits: u32,
     /// Genome bounds derived from `spec.limits`.
     bounds: GenomeBounds,
-    /// Scheduling/memoization knobs for batch evaluation.
+    /// Memoization knobs for batch evaluation.
     pipeline: PipelineOptions,
-    /// The persistent pool batches fan out on (resolved from
-    /// `pipeline.pool` / `pipeline.threads`, never spawned per batch).
-    pool: Arc<Pool>,
     /// The backing cache (private unless `pipeline.shared_cache` is set).
     cache: Arc<SharedEvalCache>,
     /// This problem's key space within [`Self::cache`], resolved once.
@@ -334,13 +296,13 @@ struct BatchScratch {
 impl DcimProblem {
     /// Builds the problem for a specification under a technology and
     /// operating conditions, with the default [`PipelineOptions`]
-    /// (cached privately, all hardware threads).
+    /// (cached privately).
     pub fn new(spec: UserSpec, tech: Technology, conditions: OperatingConditions) -> Self {
         Self::with_options(spec, tech, conditions, PipelineOptions::default())
     }
 
     /// Builds the problem with explicit [`PipelineOptions`], resolving
-    /// the pool, cache and key-space bindings exactly once.
+    /// the cache, key-space and backend bindings exactly once.
     pub fn with_options(
         spec: UserSpec,
         tech: Technology,
@@ -349,7 +311,6 @@ impl DcimProblem {
     ) -> Self {
         debug_assert!(spec.wstore.is_power_of_two(), "validated by UserSpec");
         let limits = &spec.limits;
-        let pool = resolve_pool(&pipeline);
         let cache = resolve_cache(&pipeline);
         let space = cache.space(&CacheKey::new(
             &tech,
@@ -371,7 +332,6 @@ impl DcimProblem {
                 max_log_l: limits.max_l.trailing_zeros(),
             },
             pipeline,
-            pool,
             cache,
             space,
             stats: Arc::new(EvalStats::default()),
@@ -380,11 +340,10 @@ impl DcimProblem {
     }
 
     /// Overrides the evaluation pipeline configuration, re-resolving the
-    /// pool and cache bindings. (Prefer [`DcimProblem::with_options`]
+    /// cache and backend bindings. (Prefer [`DcimProblem::with_options`]
     /// when the options are known up front — it binds once.)
     #[must_use]
     pub fn with_pipeline(mut self, pipeline: PipelineOptions) -> Self {
-        self.pool = resolve_pool(&pipeline);
         self.cache = resolve_cache(&pipeline);
         self.space = self.cache.space(&CacheKey::new(
             &self.tech,
@@ -414,17 +373,12 @@ impl DcimProblem {
         &self.evaluator
     }
 
-    /// The persistent pool this problem's batches run on.
-    pub fn pool(&self) -> &Arc<Pool> {
-        &self.pool
-    }
-
     /// Evaluates one geometry through the backend, bypassing the cache.
     fn evaluate_raw(&self, genome: &Geometry) -> [f64; 4] {
         let before = self.evaluator.estimator_stats();
         let row = self
             .evaluator
-            .evaluate_cohort(std::slice::from_ref(genome), &self.pool, 1)
+            .evaluate_cohort(std::slice::from_ref(genome), &Pool::new(1), 1)
             .pop()
             .expect("one objective vector per geometry");
         self.stats
@@ -494,7 +448,7 @@ impl Problem for DcimProblem {
         objectives.to_vec()
     }
 
-    /// Batch evaluation through the memoizing, data-parallel pipeline
+    /// Batch evaluation through the memoizing pipeline
     /// (the nested-vector boundary adapter over
     /// [`evaluate_batch_into`](Problem::evaluate_batch_into)).
     fn evaluate_batch(&self, genomes: &[Geometry]) -> Vec<Vec<f64>> {
@@ -505,13 +459,13 @@ impl Problem for DcimProblem {
 
     /// The hot batch path: dedup the cohort (duplicate genomes reach the
     /// estimator once even with caching off), collect the distinct
-    /// geometries' cache misses, estimate them on the persistent
-    /// [`Pool`], install the results, then answer every genome from the
+    /// geometries' cache misses, estimate them as one cohort on this
+    /// thread, install the results, then answer every genome from the
     /// resolved table — appending rows to the caller's flat
     /// [`ObjectiveMatrix`]. All working memory comes from the problem's
     /// reusable [`BatchScratch`], so a generation's evaluation performs
-    /// O(1) allocations. Results are identical to the serial default for
-    /// every pool width, shard count and cache configuration.
+    /// O(1) allocations. Results are identical for every thread count,
+    /// shard count and cache configuration.
     fn evaluate_batch_into(&self, genomes: &[Geometry], out: &mut ObjectiveMatrix) {
         // Every field is cleared before use, so a scratch left behind by
         // a panicking holder is as good as a fresh one.
@@ -555,11 +509,8 @@ impl Problem for DcimProblem {
             s.missing_slots.extend(0..s.distinct.len());
         }
 
-        let workers = batch_workers(&self.pipeline, s.missing.len());
         let before = self.evaluator.estimator_stats();
-        let computed = self
-            .evaluator
-            .evaluate_cohort(&s.missing, &self.pool, workers);
+        let computed = self.evaluator.evaluate_cohort(&s.missing, &Pool::new(1), 1);
         self.stats
             .record_estimator(self.evaluator.estimator_stats().since(before));
         for ((slot, genome), objectives) in s.missing_slots.iter().zip(&s.missing).zip(computed) {
@@ -636,8 +587,7 @@ fn step(v: u32, up: bool, lo: u32, hi: u32) -> u32 {
 
 /// Runs the MOGA-based design space exploration for a specification and
 /// returns the Pareto frontier (paper Fig. 4, "MOGA-based Design Space
-/// Explorer"), with the default pipeline (memoized, all hardware
-/// threads).
+/// Explorer"), with the default pipeline (memoized).
 pub fn explore_pareto(
     spec: &UserSpec,
     tech: &Technology,

@@ -24,23 +24,26 @@
 //!
 //! # The evaluation pipeline
 //!
-//! Exploration runs through a **batch-first, memoized, data-parallel
-//! pipeline**: NSGA-II breeds each generation completely before
+//! Exploration runs through a **batch-first, memoized pipeline** on one
+//! thread: NSGA-II breeds each generation completely before
 //! evaluating it, and [`explore::DcimProblem`] dedups the cohort, serves
 //! repeats from a sharded [`SharedEvalCache`] key space (reusable across
 //! explorations, sweep points and compiler runs — keyed by technology,
-//! conditions, precision and capacity), and fans the remaining misses
-//! out as one cohort to the bound [`EvalBackend`] (the in-process macro
-//! model by default), which evaluates them on a persistent
-//! `sega_parallel::Pool` whose workers are spawned once per process. The
-//! [`PipelineOptions`] knobs — thread count, cache switch, pool,
-//! shared-cache and backend handles — change wall-clock only: the
+//! conditions, precision and capacity), and hands the remaining misses
+//! as one cohort to the bound [`EvalBackend`] (the in-process macro
+//! model by default), which estimates them in one batched kernel call.
+//! `PipelineOptions::threads` bounds only the coarse fan-outs over whole
+//! explorations or points: mixed-precision runs
+//! ([`mixed::explore_mixed_with`]) and enumeration
+//! ([`enumerate::enumerate_design_space_with`]), on scoped threads. The
+//! [`PipelineOptions`] knobs — thread count, cache switch, shared-cache
+//! and backend handles — change wall-clock only: the
 //! frontier is bit-identical for every configuration, and
 //! [`ExplorationResult`] reports the accounting (`evaluations` vs
 //! `distinct_evaluations` vs `cache_hits`).
 //!
 //! The [`batch`] module runs whole job files of specifications over one
-//! pool and one cache; its checkpoint journal records each job's cache
+//! cache, one job after another; its checkpoint journal records each job's cache
 //! delta ([`SharedEvalCache::snapshot`]/[`load`](SharedEvalCache::load),
 //! via the dependency-free `sega_wire` codec), so a resumed batch
 //! reproduces the uninterrupted report byte for byte.

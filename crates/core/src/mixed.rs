@@ -15,7 +15,7 @@ use sega_cells::Technology;
 use sega_estimator::{OperatingConditions, Precision};
 use sega_moga::pareto::pareto_front_indices_matrix;
 use sega_moga::{DominanceStats, Nsga2Config, ObjectiveMatrix};
-use sega_parallel::{resolve_threads, Pool};
+use sega_parallel::par_map;
 
 use crate::cache::SharedEvalCache;
 use crate::explore::{explore_pareto_with, ParetoSolution, PipelineOptions};
@@ -87,13 +87,12 @@ pub fn explore_mixed(
 /// [`explore_mixed`] with explicit [`PipelineOptions`].
 ///
 /// The per-precision explorations are independent seeded runs, so they
-/// execute **concurrently** on the persistent pool: the thread budget is
-/// split between the per-precision fan-out and each exploration's inner
-/// batch evaluation. All runs share one [`SharedEvalCache`] (a fresh one
-/// per call unless the options inject their own), so estimates persist
-/// across the fan-out and across repeated calls with a caller-provided
-/// cache. Results are merged in input order, keeping the outcome
-/// bit-identical to a serial sweep.
+/// execute **concurrently**, on up to `pipeline.threads` scoped threads
+/// (each exploration runs on one). All runs share one
+/// [`SharedEvalCache`] (a fresh one per call unless the options inject
+/// their own), so estimates persist across the fan-out and across
+/// repeated calls with a caller-provided cache. Results are merged in
+/// input order, keeping the outcome bit-identical to a serial sweep.
 ///
 /// # Errors
 ///
@@ -122,27 +121,17 @@ pub fn explore_mixed_with(
             (spec, cfg)
         })
         .collect();
-    // Split the budget: outer participants across precisions, the
-    // remainder inside each exploration's batch evaluation. One pool and
-    // one cache serve both levels — nested submissions are deadlock-free
-    // by the pool's design, and the per-precision key spaces never alias.
-    let total = resolve_threads(pipeline.threads);
-    let outer = total.min(runs.len().max(1));
-    let pool = pipeline
-        .pool
-        .clone()
-        .unwrap_or_else(|| Pool::for_threads(total));
+    // One cache serves every run; the per-precision key spaces never
+    // alias.
     let cache = pipeline
         .shared_cache
         .clone()
         .unwrap_or_else(|| Arc::new(SharedEvalCache::new()));
     let inner = PipelineOptions {
-        threads: (total / outer).max(1),
-        pool: Some(Arc::clone(&pool)),
         shared_cache: Some(cache),
         ..pipeline
     };
-    let results = pool.par_map_bounded(&runs, outer, |(spec, cfg)| {
+    let results = par_map(&runs, inner.threads, |(spec, cfg)| {
         explore_pareto_with(spec, tech, conditions, cfg, inner.clone())
     });
 

@@ -31,7 +31,7 @@
 //! # Concurrency and determinism
 //!
 //! Jobs from different connections run at the same time on the one
-//! [`SharedEvalCache`]. A job executes through the exact
+//! [`SharedEvalCache`], each on its connection's thread. A job executes through the exact
 //! same [`explore_pareto_with`] pipeline a local batch run uses, and the
 //! cache memoizes a pure function, so the front the daemon ships back is
 //! **bit-identical** to an in-process run of the same job whatever else
@@ -285,7 +285,9 @@ pub fn drain_flag() -> &'static AtomicBool {
 pub struct ServeOptions {
     /// Where to accept client connections.
     pub listen: ListenAddr,
-    /// Evaluation pipeline width per job (`0` = all hardware threads).
+    /// [`PipelineOptions::threads`] of every job (`0` = all hardware
+    /// threads). A job's exploration runs on its connection's thread, so
+    /// this bounds nothing the daemon runs today.
     pub threads: usize,
     /// How long a freshly accepted connection may take to say hello.
     pub hello_deadline: Duration,
@@ -338,8 +340,7 @@ pub struct ServeReport {
 /// through, the drain/activity flags the accept loop and the connection
 /// threads coordinate on, and the served counters. Jobs from different
 /// connections run concurrently: the cache is sharded and memoizes a
-/// pure function, and the worker pool accepts several submitters at
-/// once.
+/// pure function.
 #[derive(Debug)]
 struct DaemonShared {
     cache: Arc<SharedEvalCache>,

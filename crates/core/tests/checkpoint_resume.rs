@@ -38,7 +38,6 @@ fn pipeline() -> PipelineOptions {
     PipelineOptions {
         threads: 1,
         cache: true,
-        min_batch_per_worker: 1,
         ..Default::default()
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests of the batched evaluation pipeline: every pipeline
-//! configuration — serial, pooled, cached, uncached, shared-cache, and
+//! configuration — any thread count, cached, uncached, shared-cache, and
 //! their combinations — must return a **bit-identical** Pareto front for
 //! the same seed, and the evaluation accounting must be exact.
 
@@ -46,15 +46,11 @@ fn explore(spec: &UserSpec, seed: u64, pipeline: PipelineOptions) -> Exploration
     )
 }
 
-/// Every pipeline configuration worth distinguishing. The threaded ones
-/// set `min_batch_per_worker: 1` so the multi-participant merge path
-/// really runs even at the tests' small batch sizes; the forced widths
-/// (4 and 7) resolve to genuine persistent pools of that width via
-/// `Pool::for_threads`, regardless of the host's core count. Later
-/// configurations run on an explicitly injected pool, a fresh shared
-/// cache, and explicit estimator backends (the macro model named
-/// directly, and the counting wrapper) — the backend choice, like every
-/// other knob, must never change a front.
+/// Every pipeline configuration worth distinguishing: thread counts 1,
+/// 4 and 7 (set directly and through the `on_pool` shorthand), a fresh
+/// shared cache, and explicit estimator backends (the macro model named
+/// directly, and the counting wrapper) — no knob, the backend choice
+/// included, may change a front.
 fn pipelines() -> Vec<PipelineOptions> {
     vec![
         PipelineOptions::serial_uncached(),
@@ -66,46 +62,39 @@ fn pipelines() -> Vec<PipelineOptions> {
         PipelineOptions {
             threads: 4,
             cache: true,
-            min_batch_per_worker: 1,
             ..Default::default()
         },
         PipelineOptions {
             threads: 4,
             cache: false,
-            min_batch_per_worker: 1,
             ..Default::default()
         },
         PipelineOptions {
             threads: 7,
             cache: true,
-            min_batch_per_worker: 1,
             ..Default::default()
         },
         PipelineOptions {
             threads: 4,
             cache: true,
-            min_batch_per_worker: 1,
             ..Default::default()
         }
-        .on_pool(Pool::for_threads(4)),
+        .on_pool(Arc::new(Pool::new(4))),
         PipelineOptions {
             threads: 4,
             cache: true,
-            min_batch_per_worker: 1,
             ..Default::default()
         }
         .with_shared_cache(Arc::new(SharedEvalCache::with_shards(4))),
         PipelineOptions {
             threads: 4,
             cache: true,
-            min_batch_per_worker: 1,
             ..Default::default()
         }
         .with_backend(Arc::new(MacroModelBackend)),
         PipelineOptions {
             threads: 4,
             cache: false,
-            min_batch_per_worker: 1,
             ..Default::default()
         }
         .with_backend(Arc::new(InstrumentedBackend::macro_model())),
@@ -115,7 +104,7 @@ fn pipelines() -> Vec<PipelineOptions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The headline determinism property: cached + pooled exploration
+    /// The headline determinism property: cached, threaded exploration
     /// returns a bit-identical front to the serial uncached baseline, for
     /// every precision and seed.
     #[test]
@@ -195,7 +184,6 @@ proptest! {
         .with_pipeline(PipelineOptions {
             threads: 4,
             cache: true,
-            min_batch_per_worker: 1,
             ..Default::default()
         });
         // A cohort with deliberate duplicates: the same genome block twice.
@@ -245,7 +233,6 @@ proptest! {
         .with_pipeline(PipelineOptions {
             threads: 4,
             cache: false,
-            min_batch_per_worker: 1,
             ..Default::default()
         });
         let genomes: Vec<_> = {
@@ -334,7 +321,7 @@ proptest! {
         ).unwrap();
         let parallel = explore_mixed_with(
             16384, &precisions, &tech, &cond, &cfg(seed),
-            PipelineOptions { threads: 4, cache: true, min_batch_per_worker: 1, ..Default::default() },
+            PipelineOptions { threads: 4, cache: true, ..Default::default() },
         ).unwrap();
         let objs = |m: &sega_dcim::MixedExploration| -> Vec<Vec<f64>> {
             m.front.iter().map(|s| s.objectives().to_vec()).collect()
@@ -409,7 +396,6 @@ fn cold_runs_are_backend_invariant_with_exact_traffic_accounting() {
     let spec = UserSpec::new(16384, Precision::Fp16).unwrap();
     let forced = || PipelineOptions {
         threads: 4,
-        min_batch_per_worker: 1,
         ..Default::default()
     };
     let default_run = explore(

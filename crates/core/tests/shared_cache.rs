@@ -1,11 +1,11 @@
-//! Integration tests of the PR's runtime: the persistent worker pool,
-//! the sharded cross-exploration [`SharedEvalCache`], and their
-//! interaction with the exploration pipeline.
+//! Integration tests of the sharded cross-exploration
+//! [`SharedEvalCache`] and its interaction with the exploration
+//! pipeline.
 //!
 //! Three properties anchor everything:
 //!
-//! 1. **Pool determinism** — forced pool widths (4 and 7, regardless of
-//!    host cores) reproduce the serial front bit-identically.
+//! 1. **Thread-count determinism** — forced widths (4 and 7, regardless
+//!    of host cores) reproduce the serial front bit-identically.
 //! 2. **Shard invariance** — the shard count changes lock granularity
 //!    only: fronts *and counters* are identical for 1, 4 and 64 shards.
 //! 3. **Cross-exploration reuse** — a second run of the same spec
@@ -46,20 +46,16 @@ fn forced_pool_widths_reproduce_the_serial_front() {
     let spec = UserSpec::new(16384, Precision::Bf16).unwrap();
     let baseline = explore(&spec, 11, PipelineOptions::serial_uncached());
     for width in [4usize, 7] {
-        // Explicitly injected pool of the forced width (a real
-        // `width`-participant pool even on a single-core host), plus the
-        // registry-resolved path via `threads`.
+        // The width set directly and through the `on_pool` shorthand.
         for pipeline in [
             PipelineOptions {
                 threads: width,
                 cache: true,
-                min_batch_per_worker: 1,
                 ..Default::default()
             },
             PipelineOptions {
                 threads: width,
                 cache: true,
-                min_batch_per_worker: 1,
                 ..Default::default()
             }
             .on_pool(Arc::new(Pool::new(width))),
@@ -68,7 +64,7 @@ fn forced_pool_widths_reproduce_the_serial_front() {
             assert_eq!(
                 run.objective_matrix(),
                 baseline.objective_matrix(),
-                "pool width {width} diverged"
+                "thread count {width} diverged"
             );
         }
     }
@@ -86,7 +82,6 @@ fn shard_count_changes_nothing_observable() {
             PipelineOptions {
                 threads: 4,
                 cache: true,
-                min_batch_per_worker: 1,
                 ..Default::default()
             }
             .with_shared_cache(Arc::clone(&cache)),
