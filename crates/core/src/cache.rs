@@ -38,7 +38,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sega_cells::Technology;
 use sega_estimator::{EstimatorStats, OperatingConditions, Precision};
@@ -240,6 +240,14 @@ pub struct KeySpace {
 /// One independently locked slice of a [`KeySpace`].
 type Shard = Mutex<FxHashMap<Geometry, [f64; 4]>>;
 
+/// Locks a shard or the key map, recovering it if a thread panicked while
+/// holding it. Entries are deterministic estimates, and a panic inside a
+/// map operation leaves the map valid, so whatever the lock guards is
+/// still safe to read and extend.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl KeySpace {
     fn new(shards: usize) -> KeySpace {
         let shards = shards.max(1).next_power_of_two();
@@ -258,28 +266,19 @@ impl KeySpace {
 
     /// Looks up one geometry.
     pub fn get(&self, g: &Geometry) -> Option<[f64; 4]> {
-        self.shards[self.shard_of(g)]
-            .lock()
-            .expect("cache shard poisoned")
-            .get(g)
-            .copied()
+        lock(&self.shards[self.shard_of(g)]).get(g).copied()
     }
 
     /// Installs one geometry's objectives.
     pub fn insert(&self, g: Geometry, objectives: [f64; 4]) {
-        self.shards[self.shard_of(&g)]
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(g, objectives);
+        lock(&self.shards[self.shard_of(&g)]).insert(g, objectives);
     }
 
     /// Installs one geometry's objectives unless it is already memoized
     /// (the load primitive: first value wins, so repeated loads are
     /// idempotent). Returns `true` when the entry was new.
     pub fn insert_if_absent(&self, g: Geometry, objectives: [f64; 4]) -> bool {
-        let mut shard = self.shards[self.shard_of(&g)]
-            .lock()
-            .expect("cache shard poisoned");
+        let mut shard = lock(&self.shards[self.shard_of(&g)]);
         match shard.entry(g) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -294,13 +293,7 @@ impl KeySpace {
     pub fn entries(&self) -> Vec<(Geometry, [f64; 4])> {
         self.shards
             .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("cache shard poisoned")
-                    .iter()
-                    .map(|(g, o)| (*g, *o))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|s| lock(s).iter().map(|(g, o)| (*g, *o)).collect::<Vec<_>>())
             .collect()
     }
 
@@ -311,10 +304,7 @@ impl KeySpace {
 
     /// Number of memoized geometries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when nothing is memoized yet.
@@ -370,7 +360,7 @@ impl SharedEvalCache {
     /// Resolves (creating on first use) the key space for one
     /// exploration's invariants. Called once per exploration.
     pub fn space(&self, key: &CacheKey) -> Arc<KeySpace> {
-        let mut spaces = self.spaces.lock().expect("cache key map poisoned");
+        let mut spaces = lock(&self.spaces);
         match spaces.get(key) {
             Some(space) => Arc::clone(space),
             None => {
@@ -388,13 +378,13 @@ impl SharedEvalCache {
 
     /// Number of distinct key spaces resolved so far.
     pub fn spaces_len(&self) -> usize {
-        self.spaces.lock().expect("cache key map poisoned").len()
+        lock(&self.spaces).len()
     }
 
     /// Total memoized geometries across every key space.
     pub fn len(&self) -> usize {
         let spaces: Vec<Arc<KeySpace>> = {
-            let map = self.spaces.lock().expect("cache key map poisoned");
+            let map = lock(&self.spaces);
             map.values().map(Arc::clone).collect()
         };
         spaces.iter().map(|s| s.len()).sum()
@@ -427,9 +417,7 @@ impl SharedEvalCache {
 
     /// Every resolved `(key, key space)` pair at this instant.
     fn spaces_vec(&self) -> Vec<(CacheKey, Arc<KeySpace>)> {
-        self.spaces
-            .lock()
-            .expect("cache key map poisoned")
+        lock(&self.spaces)
             .iter()
             .map(|(k, s)| (k.clone(), Arc::clone(s)))
             .collect()
@@ -625,6 +613,29 @@ mod tests {
             precision,
             wstore,
         )
+    }
+
+    #[test]
+    fn poisoned_shard_and_key_map_keep_serving() {
+        let cache = SharedEvalCache::with_shards(1);
+        let space = cache.space(&key(Precision::Int8, 8192));
+        space.insert(geometry(3, 4, 2), [1.0, 2.0, 3.0, 4.0]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _shard = space.shards[0].lock().unwrap();
+            let _map = cache.spaces.lock().unwrap();
+            panic!("panic while holding the shard and the key map");
+        }));
+        assert!(panicked.is_err());
+        assert!(space.shards[0].is_poisoned() && cache.spaces.is_poisoned());
+        assert_eq!(space.get(&geometry(3, 4, 2)), Some([1.0, 2.0, 3.0, 4.0]));
+        space.insert(geometry(5, 4, 2), [5.0, 6.0, 7.0, 8.0]);
+        assert!(space.insert_if_absent(geometry(6, 4, 2), [0.5; 4]));
+        assert!(!space.insert_if_absent(geometry(3, 4, 2), [0.0; 4]));
+        assert_eq!((space.len(), space.entries().len()), (3, 3));
+        let again = cache.space(&key(Precision::Int8, 8192));
+        assert!(Arc::ptr_eq(&space, &again));
+        cache.space(&key(Precision::Int4, 8192));
+        assert_eq!((cache.spaces_len(), cache.len()), (2, 3));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::matrix::ObjectiveMatrix;
 use crate::pareto::{
-    crowding_distances_matrix_into, nan_last_cmp, nan_last_cmp_rows,
-    non_dominated_sort_matrix_into, CrowdingScratch, DominanceStats, SortScratch,
+    crowding_classified_into, nan_last_cmp, nan_last_cmp_rows, non_dominated_sort_classified_into,
+    CrowdingScratch, DominanceStats, SortScratch,
 };
 use crate::Problem;
 use rand::rngs::StdRng;
@@ -545,11 +546,12 @@ fn crowded_less<G>(pop: &Pop<G>, a: usize, b: usize) -> bool {
 }
 
 /// Assigns ranks and crowding distances to the whole population with a
-/// single non-dominated sort over the flat objective matrix.
+/// single non-dominated sort over the flat objective matrix, whose class
+/// view serves the crowding of every front.
 fn rank_population<G>(pop: &mut Pop<G>, scratch: &mut EvolutionScratch<G>) {
-    non_dominated_sort_matrix_into(&pop.objs, &mut scratch.sort, &mut scratch.fronts);
+    non_dominated_sort_classified_into(&pop.objs, &mut scratch.sort, &mut scratch.fronts);
     for (rank, front) in scratch.fronts.iter().enumerate() {
-        crowding_distances_matrix_into(&pop.objs, front, &mut scratch.dist, &mut scratch.crowd);
+        crowding_classified_into(&scratch.sort, front, &mut scratch.dist, &mut scratch.crowd);
         for (&idx, &d) in front.iter().zip(scratch.dist.iter()) {
             pop.rank[idx] = rank;
             pop.crowding[idx] = d;
@@ -577,7 +579,7 @@ struct EvolutionScratch<G> {
     /// Interning hash buckets: key → first distinct index, collisions
     /// threaded through the intrusive `chain` so clearing drops no
     /// allocations.
-    buckets: HashMap<u64, usize>,
+    buckets: HashMap<u64, usize, BuildHasherDefault<InternKeyHasher>>,
     /// `chain[d]`: next distinct index sharing `d`'s intern key
     /// (`usize::MAX` terminates).
     chain: Vec<usize>,
@@ -598,10 +600,34 @@ impl<G> EvolutionScratch<G> {
             taken: Vec::new(),
             next_genomes: Vec::new(),
             next_objs: ObjectiveMatrix::new(objectives),
-            buckets: HashMap::new(),
+            buckets: HashMap::default(),
             chain: Vec::new(),
             interned: 0,
         }
+    }
+}
+
+/// Hasher of the intern buckets. Their keys are already hashes
+/// ([`Problem::intern_key`]), so one multiply, rotated to bring the
+/// well-mixed high bits down to the bucket index, spreads them; SipHash
+/// would hash them a second time. Only lookups use it, so no result
+/// depends on it.
+#[derive(Default)]
+struct InternKeyHasher(u64);
+
+impl Hasher for InternKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -613,26 +639,28 @@ impl<G> EvolutionScratch<G> {
 /// the rank of a kept member), and only the crowding distances of the one
 /// truncated front are recomputed within the kept subset — semantically
 /// identical to re-ranking the survivor set, at a third of the sorting
-/// work.
+/// work. The pool's class view, built once by the sort, serves both
+/// crowding calls: its per-objective class orders replace a sort of the
+/// front and of the kept subset per objective.
 ///
 /// Operates **in place**: survivor genomes are moved out of the pool and
 /// objective rows are `memcpy`d between the two flat matrices; every
 /// buffer comes from the reusable [`EvolutionScratch`].
 fn select_survivors<G>(pop: &mut Pop<G>, target: usize, scratch: &mut EvolutionScratch<G>) {
     scratch.plan.clear();
-    non_dominated_sort_matrix_into(&pop.objs, &mut scratch.sort, &mut scratch.fronts);
+    non_dominated_sort_classified_into(&pop.objs, &mut scratch.sort, &mut scratch.fronts);
     for (rank, front) in scratch.fronts.iter().enumerate() {
         if scratch.plan.len() + front.len() <= target {
             // The whole front survives: its crowding distances
             // (computed within the full front) are final.
-            crowding_distances_matrix_into(&pop.objs, front, &mut scratch.dist, &mut scratch.crowd);
+            crowding_classified_into(&scratch.sort, front, &mut scratch.dist, &mut scratch.crowd);
             for (&idx, &d) in front.iter().zip(scratch.dist.iter()) {
                 scratch.plan.push((idx, rank, d));
             }
         } else {
             // Truncate by crowding within the full front (the NSGA-II
             // crowded-comparison tiebreak)…
-            crowding_distances_matrix_into(&pop.objs, front, &mut scratch.dist, &mut scratch.crowd);
+            crowding_classified_into(&scratch.sort, front, &mut scratch.dist, &mut scratch.crowd);
             scratch.by_crowding.clear();
             scratch
                 .by_crowding
@@ -645,8 +673,8 @@ fn select_survivors<G>(pop: &mut Pop<G>, target: usize, scratch: &mut EvolutionS
             scratch
                 .kept
                 .extend(scratch.by_crowding.iter().map(|&(idx, _)| idx));
-            crowding_distances_matrix_into(
-                &pop.objs,
+            crowding_classified_into(
+                &scratch.sort,
                 &scratch.kept,
                 &mut scratch.dist,
                 &mut scratch.crowd,

@@ -34,6 +34,10 @@ def anchors_in(path: str) -> set:
 
 
 def main() -> None:
+    if len(sys.argv) < 2:
+        # No files would check nothing and pass: refuse instead.
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        sys.exit(2)
     failures = []
     checked = 0
     for source in sys.argv[1:]:
